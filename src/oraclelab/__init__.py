@@ -8,7 +8,7 @@ bias-equivalent classical subset samplers.
 
 __version__ = "0.1.0"
 
-from .algebra import FiniteAbelianGroup, cyclic, group_add, random_povm, random_unitary
+from .algebra import FiniteAbelianGroup, cyclic, random_povm, random_unitary
 from .errors import CapacityError
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
@@ -63,7 +63,6 @@ __all__ = [
     "corollary5_audit",
     "cyclic",
     "deutsch",
-    "group_add",
     "joint_distribution",
     "lemma_check",
     "make_image_parity",

@@ -92,11 +92,6 @@ def cyclic(m: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup((int(m),))
 
 
-def group_add(group: FiniteAbelianGroup, a: int, b: int) -> int:
-    """Componentwise modular sum of two encoded elements."""
-    return group.add(a, b)
-
-
 # ---------------------------------------------------------------------------
 # matrix checks
 

@@ -78,13 +78,23 @@ def _write_csv(path: str, rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+def _read_input(path: str, decode):
+    """Decode a --problem or --alg file, bare or under a CLI report's "result"."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and "header" in data and "result" in data:
+        data = data["result"]
+    try:
+        return decode(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: malformed input: {exc!r}") from exc
+
+
 def _load_problem(args) -> tuple:
     """Problem from --problem JSON or from --gen plus its parameters."""
     if getattr(args, "problem", None):
-        with open(args.problem) as fh:
-            data = json.load(fh)
         name = os.path.splitext(os.path.basename(args.problem))[0]
-        problem = problem_from_json(data, name=name)
+        problem = _read_input(args.problem, lambda data: problem_from_json(data, name=name))
         config = {"problem": args.problem}
     elif getattr(args, "gen", None):
         params = {}
@@ -102,11 +112,6 @@ def _load_problem(args) -> tuple:
     else:
         raise ValueError("provide --problem FILE or --gen NAME")
     return problem, config
-
-
-def _load_algorithm(path: str):
-    with open(path) as fh:
-        return algorithm_from_json(json.load(fh))
 
 
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
@@ -257,7 +262,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    alg = _load_algorithm(args.alg)
+    alg = _read_input(args.alg, algorithm_from_json)
     table = [int(tok) for tok in args.oracle.split(",")]
     result_obj = run(alg, table)
     result = {
@@ -276,7 +281,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    alg = _load_algorithm(args.alg)
+    alg = _read_input(args.alg, algorithm_from_json)
     accept = _parse_accept(args.accept)
     compiled = compile_classical(alg, accept)
     _emit(
@@ -300,7 +305,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_audit(args) -> int:
     problem, config = _load_problem(args)
-    alg = _load_algorithm(args.alg)
+    alg = _read_input(args.alg, algorithm_from_json)
     accept = _parse_accept(args.accept)
     report = corollary5_audit(problem, alg, accept, tol=args.tol)
     config.update({"alg": args.alg, "accept": accept})

@@ -64,14 +64,6 @@ class MultilinearPolynomial:
             raise ValueError(f"need 2^{self.n} coefficients, got shape {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def coefficient(self, subset: Iterable[int] | int) -> float:
-        mask = subset if isinstance(subset, int) else _mask_of(subset, self.n)
-        return float(self.coeffs[mask])
-
-    def degree(self, tol: float = 0.0) -> int:
-        sizes = [_popcount(m) for m in range(1 << self.n) if abs(self.coeffs[m]) > tol]
-        return max(sizes, default=0)
-
     def evaluate(self, point: Sequence[float]) -> float:
         """Evaluate at an arbitrary real point, one value per variable."""
         if len(point) != self.n:

@@ -113,10 +113,6 @@ def event_indices(problem: LearningProblem, transcript: Transcript) -> tuple[int
     )
 
 
-def event_probability(problem: LearningProblem, transcript: Transcript) -> Fraction:
-    return sum((problem.prior[i] for i in event_indices(problem, transcript)), Fraction(0))
-
-
 def posterior_classical(
     problem: LearningProblem, transcript: Transcript
 ) -> dict[int, Fraction] | None:

@@ -14,7 +14,7 @@ final state for oracle table f is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,9 +97,6 @@ class QuantumAlgorithm:
     @property
     def n_outcomes(self) -> int:
         return len(self.povm)
-
-    def with_labels(self, labels: Mapping[int, int]) -> "QuantumAlgorithm":
-        return replace(self, outcome_labels=dict(labels))
 
 
 @dataclass(frozen=True, eq=False)

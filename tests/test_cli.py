@@ -59,15 +59,61 @@ def test_check_classical_violation_exit_one(tmp_path):
 def test_check_classical_loads_problem_file(tmp_path):
     problem_path = tmp_path / "img.json"
     assert main(["problem", "--gen", "image-parity", "--out", str(problem_path)]) == EXIT_OK
-    # re-wrap: the dumped report embeds the schema under "result"
-    schema = _read_report(problem_path)["result"]
-    problem_path.write_text(json.dumps(schema))
     out = tmp_path / "check.json"
     code = main(
         ["check-classical", "--problem", str(problem_path), "--k", "2", "--out", str(out)]
     )
     assert code == EXIT_OK
     assert _read_report(out)["result"]["verdict"] == "useless"
+
+
+def test_gallery_emit_report_feeds_simulate(tmp_path):
+    alg_path = tmp_path / "deutsch.json"
+    assert main(["gallery", "emit", "--name", "deutsch", "--out", str(alg_path)]) == EXIT_OK
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--alg", str(alg_path), "--oracle", "0,1", "--out", str(out)])
+    assert code == EXIT_OK
+    assert _read_report(out)["result"]["outcome_probs"][1] == pytest.approx(1.0, abs=1e-9)
+
+
+def _break_prior(schema):
+    schema["prior"][0] = [1, 0]
+
+
+def _drop_labels(schema):
+    del schema["labels"]
+
+
+def _string_in_complex_pair(schema):
+    schema["rho0"][0][0] = ["x", 0]
+
+
+EMIT_PROBLEM = ["problem", "--gen", "parity", "--n", "2"]
+CHECK_PROBLEM = ["check-classical", "--k", "1", "--problem"]
+EMIT_ALG = ["gallery", "emit", "--name", "deutsch"]
+SIMULATE_ALG = ["simulate", "--oracle", "0,1", "--alg"]
+
+
+@pytest.mark.parametrize(
+    "emit,break_schema,command",
+    [
+        (EMIT_PROBLEM, _break_prior, CHECK_PROBLEM),
+        (EMIT_PROBLEM, _drop_labels, CHECK_PROBLEM),
+        (EMIT_ALG, _string_in_complex_pair, SIMULATE_ALG),
+    ],
+    ids=["zero-denominator", "missing-key", "string-in-complex"],
+)
+def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command):
+    path = tmp_path / "input.json"
+    assert main([*emit, "--out", str(path)]) == EXIT_OK
+    schema = _read_report(path)["result"]
+    break_schema(schema)
+    path.write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert main([*command, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(path) in err[0]
 
 
 def test_check_quantum_report(tmp_path):

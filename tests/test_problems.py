@@ -6,7 +6,6 @@ import pytest
 from oraclelab.errors import CapacityError
 from oraclelab.problems import (
     LearningProblem,
-    event_probability,
     generate,
     is_prime,
     make_image_parity,
@@ -108,7 +107,6 @@ def test_posterior_empty_transcript_is_prior():
 def test_posterior_inconsistent_transcript_is_undefined():
     p = make_parity(2)
     assert posterior_classical(p, [(0, 0), (0, 1)]) is None
-    assert event_probability(p, [(0, 0), (0, 1)]) == 0
 
 
 def test_posterior_duplicate_consistent_queries_collapse():

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oraclelab.algebra import cyclic
+from oraclelab.algebra import FiniteAbelianGroup, cyclic
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
 from oraclelab.problems import (
@@ -85,9 +89,76 @@ def test_classical_useless_monotone():
         assert verdicts == sorted(verdicts, reverse=True)
 
 
+@st.composite
+def small_problems(draw):
+    group = FiniteAbelianGroup(draw(st.sampled_from([(2,), (3,), (2, 2)])))
+    n = draw(st.integers(1, 3 if group.order <= 3 else 2))
+    tables = list(product(range(group.order), repeat=n))
+    if draw(st.booleans()):
+        # the full class labeled by the table's value sum, weighted per part:
+        # often useless below |X| queries
+        labels = [sum(f) % group.order for f in tables]
+        part_weight = draw(st.lists(st.integers(0, 3), min_size=group.order, max_size=group.order))
+        raw = [part_weight[j] for j in labels]
+    else:
+        tables = draw(st.lists(st.sampled_from(tables), min_size=1, max_size=8, unique=True))
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(tables), max_size=len(tables)))
+        raw = draw(st.lists(st.integers(0, 3), min_size=len(tables), max_size=len(tables)))
+    if sum(raw) == 0:
+        raw[0] = 1
+    return LearningProblem(
+        domain_size=n,
+        group=group,
+        functions=tuple(tables),
+        labels=tuple(labels),
+        prior=tuple(Fraction(w, sum(raw)) for w in raw),
+        name="random",
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems())
+def test_classical_useless_matches_naive_on_random_problems(problem):
+    prior = problem.part_prior()
+    for k in range(problem.domain_size + 2):
+        expected_useless, _ = naive_classical_useless(problem, k)
+        report = classical_useless(problem, k)
+        assert (report.verdict == VERDICT_USELESS) == expected_useless
+        if report.witness is not None:
+            transcript = [tuple(pair) for pair in report.witness["transcript"]]
+            assert len(transcript) == k
+            j = report.witness["part"]
+            assert posterior_classical(problem, transcript)[j] != prior[j]
+
+
 def test_classical_useless_budget():
     with pytest.raises(CapacityError):
         classical_useless(make_parity(8), 6, max_events=1000)
+
+
+def test_classical_useless_ceiling_is_cells_read():
+    problem = make_parity(5)
+    cost = 3 * math.comb(5, 3) * problem.size  # k' * C(|X|, k') * |C|
+    assert classical_useless(problem, 3, max_events=cost).verdict == VERDICT_USELESS
+    with pytest.raises(CapacityError):
+        classical_useless(problem, 3, max_events=cost - 1)
+
+
+def test_classical_witness_beyond_domain_is_padded():
+    problem = make_parity(3)
+    report = classical_useless(problem, 5)
+    assert report.verdict == VERDICT_NOT_USELESS
+    transcript = [tuple(pair) for pair in report.witness["transcript"]]
+    assert len(transcript) == 5
+    assert sorted({x for x, _ in transcript}) == [0, 1, 2]
+    j = report.witness["part"]
+    posterior = posterior_classical(problem, transcript)
+    assert posterior[j] == Fraction(*report.witness["posterior"])
+    assert posterior[j] != problem.part_prior()[j]
+
+
+def test_max_useless_k_parity_8_under_default_ceiling():
+    assert max_useless_k(make_parity(8)) == 7
 
 
 def test_max_useless_k_values():
