@@ -42,6 +42,29 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def _popcounts(size: int) -> np.ndarray:
+    """Popcount of every mask below ``size``, as signed ints."""
+    return np.bitwise_count(np.arange(size)).astype(np.int64)
+
+
+def _butterfly(values: Sequence[float], kernel: Sequence[Sequence[float]]) -> np.ndarray:
+    """Apply the 2x2 ``kernel`` along every index bit: out = K^(x n) v.
+
+    Bit i of the index is one tensor factor: viewed as (-1, 2, 2^i), the
+    middle axis holds the pairs (mask without bit i, mask with bit i).
+    """
+    a = np.array(values, dtype=float)
+    size = len(a)
+    if a.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValueError(f"need a power-of-two value count, got {size}")
+    k = np.asarray(kernel, dtype=float)
+    step = 1
+    while step < size:
+        a = (k @ a.reshape(-1, 2, step)).reshape(size)
+        step *= 2
+    return a
+
+
 def _subset_sorted(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -80,14 +103,8 @@ class MultilinearPolynomial:
         return float(total)
 
     def values_on_cube(self) -> np.ndarray:
-        """Values at all 0/1 points; index bit i is variable i."""
-        v = self.coeffs.copy()
-        for bit in range(self.n):
-            step = 1 << bit
-            for mask in range(1 << self.n):
-                if mask & step:
-                    v[mask] += v[mask ^ step]
-        return v
+        """Values at all 0/1 points; index bit i is variable i (subset zeta)."""
+        return _butterfly(self.coeffs, ((1, 0), (1, 1)))
 
 
 def _mask_of(subset: Iterable[int], n: int) -> int:
@@ -105,34 +122,13 @@ def interpolate_on_cube(values: Sequence[float]) -> MultilinearPolynomial:
     ``values[mask]`` is the target at the point whose i-th variable is bit
     i of ``mask``. Subset Moebius transform, O(2^n * n).
     """
-    size = len(values)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError(f"need a power-of-two value count, got {size}")
-    c = np.array(values, dtype=float)
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(size):
-            if mask & step:
-                c[mask] -= c[mask ^ step]
-    return MultilinearPolynomial(n, c)
+    c = _butterfly(values, ((1, 0), (-1, 1)))
+    return MultilinearPolynomial(len(c).bit_length() - 1, c)
 
 
 def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
-    """In-place style butterfly: out[s] = sum_f (-1)^{popcount(s & f)} v[f]."""
-    a = np.array(values, dtype=float)
-    size = len(a)
-    if size & (size - 1):
-        raise ValueError(f"need a power-of-two value count, got {size}")
-    h = 1
-    while h < size:
-        for start in range(0, size, 2 * h):
-            for i in range(start, start + h):
-                x, y = a[i], a[i + h]
-                a[i] = x + y
-                a[i + h] = x - y
-        h *= 2
-    return a
+    """Walsh-Hadamard transform: out[s] = sum_f (-1)^{popcount(s & f)} v[f]."""
+    return _butterfly(values, ((1, 1), (1, -1)))
 
 
 def acceptance_polynomial(
@@ -153,19 +149,17 @@ def acceptance_polynomial(
     for s in accept:
         if not 0 <= s < alg.n_outcomes:
             raise ValueError(f"accept outcome {s} outside [0, {alg.n_outcomes})")
-    values = np.empty(1 << n)
-    for mask in range(1 << n):
-        table = [mask >> i & 1 for i in range(n)]
-        probs = run(alg, table).outcome_probs
-        values[mask] = float(probs[accept].sum())
+    tables = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    values = run(alg, tables).outcome_probs[:, accept].sum(axis=1)
     poly = interpolate_on_cube(values)
     max_degree = 2 * alg.query_count
-    for mask in range(1 << n):
-        if _popcount(mask) > max_degree and abs(poly.coeffs[mask]) >= DEGREE_TOL:
-            raise ArithmeticError(
-                f"coefficient {poly.coeffs[mask]:.3e} on subset {_subset_sorted(mask)} "
-                f"violates the degree bound {max_degree}; the simulation is inconsistent"
-            )
+    broken = (_popcounts(1 << n) > max_degree) & (np.abs(poly.coeffs) >= DEGREE_TOL)
+    if broken.any():
+        mask = int(np.argmax(broken))
+        raise ArithmeticError(
+            f"coefficient {poly.coeffs[mask]:.3e} on subset {_subset_sorted(mask)} "
+            f"violates the degree bound {max_degree}; the simulation is inconsistent"
+        )
     return poly
 
 
@@ -176,28 +170,21 @@ def to_fourier(p: MultilinearPolynomial) -> MultilinearPolynomial:
     against the Walsh-Hadamard transform of the cube values; the two routes
     must agree entrywise.
     """
-    n = p.n
-    size = 1 << n
+    size = 1 << p.n
+    popcounts = _popcounts(size)
     # Change of variables: each f_i = (w_i + 1)/2 spreads coefficient c_S
-    # over all subsets of S with weight 2^-|S|.
-    spread = np.array([p.coeffs[m] * 0.5 ** _popcount(m) for m in range(size)])
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(size):
-            if not mask & step:
-                spread[mask] += spread[mask | step]
+    # over all subsets of S with weight 2^-|S| (a superset sum).
+    spread = _butterfly(p.coeffs * 0.5**popcounts, ((1, 1), (0, 1)))
     qhat = 2.0 * spread
     qhat[0] -= 1.0
     # Independent route: q-hat(S) = 2^-n * sum_w q(w) w_S with w = 2f - 1.
     q_values = 2.0 * p.values_on_cube() - 1.0
     signed = walsh_hadamard(q_values)
-    qhat_check = np.array(
-        [(-1) ** _popcount(m) * signed[m] / size for m in range(size)]
-    )
+    qhat_check = (1 - 2 * (popcounts & 1)) * signed / size
     gap = float(np.max(np.abs(qhat - qhat_check)))
     if gap > TRANSFORM_TOL:
         raise ArithmeticError(f"character transform routes disagree by {gap:.3e}")
-    return MultilinearPolynomial(n, qhat)
+    return MultilinearPolynomial(p.n, qhat)
 
 
 def from_fourier(qhat: MultilinearPolynomial) -> MultilinearPolynomial:
@@ -240,6 +227,12 @@ class CompiledClassicalAlgorithm:
                         f"subset {_subset_sorted(mask)} exceeds the query budget "
                         f"{2 * self.queries}"
                     )
+        # Term columns for classical_output_prob; not fields, so equality
+        # and hashing still see only the terms tuple.
+        masks, probs, signs = zip(*self.terms) if self.terms else ((), (), ())
+        object.__setattr__(self, "_masks", np.array(masks, dtype=np.uint64))
+        object.__setattr__(self, "_probs", np.array(probs, dtype=float))
+        object.__setattr__(self, "_signs", np.array(signs, dtype=np.int64))
 
     @property
     def max_queries(self) -> int:
@@ -256,20 +249,19 @@ def compile_classical(
     below the pruning threshold are dropped before normalizing.
     """
     poly = acceptance_polynomial(alg, accept_outcomes)
-    qhat = to_fourier(poly)
+    coeffs = to_fourier(poly).coeffs
     budget = 2 * alg.query_count
-    kept = [
-        (mask, float(c))
-        for mask, c in enumerate(qhat.coeffs)
-        if abs(c) >= PRUNE_TOL and _popcount(mask) <= budget
-    ]
-    scale = sum(abs(c) for _, c in kept)
+    kept = np.flatnonzero(
+        (np.abs(coeffs) >= PRUNE_TOL) & (_popcounts(len(coeffs)) <= budget)
+    )
+    scale = float(np.abs(coeffs[kept]).sum())
     if scale < PRUNE_TOL:
         return CompiledClassicalAlgorithm(
             n=poly.n, queries=alg.query_count, scale=0.0, terms=(), degenerate=True
         )
     terms = tuple(
-        (mask, abs(c) / scale, 1 if c > 0 else -1) for mask, c in kept
+        (int(mask), float(abs(coeffs[mask]) / scale), 1 if coeffs[mask] > 0 else -1)
+        for mask in kept
     )
     return CompiledClassicalAlgorithm(
         n=poly.n, queries=alg.query_count, scale=scale, terms=terms, degenerate=False
@@ -285,14 +277,12 @@ def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]
         raise ValueError(f"table entries must be bits, got {bits}")
     if compiled.degenerate:
         return 0.5
-    f_mask = sum(bit << i for i, bit in enumerate(bits))
-    total = 0.0
-    for mask, prob, sign in compiled.terms:
-        # product of w_i = 2 f_i - 1 over the subset: -1 per zero response
-        w = -1 if (_popcount(mask) - _popcount(mask & f_mask)) % 2 else 1
-        if sign * w == 1:
-            total += prob
-    return total
+    zero_mask = sum((1 - bit) << i for i, bit in enumerate(bits))
+    # product of w_i = 2 f_i - 1 over each subset: -1 per zero response;
+    # bitwise_count returns uint8, so cast before the sign arithmetic
+    zeros = np.bitwise_count(compiled._masks & np.uint64(zero_mask)).astype(np.int64)
+    w = 1 - 2 * (zeros % 2)
+    return float(compiled._probs[compiled._signs * w == 1].sum())
 
 
 def compiled_to_json(compiled: CompiledClassicalAlgorithm) -> dict:
@@ -378,7 +368,7 @@ def corollary5_audit(
         raise ValueError(f"the audit requires exactly two parts, got {parts}")
     accept = sorted({int(s) for s in accept_outcomes})
     weights = [float(w) for w in problem.prior]
-    accept_probs = [float(run(alg, f).outcome_probs[accept].sum()) for f in problem.functions]
+    accept_probs = run(alg, problem.functions).outcome_probs[:, accept].sum(axis=1).tolist()
     first = parts[0]
     lhs_mass = sum(
         w * p for w, p, j in zip(weights, accept_probs, problem.labels) if j == first

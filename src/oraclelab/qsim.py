@@ -1,4 +1,4 @@
-"""Density-matrix simulation of k-query oracle algorithms.
+"""Batched simulation of k-query oracle algorithms over stacks of tables.
 
 The Hilbert space is the tensor product of query, response and auxiliary
 registers with basis ordered x-major, then y, then z:
@@ -10,11 +10,20 @@ an oracle call and ending with the last unitary just before the POVM. The
 final state for oracle table f is
 
     rho_f = U_k O_f ... U_1 O_f rho_0 O_f^H U_1^H ... O_f^H U_k^H
+
+An oracle call is a permutation of basis indices, so it is applied as a
+gather along the basis axis and no dense oracle matrix is ever built. The
+initial state is factored once as rho_0 = V diag(lambda) V^H over its
+nonzero eigenvalues; every column of V evolves as a state vector, for all
+tables of a stack at once, so a pure state costs one column per table and
+a mixed state one per eigenvalue. Final density matrices are formed from
+the evolved factor only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,6 +34,7 @@ from .algebra import (
     as_complex_matrix,
     group_from_json,
     group_to_json,
+    hermitian_part,
     matrix_from_json,
     matrix_to_json,
     random_povm,
@@ -101,10 +111,23 @@ class QuantumAlgorithm:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Final state and the POVM outcome distribution for one oracle table."""
+    """Outcome distributions for a stack of T oracle tables.
 
-    final_state: np.ndarray
+    ``outcome_probs`` has shape (T, S). The final states are kept in
+    factored form: table t ends in rho_t = sum_r weights[r] v_rt v_rt^H
+    with v_rt = ``columns[:, t, r]``, where ``columns`` has shape (d, T, R)
+    and R is the rank of the initial state.
+    """
+
     outcome_probs: np.ndarray
+    weights: np.ndarray
+    columns: np.ndarray
+
+    @cached_property
+    def final_states(self) -> np.ndarray:
+        """rho_t for every table, shape (T, d, d), built on first read."""
+        vectors = np.moveaxis(self.columns, 1, 0)  # (T, d, R)
+        return (vectors * self.weights) @ vectors.conj().transpose(0, 2, 1)
 
 
 def basis_index(x: int, y: int, z: int, y_dim: int, z_dim: int) -> int:
@@ -112,47 +135,96 @@ def basis_index(x: int, y: int, z: int, y_dim: int, z_dim: int) -> int:
 
 
 def oracle_matrix(
-    f: Sequence[int], x_dim: int, group: FiniteAbelianGroup, z_dim: int
+    tables, x_dim: int, group: FiniteAbelianGroup, z_dim: int
 ) -> np.ndarray:
-    """Permutation matrix adding f(x) into the response register.
+    """Gather index of the oracle permutation for each table in a stack.
 
-    Maps basis state (x, y, z) to (x, y + f(x), z) with the sum taken in
-    the response group.
+    ``tables`` is a (T, x_dim) array of group elements. O_f maps basis
+    state (x, y, z) to (x, y + f(x), z), so (O_f psi)[i] = psi[P[t, i]]
+    with P[t, (x, y, z)] = (x, y - f(x), z); ``np.eye(dim)[P[t]]`` is the
+    dense permutation matrix of table t. Returns P with shape (T, dim).
     """
-    f = tuple(int(v) for v in f)
-    if len(f) != x_dim:
-        raise ValueError(f"oracle table has {len(f)} entries, expected {x_dim}")
+    tables = np.asarray(tables)
     y_dim = group.order
-    for v in f:
-        group.check_element(v)
-    dim = x_dim * y_dim * z_dim
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(x_dim):
-        for y in range(y_dim):
-            y_out = group.add(y, f[x])
-            for z in range(z_dim):
-                m[basis_index(x, y_out, z, y_dim, z_dim), basis_index(x, y, z, y_dim, z_dim)] = 1
-    return m
+    if tables.ndim != 2 or tables.shape[1] != x_dim:
+        raise ValueError(f"oracle tables have shape {tables.shape}, expected (T, {x_dim})")
+    if tables.size and (
+        tables.dtype.kind not in "biu" or tables.min() < 0 or tables.max() >= y_dim
+    ):
+        raise ValueError(f"oracle table entries must be group elements in [0, {y_dim})")
+    # difference[y, v] = y - v, digit by digit in the mixed-radix encoding
+    elements = np.arange(y_dim)
+    difference = np.zeros((y_dim, y_dim), dtype=np.intp)
+    radix = y_dim
+    for m in group.factors:
+        radix //= m
+        digit = elements // radix % m
+        difference = difference * m + (digit[:, None] - digit[None, :]) % m
+    x = np.arange(x_dim)[:, None, None]
+    y_in = difference[np.arange(y_dim)[None, :], tables[:, :, None]]  # (T, x, y)
+    index = (x * y_dim + y_in[..., None]) * z_dim + np.arange(z_dim)
+    return index.reshape(len(tables), x_dim * y_dim * z_dim)
 
 
-def run(alg: QuantumAlgorithm, f: Sequence[int]) -> RunResult:
-    """Evolve the initial state through k oracle calls and k unitaries.
+def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, vectors) with rho = V diag(weights) V^H, dropping null directions.
 
-    With no unitaries the initial state is measured directly. Outcome
-    probabilities are Tr(rho_f Pi_s), verified to be a distribution within
-    the numeric tolerance and then clamped to [0, 1].
+    Eigenvalues at or below numpy's ``matrix_rank`` cutoff |lambda|_max * d *
+    eps are dropped; the rest keep their sign, so a validated state with a
+    slightly negative eigenvalue evolves exactly as its matrix does.
     """
-    oracle = oracle_matrix(f, alg.x_dim, alg.group, alg.z_dim)
-    rho = alg.rho0
+    weights, vectors = np.linalg.eigh(hermitian_part(rho))
+    cutoff = np.abs(weights).max() * len(rho) * np.finfo(float).eps
+    keep = np.abs(weights) > cutoff
+    return weights[keep], vectors[:, keep]
+
+
+def run(alg: QuantumAlgorithm, tables) -> RunResult:
+    """Evolve the initial state through k oracle calls and k unitaries,
+    for every oracle table in the (T, x_dim) stack at once.
+
+    The initial state is factored once into signed-weight eigenvectors;
+    each vector evolves as a column, oracle calls gather along the basis
+    axis and each unitary is one matrix product over all tables and
+    columns. With no unitaries the initial state is measured directly.
+    Outcome probabilities are sum_r weights[r] <v_rt|Pi_s|v_rt>, verified
+    to be a distribution within the numeric tolerance for every table and
+    then clamped to [0, 1].
+    """
+    tables = np.asarray(tables)
+    perm = oracle_matrix(tables, alg.x_dim, alg.group, alg.z_dim)
+    n_tables, dim = perm.shape
+    weights, vectors = _factor(alg.rho0)
+    rank = len(weights)
+    columns = np.broadcast_to(vectors[:, None, :], (dim, n_tables, rank))
+    # row (i, t) of the (d*T, R) view reads row (P[t, i], t)
+    gather = perm.T * n_tables + np.arange(n_tables)
     for u in alg.unitaries:
-        rho = oracle @ rho @ oracle.conj().T
-        rho = u @ rho @ u.conj().T
-    probs = np.array([float(np.trace(rho @ pi).real) for pi in alg.povm])
-    if probs.min() < -TOL_NUM or probs.max() > 1 + TOL_NUM:
-        raise ArithmeticError(f"outcome probabilities outside [0,1]: {probs}")
-    if abs(probs.sum() - 1.0) > TOL_NUM:
-        raise ArithmeticError(f"outcome probabilities sum to {probs.sum()}, not 1")
-    return RunResult(final_state=rho, outcome_probs=np.clip(probs, 0.0, 1.0))
+        columns = columns.reshape(dim * n_tables, rank)[gather]
+        columns = (u @ columns.reshape(dim, n_tables * rank)).reshape(dim, n_tables, rank)
+    flat = np.ascontiguousarray(columns).reshape(dim, n_tables * rank)
+    probs = np.empty((n_tables, alg.n_outcomes))
+    for s, pi in enumerate(alg.povm):
+        expect = np.einsum("ij,ij->j", flat.conj(), pi @ flat).real
+        probs[:, s] = expect.reshape(n_tables, rank) @ weights
+    out_of_range = (probs.min(axis=1) < -TOL_NUM) | (probs.max(axis=1) > 1 + TOL_NUM)
+    if out_of_range.any():
+        t = int(np.argmax(out_of_range))
+        raise ArithmeticError(
+            f"outcome probabilities outside [0,1] on table {t} {tables[t].tolist()}: "
+            f"{probs[t]}"
+        )
+    sums = probs.sum(axis=1)
+    bad_sum = np.abs(sums - 1.0) > TOL_NUM
+    if bad_sum.any():
+        t = int(np.argmax(bad_sum))
+        raise ArithmeticError(
+            f"outcome probabilities on table {t} {tables[t].tolist()} sum to "
+            f"{sums[t]}, not 1"
+        )
+    return RunResult(
+        outcome_probs=np.clip(probs, 0.0, 1.0), weights=weights, columns=columns
+    )
 
 
 def _check_match(alg: QuantumAlgorithm, problem: LearningProblem) -> None:
@@ -167,19 +239,17 @@ def _check_match(alg: QuantumAlgorithm, problem: LearningProblem) -> None:
         )
 
 
-def final_states(alg: QuantumAlgorithm, problem: LearningProblem) -> list[np.ndarray]:
-    """rho_f for every function in the class, in class order."""
+def final_states(alg: QuantumAlgorithm, problem: LearningProblem) -> np.ndarray:
+    """rho_f for every function in the class, in class order, shape (|C|, d, d)."""
     _check_match(alg, problem)
-    return [run(alg, f).final_state for f in problem.functions]
+    return run(alg, problem.functions).final_states
 
 
 def joint_distribution(alg: QuantumAlgorithm, problem: LearningProblem) -> np.ndarray:
     """Table over (function, outcome) of mu(f) * Tr(rho_f Pi_s)."""
     _check_match(alg, problem)
-    rows = []
-    for f, mu in zip(problem.functions, problem.prior):
-        rows.append(float(mu) * run(alg, f).outcome_probs)
-    table = np.array(rows)
+    prior = np.array([float(mu) for mu in problem.prior])
+    table = prior[:, None] * run(alg, problem.functions).outcome_probs
     if abs(table.sum() - 1.0) > TOL_NUM:
         raise ArithmeticError(f"joint distribution sums to {table.sum()}, not 1")
     return np.clip(table, 0.0, None)
@@ -296,6 +366,8 @@ def algorithm_to_json(alg: QuantumAlgorithm) -> dict:
 
 def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, Mapping):
+        raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
     return QuantumAlgorithm(
         x_dim=int(data["x_dim"]),
         group=group_from_json(data["group"]),

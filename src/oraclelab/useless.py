@@ -18,6 +18,8 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import max_abs
 from .errors import CapacityError
 from .problems import LearningProblem, posterior_classical
@@ -197,12 +199,13 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
     algorithm's query count is classically useless.
     """
     states = final_states(alg, problem)
-    weights = [float(w) for w in problem.prior]
-    mixture = sum(w * rho for w, rho in zip(weights, states))
+    weights = np.array([float(w) for w in problem.prior])
+    mixture = np.tensordot(weights, states, axes=1)
     prior = problem.part_prior()
     deviation = 0.0
     for j, indices in problem.parts().items():
-        lhs = sum(weights[i] * states[i] for i in indices)
+        rows = list(indices)
+        lhs = np.tensordot(weights[rows], states[rows], axes=1)
         rhs = float(prior[j]) * mixture
         deviation = max(deviation, max_abs(lhs - rhs))
     return deviation

@@ -8,6 +8,8 @@ These must stay independent of the library code paths they check.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 def naive_posterior(problem, transcript):
     """Condition on the transcript by filtering the class, no dedup tricks."""
@@ -97,3 +99,33 @@ def shamir_consistent_polys(p, k, shares):
         for coeffs in product(range(p), repeat=k + 1)
         if all(poly_eval_mod(coeffs, x, p) == y for x, y in shares)
     ]
+
+
+def dense_oracle_matrix(f, x_dim, group, z_dim):
+    """Permutation matrix sending basis state (x, y, z) to (x, y + f(x), z)."""
+    f = tuple(int(v) for v in f)
+    assert len(f) == x_dim
+    y_dim = group.order
+    dim = x_dim * y_dim * z_dim
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for x in range(x_dim):
+        for y in range(y_dim):
+            y_out = group.add(y, f[x])
+            for z in range(z_dim):
+                m[(x * y_dim + y_out) * z_dim + z, (x * y_dim + y) * z_dim + z] = 1
+    return m
+
+
+def dense_run(alg, f):
+    """(final state, outcome probabilities) for one table by conjugating rho.
+
+    Tr(rho Pi) is summed elementwise as sum_ij rho_ij Pi_ji, not by a
+    matrix product, and clamped to [0, 1] as the simulator documents.
+    """
+    oracle = dense_oracle_matrix(f, alg.x_dim, alg.group, alg.z_dim)
+    rho = alg.rho0
+    for u in alg.unitaries:
+        rho = oracle @ rho @ oracle.conj().T
+        rho = u @ rho @ u.conj().T
+    probs = np.array([float(np.sum(rho * pi.T).real) for pi in alg.povm])
+    return rho, np.clip(probs, 0.0, 1.0)

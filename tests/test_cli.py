@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from oraclelab import useless
 from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
+from oraclelab.problems import make_shamir
 
 
 def _read_report(path):
@@ -88,6 +90,10 @@ def _string_in_complex_pair(schema):
     schema["rho0"][0][0] = ["x", 0]
 
 
+def _labels_as_list(schema):
+    schema["labels"] = [1, 2]
+
+
 EMIT_PROBLEM = ["problem", "--gen", "parity", "--n", "2"]
 CHECK_PROBLEM = ["check-classical", "--k", "1", "--problem"]
 EMIT_ALG = ["gallery", "emit", "--name", "deutsch"]
@@ -100,8 +106,9 @@ SIMULATE_ALG = ["simulate", "--oracle", "0,1", "--alg"]
         (EMIT_PROBLEM, _break_prior, CHECK_PROBLEM),
         (EMIT_PROBLEM, _drop_labels, CHECK_PROBLEM),
         (EMIT_ALG, _string_in_complex_pair, SIMULATE_ALG),
+        (EMIT_ALG, _labels_as_list, SIMULATE_ALG),
     ],
-    ids=["zero-denominator", "missing-key", "string-in-complex"],
+    ids=["zero-denominator", "missing-key", "string-in-complex", "labels-list"],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command):
     path = tmp_path / "input.json"
@@ -152,6 +159,33 @@ def test_bound_report(tmp_path):
     result = _read_report(out)["result"]
     assert result["max_useless_k"] == 2
     assert result["quantum_lower_bound"] == 2
+
+
+def test_bound_scans_each_k_once(tmp_path, monkeypatch):
+    scanned = []
+    check = useless.classical_useless
+
+    def counting_check(problem, k, **kwargs):
+        scanned.append(k)
+        return check(problem, k, **kwargs)
+
+    monkeypatch.setattr(useless, "classical_useless", counting_check)
+    out = tmp_path / "b.json"
+    argv = ["bound", "--gen", "shamir", "--p", "7", "--degree", "2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert scanned == [1, 2, 3]
+    monkeypatch.undo()
+    result = _read_report(out)["result"]
+    assert result["quantum_lower_bound"] == useless.quantum_lower_bound(make_shamir(7, 2))
+
+
+def test_simulate_rejects_wrong_table_width(tmp_path, capsys):
+    path = tmp_path / "deutsch.json"
+    assert main([*EMIT_ALG, "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["simulate", "--oracle", "0,1,1", "--alg", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_gallery_emit_simulate_compile_audit(tmp_path):

@@ -17,8 +17,8 @@ from oraclelab.qsim import random_algorithm, run, success_probability, trial_see
 
 def test_deutsch_per_function_outcomes():
     alg = deutsch()
-    assert np.allclose(run(alg, (0, 0)).outcome_probs, [1, 0], atol=1e-12)
-    assert np.allclose(run(alg, (0, 1)).outcome_probs, [0, 1], atol=1e-12)
+    assert np.allclose(run(alg, [(0, 0)]).outcome_probs, [[1, 0]], atol=1e-12)
+    assert np.allclose(run(alg, [(0, 1)]).outcome_probs, [[0, 1]], atol=1e-12)
 
 
 def test_deutsch_success_probability():
@@ -45,15 +45,15 @@ def test_pairwise_parity_two_reduces_to_deutsch():
 
 def test_pairwise_parity_specific_string():
     alg = pairwise_parity(4)
-    res = run(alg, (1, 0, 1, 1))
-    assert np.allclose(res.outcome_probs, [0, 1], atol=1e-9)
+    res = run(alg, [(1, 0, 1, 1)])
+    assert np.allclose(res.outcome_probs, [[0, 1]], atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_pairwise_parity_deterministic_per_function(n):
     alg = pairwise_parity(n)
     for f in product(range(2), repeat=n):
-        probs = run(alg, f).outcome_probs
+        (probs,) = run(alg, [f]).outcome_probs
         parity = sum(f) % 2
         assert probs[parity] == pytest.approx(1.0, abs=1e-9)
 

@@ -166,7 +166,7 @@ def test_compile_degenerate_fair_coin():
     povm = (np.diag([1.0, 0, 1, 0]).astype(complex), np.diag([0, 1.0, 0, 1]).astype(complex))
     rho0 = np.eye(dim, dtype=complex) / dim
     alg = QuantumAlgorithm(2, cyclic(2), 1, rho0, (), povm)
-    values = [run(alg, [m >> i & 1 for i in range(2)]).outcome_probs[0] for m in range(4)]
+    values = [run(alg, [[m >> i & 1 for i in range(2)]]).outcome_probs[0, 0] for m in range(4)]
     assert np.allclose(values, 0.5, atol=1e-12)
     compiled = compile_classical(alg, [0])
     assert compiled.degenerate

@@ -44,6 +44,8 @@ def test_make_parity_two_is_deutsch_problem():
 
 def test_make_parity_capacity():
     with pytest.raises(CapacityError):
+        make_parity(12)
+    with pytest.raises(CapacityError):
         make_parity(13)
     with pytest.raises(CapacityError):
         make_parity(0)

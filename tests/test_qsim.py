@@ -3,7 +3,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oraclelab.algebra import TOL_NUM, cyclic, random_pure_state
+from oraclelab.algebra import (
+    TOL_NUM,
+    FiniteAbelianGroup,
+    cyclic,
+    random_povm,
+    random_pure_state,
+    random_unitary,
+)
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_image_parity, make_parity
 from oraclelab.qsim import (
@@ -20,6 +27,8 @@ from oraclelab.qsim import (
     success_probability,
     trial_seeds,
 )
+from oraclelab.useless import DEFAULT_MAX_DIM
+from reference import dense_oracle_matrix, dense_run
 
 
 def test_basis_index_ordering():
@@ -30,19 +39,25 @@ def test_basis_index_ordering():
     assert basis_index(1, 0, 0, 2, 3) == 6
 
 
+def _dense(f, x_dim, group, z_dim):
+    """Dense permutation matrix of one table from the gather index."""
+    (index,) = oracle_matrix([f], x_dim, group, z_dim)
+    return np.eye(len(index))[index]
+
+
 def test_oracle_matrix_zero_function_is_identity():
-    m = oracle_matrix((0, 0, 0), 3, cyclic(2), 1)
+    m = _dense((0, 0, 0), 3, cyclic(2), 1)
     assert np.array_equal(m, np.eye(6))
 
 
 def test_oracle_matrix_single_point_flip():
-    m = oracle_matrix((1,), 1, cyclic(2), 1)
+    m = _dense((1,), 1, cyclic(2), 1)
     assert np.array_equal(m, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_oracle_matrix_flips_only_second_point():
     # f = (0, 1) on two points exchanges (x=1,y=0) <-> (x=1,y=1) only
-    m = oracle_matrix((0, 1), 2, cyclic(2), 1)
+    m = _dense((0, 1), 2, cyclic(2), 1)
     expected = np.eye(4, dtype=complex)
     expected[2:4, 2:4] = [[0, 1], [1, 0]]
     assert np.array_equal(m, expected)
@@ -50,14 +65,14 @@ def test_oracle_matrix_flips_only_second_point():
 
 @pytest.mark.parametrize("x_dim,factors", [(1, (2,)), (2, (2,)), (3, (3,)), (2, (2, 2))])
 def test_oracle_matrix_is_permutation(x_dim, factors):
-    from oraclelab.algebra import FiniteAbelianGroup
-
     group = FiniteAbelianGroup(factors)
-    for f in product(range(group.order), repeat=x_dim):
-        m = oracle_matrix(f, x_dim, group, 2)
+    tables = list(product(range(group.order), repeat=x_dim))
+    for f, index in zip(tables, oracle_matrix(tables, x_dim, group, 2)):
+        m = np.eye(len(index))[index]
         assert set(np.unique(m.real)) <= {0.0, 1.0} and not m.imag.any()
         assert np.array_equal(m.sum(axis=0), np.ones(m.shape[0]))
         assert np.array_equal(m.sum(axis=1), np.ones(m.shape[0]))
+        assert np.array_equal(m, dense_oracle_matrix(f, x_dim, group, 2))
 
 
 @pytest.mark.parametrize("x_dim,order", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -67,43 +82,132 @@ def test_oracle_matrix_composes_pointwise(x_dim, order):
     for f in tables:
         for g in tables:
             fg = tuple(group.add(a, b) for a, b in zip(f, g))
-            lhs = oracle_matrix(f, x_dim, group, 1) @ oracle_matrix(g, x_dim, group, 1)
-            assert np.array_equal(lhs, oracle_matrix(fg, x_dim, group, 1))
+            lhs = _dense(f, x_dim, group, 1) @ _dense(g, x_dim, group, 1)
+            assert np.array_equal(lhs, _dense(fg, x_dim, group, 1))
 
 
 def test_oracle_matrix_dimension_mismatch():
     with pytest.raises(ValueError):
-        oracle_matrix((0, 1, 0), 2, cyclic(2), 1)
+        oracle_matrix([(0, 1, 0)], 2, cyclic(2), 1)
     with pytest.raises(ValueError):
-        oracle_matrix((0, 2), 2, cyclic(2), 1)
+        oracle_matrix([(0, 2)], 2, cyclic(2), 1)
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        (0, 1),  # one table, not a stack
+        (0, 1, 1, 0),  # two tables run together: no silent reshape
+        [(0, 1, 0)],  # wrong width
+        [(0, -1)],  # negative entry
+        [(0.0, 1.0)],  # not integers
+    ],
+)
+def test_oracle_matrix_rejects_malformed_stacks(tables):
+    with pytest.raises(ValueError):
+        oracle_matrix(tables, 2, cyclic(2), 1)
+    alg = deutsch()
+    with pytest.raises(ValueError):
+        run(alg, tables)
 
 
 def test_run_zero_queries_measures_initial_state():
     rho0 = np.diag([0.25, 0.75]).astype(complex)
     povm = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     alg = QuantumAlgorithm(1, cyclic(2), 1, rho0, (), povm)
-    res = run(alg, (0,))
-    assert np.allclose(res.outcome_probs, [0.25, 0.75])
+    res = run(alg, [(0,)])
+    assert np.allclose(res.outcome_probs, [[0.25, 0.75]])
     # oracle acts before any unitary, so with none it never acts at all
-    res_flip = run(alg, (1,))
-    assert np.allclose(res_flip.outcome_probs, [0.25, 0.75])
+    res_flip = run(alg, [(1,)])
+    assert np.allclose(res_flip.outcome_probs, [[0.25, 0.75]])
 
 
 def test_run_deutsch_identifies_parity():
     alg = deutsch()
-    assert np.allclose(run(alg, (0, 1)).outcome_probs, [0, 1], atol=1e-12)
-    assert np.allclose(run(alg, (1, 0)).outcome_probs, [0, 1], atol=1e-12)
-    assert np.allclose(run(alg, (0, 0)).outcome_probs, [1, 0], atol=1e-12)
-    assert np.allclose(run(alg, (1, 1)).outcome_probs, [1, 0], atol=1e-12)
+    assert np.allclose(run(alg, [(0, 1)]).outcome_probs, [[0, 1]], atol=1e-12)
+    assert np.allclose(run(alg, [(1, 0)]).outcome_probs, [[0, 1]], atol=1e-12)
+    assert np.allclose(run(alg, [(0, 0)]).outcome_probs, [[1, 0]], atol=1e-12)
+    assert np.allclose(run(alg, [(1, 1)]).outcome_probs, [[1, 0]], atol=1e-12)
 
 
 def test_run_probabilities_form_distribution():
     group = cyclic(3)
     alg = random_algorithm(2, group, 2, 2, seed=5)
     for f in product(range(3), repeat=2):
-        res = run(alg, f)
+        res = run(alg, [f])
         assert abs(res.outcome_probs.sum() - 1) < TOL_NUM
         assert res.outcome_probs.min() >= 0
+
+
+def _initial_states(dim, seed):
+    """A pure state, a rank-2 mixture, and a state whose -1e-10 eigenvalue
+    validation admits (its eigenvector must not be dropped)."""
+    basis = random_unitary(dim, seed)
+    spectra = [[0.7, 0.3]]
+    if dim > 2:
+        spectra.append([1 + 1e-10, -1e-10, 0.0])
+    states = [random_pure_state(dim, seed + 1)]
+    for spectrum in spectra:
+        diag = np.zeros(dim)
+        diag[: len(spectrum)] = spectrum
+        states.append((basis * diag) @ basis.conj().T)
+    return states
+
+
+@pytest.mark.parametrize("z_dim", [1, 2])
+@pytest.mark.parametrize("x_dim", [1, 2, 3])
+@pytest.mark.parametrize("factors", [(2,), (3,), (2, 2), (2, 3)])
+def test_run_matches_dense_reference(factors, x_dim, z_dim):
+    group = FiniteAbelianGroup(factors)
+    dim = x_dim * group.order * z_dim
+    seed = 100 * x_dim + 10 * z_dim + group.order
+    unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(3))
+    povm = random_povm(dim, min(dim, 5), seed)
+    tables = list(product(range(group.order), repeat=x_dim))
+    # the whole stack runs at once; every table of stacks up to 27 is
+    # compared, and an evenly spaced third or less of the larger ones
+    checked = range(0, len(tables), max(1, len(tables) // 27))
+    for rho0 in _initial_states(dim, seed):
+        for q in range(4):
+            alg = QuantumAlgorithm(x_dim, group, z_dim, rho0, unitaries[:q], povm)
+            res = run(alg, tables)
+            assert res.outcome_probs.shape == (len(tables), alg.n_outcomes)
+            assert res.final_states.shape == (len(tables), dim, dim)
+            for t in checked:
+                rho, probs = dense_run(alg, tables[t])
+                assert np.abs(res.outcome_probs[t] - probs).max() < 1e-12
+                assert np.abs(res.final_states[t] - rho).max() < 1e-12
+
+
+def test_run_matches_dense_reference_at_dim_ceiling():
+    group, z_dim = cyclic(2), DEFAULT_MAX_DIM // 8
+    alg = QuantumAlgorithm(
+        4,
+        group,
+        z_dim,
+        random_pure_state(DEFAULT_MAX_DIM, 1),
+        (random_unitary(DEFAULT_MAX_DIM, 2),),
+        random_povm(DEFAULT_MAX_DIM, 4, 3),
+    )
+    assert alg.dim == DEFAULT_MAX_DIM
+    tables = [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 1, 1)]
+    res = run(alg, tables)
+    for t, f in enumerate(tables):
+        rho, probs = dense_run(alg, f)
+        assert np.abs(res.outcome_probs[t] - probs).max() < 1e-12
+        assert np.abs(res.final_states[t] - rho).max() < 1e-12
+
+
+def test_run_names_first_table_with_broken_distribution():
+    # halving one element of Deutsch's POVM (after validation) leaves the
+    # even-parity tables summing to 1 and the odd ones to 1/2
+    alg = deutsch()
+    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] / 2))
+    with pytest.raises(ArithmeticError, match=r"table 1 \[0, 1\] sum to 0\.(5|49)"):
+        run(alg, [(0, 0), (0, 1), (1, 0)])
+    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] * 4))
+    with pytest.raises(ArithmeticError, match=r"outside \[0,1\] on table 1 \[0, 1\]"):
+        run(alg, [(0, 0), (0, 1), (1, 0)])
 
 
 def test_run_preserves_trace_and_positivity_at_every_step():
@@ -115,7 +219,7 @@ def test_run_preserves_trace_and_positivity_at_every_step():
             alg.x_dim, alg.group, alg.z_dim, alg.rho0, alg.unitaries[:steps], alg.povm
         )
         for f in product(range(2), repeat=3):
-            rho = run(prefix, f).final_state
+            rho = run(prefix, [f]).final_states[0]
             assert abs(np.trace(rho).real - 1) < TOL_NUM
             assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -TOL_NUM
 

@@ -10,6 +10,7 @@ from oraclelab.algebra import FiniteAbelianGroup, cyclic
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
 from oraclelab.problems import (
+    MAX_PARITY_N,
     LearningProblem,
     make_image_parity,
     make_parity,
@@ -18,6 +19,7 @@ from oraclelab.problems import (
 )
 from oraclelab.qsim import random_algorithm, trial_seeds
 from oraclelab.useless import (
+    DEFAULT_MAX_EVENTS,
     VERDICT_NOT_USELESS,
     VERDICT_USELESS,
     classical_useless,
@@ -159,6 +161,19 @@ def test_classical_witness_beyond_domain_is_padded():
 
 def test_max_useless_k_parity_8_under_default_ceiling():
     assert max_useless_k(make_parity(8)) == 7
+
+
+def test_parity_ceiling_fits_the_cells_read_ceiling():
+    # the checker raises one cell below each count, so it reads as many as
+    # the formula says; every k of the largest parity class then fits
+    problem = make_parity(MAX_PARITY_N)
+    costs = [k * math.comb(MAX_PARITY_N, k) * problem.size for k in range(1, MAX_PARITY_N + 1)]
+    for k, cost in enumerate(costs, start=1):
+        with pytest.raises(CapacityError):
+            classical_useless(problem, k, max_events=cost - 1)
+    assert max(costs) <= DEFAULT_MAX_EVENTS
+    n = MAX_PARITY_N + 1
+    assert 5 * math.comb(n, 5) * 2**n > DEFAULT_MAX_EVENTS
 
 
 def test_max_useless_k_values():
