@@ -33,7 +33,6 @@ from .qsim import (
     RunResult,
     joint_distribution,
     oracle_matrix,
-    posterior_quantum,
     random_algorithm,
     run,
     success_probability,
@@ -73,7 +72,6 @@ __all__ = [
     "pairwise_parity",
     "parity_with_padding",
     "posterior_classical",
-    "posterior_quantum",
     "quantum_lower_bound",
     "quantum_useless_falsify",
     "random_algorithm",

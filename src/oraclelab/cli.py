@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .errors import CapacityError
@@ -26,7 +27,13 @@ from .polycompile import (
     compiled_to_json,
     corollary5_audit,
 )
-from .problems import generate, problem_from_json, problem_to_json
+from .problems import (
+    make_image_parity,
+    make_parity,
+    make_shamir,
+    problem_from_json,
+    problem_to_json,
+)
 from .qsim import EPS_COND, algorithm_from_json, algorithm_to_json, run
 from .reproduce import DEFAULT_SEED, format_table, run_all
 from .useless import (
@@ -83,6 +90,8 @@ def _read_input(path: str, decode):
         data = json.load(fh)
     if isinstance(data, dict) and "header" in data and "result" in data:
         data = data["result"]
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: malformed input: expected a JSON object")
     try:
         return decode(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -96,17 +105,19 @@ def _load_problem(args) -> tuple:
         problem = _read_input(args.problem, lambda data: problem_from_json(data, name=name))
         config = {"problem": args.problem}
     elif getattr(args, "gen", None):
-        params = {}
         if args.gen == "parity":
             if args.n is None:
                 raise ValueError("--gen parity requires --n")
-            params["n"] = args.n
+            problem = make_parity(args.n)
+            params = {"n": args.n}
         elif args.gen == "shamir":
             if args.p is None or args.k_degree is None:
                 raise ValueError("--gen shamir requires --p and --degree")
-            params["p"] = args.p
-            params["k"] = args.k_degree
-        problem = generate(args.gen, **params)
+            problem = make_shamir(args.p, args.k_degree)
+            params = {"p": args.p, "k": args.k_degree}
+        else:
+            problem = make_image_parity()
+            params = {}
         config = {"gen": args.gen, **params}
     else:
         raise ValueError("provide --problem FILE or --gen NAME")
@@ -211,7 +222,7 @@ def _cmd_check_classical(args) -> int:
     problem, config = _load_problem(args)
     config.update({"k": args.k, "max_events": args.max_events})
     report = classical_useless(problem, args.k, max_events=args.max_events)
-    _emit(_report(config, report.to_json_dict()), args.out)
+    _emit(_report(config, asdict(report)), args.out)
     if args.csv:
         _write_csv(args.csv, [CSV_HEADER, report.csv_row()])
     return EXIT_FALSIFIED if report.verdict == VERDICT_NOT_USELESS else EXIT_OK
@@ -231,7 +242,7 @@ def _cmd_check_quantum(args) -> int:
         tol=args.tol,
         z_dim=args.z_dim,
     )
-    result = report.to_json_dict()
+    result = asdict(report)
     if not args.skip_certificate:
         try:
             m = max_useless_k(problem, max_events=args.max_events)
@@ -305,7 +316,7 @@ def _cmd_audit(args) -> int:
     accept = _parse_accept(args.accept)
     report = corollary5_audit(problem, alg, accept, tol=args.tol)
     config.update({"alg": args.alg, "accept": accept})
-    _emit(_report(config, report.to_json_dict(), {"tol": args.tol}), args.out)
+    _emit(_report(config, asdict(report), {"tol": args.tol}), args.out)
     hypothesis_and_identity_broken = (
         report.classical_useless_2k is True and not report.identity_holds
     )

@@ -15,13 +15,13 @@ indices, bit i for point i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
 from .problems import LearningProblem
-from .qsim import EPS_COND, QuantumAlgorithm, run
+from .qsim import EPS_COND, QuantumAlgorithm, _check_match, run
 
 MAX_CUBE_VARS = 12
 
@@ -33,9 +33,8 @@ DEGREE_TOL = 1e-8
 # query sets of the compiled sampler.
 PRUNE_TOL = 1e-12
 
-# Agreement required between independent coefficient computations and for
-# interpolation round-trips.
-TRANSFORM_TOL = 1e-10
+# A compiled sampler's term probabilities must sum to 1 within this.
+PROB_SUM_TOL = 1e-10
 
 
 def _popcount(mask: int) -> int:
@@ -87,33 +86,9 @@ class MultilinearPolynomial:
             raise ValueError(f"need 2^{self.n} coefficients, got shape {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        """Evaluate at an arbitrary real point, one value per variable."""
-        if len(point) != self.n:
-            raise ValueError(f"need {self.n} values, got {len(point)}")
-        total = 0.0
-        for mask in range(1 << self.n):
-            c = self.coeffs[mask]
-            if c == 0.0:
-                continue
-            term = c
-            for i in _subset_sorted(mask):
-                term *= point[i]
-            total += term
-        return float(total)
-
     def values_on_cube(self) -> np.ndarray:
         """Values at all 0/1 points; index bit i is variable i (subset zeta)."""
         return _butterfly(self.coeffs, ((1, 0), (1, 1)))
-
-
-def _mask_of(subset: Iterable[int], n: int) -> int:
-    mask = 0
-    for i in subset:
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} outside [0, {n})")
-        mask |= 1 << i
-    return mask
 
 
 def interpolate_on_cube(values: Sequence[float]) -> MultilinearPolynomial:
@@ -166,35 +141,12 @@ def acceptance_polynomial(
 def to_fourier(p: MultilinearPolynomial) -> MultilinearPolynomial:
     """Character coefficients of q(w) = 2 p((w+1)/2, ...) - 1 over w in {-1,1}.
 
-    Computed algebraically from the subset coefficients and cross-checked
-    against the Walsh-Hadamard transform of the cube values; the two routes
-    must agree entrywise.
+    q-hat(S) = 2^-n * sum_w q(w) w_S with w = 2f - 1. The Walsh-Hadamard
+    transform sums (-1)^|S & f| q, and w_S = (-1)^|S| (-1)^|S & f|.
     """
     size = 1 << p.n
-    popcounts = _popcounts(size)
-    # Change of variables: each f_i = (w_i + 1)/2 spreads coefficient c_S
-    # over all subsets of S with weight 2^-|S| (a superset sum).
-    spread = _butterfly(p.coeffs * 0.5**popcounts, ((1, 1), (0, 1)))
-    qhat = 2.0 * spread
-    qhat[0] -= 1.0
-    # Independent route: q-hat(S) = 2^-n * sum_w q(w) w_S with w = 2f - 1.
-    q_values = 2.0 * p.values_on_cube() - 1.0
-    signed = walsh_hadamard(q_values)
-    qhat_check = (1 - 2 * (popcounts & 1)) * signed / size
-    gap = float(np.max(np.abs(qhat - qhat_check)))
-    if gap > TRANSFORM_TOL:
-        raise ArithmeticError(f"character transform routes disagree by {gap:.3e}")
-    return MultilinearPolynomial(p.n, qhat)
-
-
-def from_fourier(qhat: MultilinearPolynomial) -> MultilinearPolynomial:
-    """Inverse change of variables: recover p with p(f) = (q(2f - 1) + 1)/2."""
-    n = qhat.n
-    values = np.empty(1 << n)
-    for mask in range(1 << n):
-        w = [2 * (mask >> i & 1) - 1 for i in range(n)]
-        values[mask] = (qhat.evaluate(w) + 1.0) / 2.0
-    return interpolate_on_cube(values)
+    signed = walsh_hadamard(2.0 * p.values_on_cube() - 1.0)
+    return MultilinearPolynomial(p.n, (1 - 2 * (_popcounts(size) & 1)) * signed / size)
 
 
 @dataclass(frozen=True)
@@ -217,7 +169,7 @@ class CompiledClassicalAlgorithm:
     def __post_init__(self):
         if not self.degenerate:
             total = sum(prob for _, prob, _ in self.terms)
-            if abs(total - 1.0) > TRANSFORM_TOL:
+            if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"term probabilities sum to {total!r}, not 1")
             for mask, _, sign in self.terms:
                 if sign not in (-1, 1):
@@ -298,21 +250,6 @@ def compiled_to_json(compiled: CompiledClassicalAlgorithm) -> dict:
     }
 
 
-def compiled_from_json(data: Mapping) -> CompiledClassicalAlgorithm:
-    n = int(data["n"])
-    terms = tuple(
-        (_mask_of(term["S"], n), float(term["prob"]), int(term["sign"]))
-        for term in data["terms"]
-    )
-    return CompiledClassicalAlgorithm(
-        n=n,
-        queries=int(data["k"]),
-        scale=float(data["T"]),
-        terms=terms,
-        degenerate=bool(data["degenerate"]),
-    )
-
-
 @dataclass(frozen=True)
 class Corollary5Report:
     """Both sides of the part-mass ratio identity for a two-part problem.
@@ -334,19 +271,6 @@ class Corollary5Report:
     identity_holds: bool
     classical_useless_2k: bool | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "part": self.part,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "defined": self.defined,
-            "identity_holds": self.identity_holds,
-            "classical_useless_2k": self.classical_useless_2k,
-        }
-
 
 def corollary5_audit(
     problem: LearningProblem,
@@ -361,6 +285,7 @@ def corollary5_audit(
     probabilities come from direct simulation of the class members, kept
     independent of the polynomial and sampler machinery on purpose.
     """
+    _check_match(alg, problem)
     if problem.group.factors != (2,):
         raise ValueError("the audit requires the binary response group")
     parts = problem.part_labels()

@@ -17,7 +17,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteAbelianGroup, cyclic, group_from_json, group_to_json
+from .algebra import (
+    FiniteAbelianGroup,
+    cyclic,
+    group_from_json,
+    group_to_json,
+    int_from_json,
+)
 from .errors import CapacityError
 
 # A transcript is an ordered list of (query point, response) pairs.
@@ -261,20 +267,6 @@ def shamir_reconstruct(p: int, k: int, shares: Iterable[tuple[int, int]]) -> int
 # ---------------------------------------------------------------------------
 # JSON interchange
 
-_GENERATORS = {
-    "parity": lambda **kw: make_parity(kw["n"]),
-    "image-parity": lambda **kw: make_image_parity(),
-    "shamir": lambda **kw: make_shamir(kw["p"], kw["k"]),
-}
-
-
-def generate(gen: str, **params) -> LearningProblem:
-    """Dispatch to a named generator: parity, image-parity or shamir."""
-    if gen not in _GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}; choose from {sorted(_GENERATORS)}")
-    return _GENERATORS[gen](**params)
-
-
 def problem_to_json(problem: LearningProblem) -> dict:
     return {
         "domain_size": problem.domain_size,
@@ -287,10 +279,12 @@ def problem_to_json(problem: LearningProblem) -> dict:
 
 def problem_from_json(data: Mapping, name: str = "problem") -> LearningProblem:
     return LearningProblem(
-        domain_size=int(data["domain_size"]),
+        domain_size=int_from_json(data["domain_size"]),
         group=group_from_json(data["group"]),
-        functions=tuple(tuple(int(v) for v in f) for f in data["functions"]),
-        labels=tuple(int(j) for j in data["labels"]),
-        prior=tuple(Fraction(int(num), int(den)) for num, den in data["prior"]),
+        functions=tuple(tuple(int_from_json(v) for v in f) for f in data["functions"]),
+        labels=tuple(int_from_json(j) for j in data["labels"]),
+        prior=tuple(
+            Fraction(int_from_json(num), int_from_json(den)) for num, den in data["prior"]
+        ),
         name=name,
     )

@@ -31,10 +31,10 @@ import numpy as np
 from .algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
-    as_complex_matrix,
     group_from_json,
     group_to_json,
     hermitian_part,
+    int_from_json,
     matrix_from_json,
     matrix_to_json,
     random_povm,
@@ -71,7 +71,7 @@ class QuantumAlgorithm:
         if self.x_dim < 1 or self.z_dim < 1:
             raise ValueError("x_dim and z_dim must be >= 1")
         dim = self.dim
-        rho0 = validate_density_matrix(as_complex_matrix(self.rho0))
+        rho0 = validate_density_matrix(self.rho0)
         if rho0.shape != (dim, dim):
             raise ValueError(f"rho0 has shape {rho0.shape}, expected {(dim, dim)}")
         unitaries = tuple(validate_unitary(u) for u in self.unitaries)
@@ -130,10 +130,6 @@ class RunResult:
         return (vectors * self.weights) @ vectors.conj().transpose(0, 2, 1)
 
 
-def basis_index(x: int, y: int, z: int, y_dim: int, z_dim: int) -> int:
-    return (x * y_dim + y) * z_dim + z
-
-
 def oracle_matrix(
     tables, x_dim: int, group: FiniteAbelianGroup, z_dim: int
 ) -> np.ndarray:
@@ -152,15 +148,8 @@ def oracle_matrix(
         tables.dtype.kind not in "biu" or tables.min() < 0 or tables.max() >= y_dim
     ):
         raise ValueError(f"oracle table entries must be group elements in [0, {y_dim})")
-    # difference[y, v] = y - v, digit by digit in the mixed-radix encoding
-    elements = np.arange(y_dim)
-    difference = np.zeros((y_dim, y_dim), dtype=np.intp)
-    radix = y_dim
-    for m in group.factors:
-        radix //= m
-        digit = elements // radix % m
-        difference = difference * m + (digit[:, None] - digit[None, :]) % m
     x = np.arange(x_dim)[:, None, None]
+    difference = group.difference_table()  # [y, v] = y - v
     y_in = difference[np.arange(y_dim)[None, :], tables[:, :, None]]  # (T, x, y)
     index = (x * y_dim + y_in[..., None]) * z_dim + np.arange(z_dim)
     return index.reshape(len(tables), x_dim * y_dim * z_dim)
@@ -278,30 +267,15 @@ def outcome_posteriors(
     return outcome_probs, posteriors
 
 
-def posterior_quantum(
-    alg: QuantumAlgorithm, problem: LearningProblem, s: int
-) -> dict[int, float] | None:
-    """Bayes posterior over parts given outcome s, or None if unobservable."""
-    if not 0 <= s < alg.n_outcomes:
-        raise ValueError(f"outcome {s} outside [0, {alg.n_outcomes})")
-    _, posteriors = outcome_posteriors(alg, problem)
-    return posteriors[s]
-
-
 def success_probability(alg: QuantumAlgorithm, problem: LearningProblem) -> float:
     """Probability that the labeled outcome matches the hidden part."""
     if alg.outcome_labels is None:
         raise ValueError("algorithm has no outcome labels")
     table = joint_distribution(alg, problem)
-    total = 0.0
-    for s in range(alg.n_outcomes):
-        target = alg.outcome_labels.get(s)
-        if target is None:
-            continue
-        for i, j in enumerate(problem.labels):
-            if j == target:
-                total += table[i, s]
-    return float(total)
+    labels = alg.outcome_labels
+    outcomes = list(labels)
+    hit = np.array(problem.labels)[:, None] == [labels[s] for s in outcomes]
+    return float(table[:, outcomes][hit].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +343,13 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
     if labels is not None and not isinstance(labels, Mapping):
         raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
     return QuantumAlgorithm(
-        x_dim=int(data["x_dim"]),
+        x_dim=int_from_json(data["x_dim"]),
         group=group_from_json(data["group"]),
-        z_dim=int(data["z_dim"]),
+        z_dim=int_from_json(data["z_dim"]),
         rho0=matrix_from_json(data["rho0"]),
         unitaries=tuple(matrix_from_json(u) for u in data["unitaries"]),
         povm=tuple(matrix_from_json(e) for e in data["povm"]),
-        outcome_labels=None if labels is None else {int(s): int(j) for s, j in labels.items()},
+        outcome_labels=None
+        if labels is None
+        else {int(s): int_from_json(j) for s, j in labels.items()},
     )

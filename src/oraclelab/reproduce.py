@@ -302,11 +302,14 @@ CRITERIA: list[tuple[int, str, Callable[[int], dict]]] = [
 
 def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
     """Run the criteria (optionally filtered by tag substring) and bundle rows."""
-    rows = []
-    for cid, tag, criterion in CRITERIA:
-        if only and only not in tag and only != str(cid):
-            continue
-        rows.append(criterion(seed))
+    rows = [
+        criterion(seed)
+        for cid, tag, criterion in CRITERIA
+        if not only or only in tag or only == str(cid)
+    ]
+    if not rows:
+        tags = ", ".join(tag for _, tag, _ in CRITERIA)
+        raise ValueError(f"--only {only!r} matches no criterion id or tag; tags: {tags}")
     return {
         "seed": seed,
         "only": only,

@@ -60,19 +60,6 @@ class UselessnessReport:
     trials: int | None = None
     detail: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "mode": self.mode,
-            "k": self.k,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-            "witness": self.witness,
-            "max_deviation": self.max_deviation,
-            "trials": self.trials,
-            "detail": self.detail,
-        }
-
     def csv_row(self) -> list[str]:
         witness = ""
         if self.witness is not None:
@@ -219,7 +206,6 @@ def quantum_useless_falsify(
     tol: float = FALSIFY_TOL,
     z_dim: int = 1,
     extra_algorithms: Sequence[QuantumAlgorithm] = (),
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> UselessnessReport:
     """Search for posterior-vs-prior deviations over random algorithms.
 
@@ -235,8 +221,10 @@ def quantum_useless_falsify(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dim = problem.domain_size * problem.group.order * z_dim
-    if dim > max_dim:
-        raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling max_dim={max_dim}")
+    if dim > DEFAULT_MAX_DIM:
+        raise CapacityError(
+            f"Hilbert dimension {dim} exceeds the ceiling DEFAULT_MAX_DIM={DEFAULT_MAX_DIM}"
+        )
     prior = {j: float(w) for j, w in problem.part_prior().items()}
     algorithms: list[tuple[str, QuantumAlgorithm]] = [
         (f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)

@@ -10,6 +10,8 @@ from itertools import product
 
 import numpy as np
 
+from oraclelab.polycompile import CompiledClassicalAlgorithm
+
 
 def naive_posterior(problem, transcript):
     """Condition on the transcript by filtering the class, no dedup tricks."""
@@ -60,7 +62,7 @@ def brute_interp_coeffs(values):
 
 
 def brute_eval_01(coeffs, point):
-    """Evaluate subset coefficients at a 0/1 point."""
+    """Evaluate subset coefficients at a point (0/1, +/-1 or any reals)."""
     total = 0.0
     for mask, c in enumerate(coeffs):
         term = c
@@ -88,6 +90,32 @@ def naive_character_coeffs(q_values):
     return out
 
 
+def from_fourier(qhat_coeffs):
+    """Subset coefficients of p(f) = (q(2f - 1) + 1)/2 from q's character
+    coefficients: evaluate q at every +/-1 point, then interpolate."""
+    n = (len(qhat_coeffs) - 1).bit_length()
+    values = []
+    for f_mask in range(1 << n):
+        w = [2 * (f_mask >> i & 1) - 1 for i in range(n)]
+        values.append((brute_eval_01(qhat_coeffs, w) + 1) / 2)
+    return brute_interp_coeffs(values)
+
+
+def compiled_from_json(data):
+    """Rebuild a compiled sampler from its JSON form (subsets as index lists)."""
+    terms = tuple(
+        (sum(1 << i for i in term["S"]), float(term["prob"]), int(term["sign"]))
+        for term in data["terms"]
+    )
+    return CompiledClassicalAlgorithm(
+        n=int(data["n"]),
+        queries=int(data["k"]),
+        scale=float(data["T"]),
+        terms=terms,
+        degenerate=bool(data["degenerate"]),
+    )
+
+
 def poly_eval_mod(coeffs, x, p):
     return sum(a * pow(x, i, p) for i, a in enumerate(coeffs)) % p
 
@@ -101,6 +129,44 @@ def shamir_consistent_polys(p, k, shares):
     ]
 
 
+# Groups of order <= 64 exercised exhaustively for the group axioms.
+CONFIGURED_GROUPS = [
+    (2,),
+    (3,),
+    (5,),
+    (2, 2),
+    (2, 3),
+    (4,),
+    (2, 2, 2),
+    (3, 3),
+    (4, 4),
+    (2, 3, 5),
+    (8, 8),
+]
+
+
+def group_decode(factors, a):
+    """Mixed-radix digits of element a, first factor most significant."""
+    digits = []
+    for m in reversed(factors):
+        digits.append(a % m)
+        a //= m
+    return tuple(reversed(digits))
+
+
+def group_encode(factors, digits):
+    a = 0
+    for d, m in zip(digits, factors):
+        a = a * m + d
+    return a
+
+
+def group_add(factors, a, b):
+    """a + b in Z_m1 x ... x Z_mr: add digit by digit modulo each factor."""
+    digits = zip(group_decode(factors, a), group_decode(factors, b), factors)
+    return group_encode(factors, [(x + y) % m for x, y, m in digits])
+
+
 def dense_oracle_matrix(f, x_dim, group, z_dim):
     """Permutation matrix sending basis state (x, y, z) to (x, y + f(x), z)."""
     f = tuple(int(v) for v in f)
@@ -110,7 +176,7 @@ def dense_oracle_matrix(f, x_dim, group, z_dim):
     m = np.zeros((dim, dim), dtype=np.complex128)
     for x in range(x_dim):
         for y in range(y_dim):
-            y_out = group.add(y, f[x])
+            y_out = group_add(group.factors, y, f[x])
             for z in range(z_dim):
                 m[(x * y_dim + y_out) * z_dim + z, (x * y_dim + y) * z_dim + z] = 1
     return m

@@ -19,43 +19,38 @@ from oraclelab.algebra import (
     validate_povm,
     validate_unitary,
 )
-
-# Groups of order <= 64 exercised exhaustively for the group axioms.
-CONFIGURED_GROUPS = [
-    (2,),
-    (3,),
-    (5,),
-    (2, 2),
-    (2, 3),
-    (4,),
-    (2, 2, 2),
-    (3, 3),
-    (4, 4),
-    (2, 3, 5),
-    (8, 8),
-]
-
+from reference import CONFIGURED_GROUPS, group_add, group_decode, group_encode
 
 def test_group_add_examples():
-    assert cyclic(2).add(1, 1) == 0
-    assert cyclic(3).add(2, 2) == 1
-    z23 = FiniteAbelianGroup((2, 3))
-    assert z23.add(z23.encode((1, 2)), z23.encode((1, 2))) == z23.encode((0, 1))
-    assert z23.add(5, 5) == 1  # (1,2) + (1,2) = (0,1)
+    z23 = (2, 3)
+    assert group_add((2,), 1, 1) == 0
+    assert group_add((3,), 2, 2) == 1
+    assert group_add(z23, group_encode(z23, (1, 2)), group_encode(z23, (1, 2))) == group_encode(
+        z23, (0, 1)
+    )
+    assert group_add(z23, 5, 5) == 1  # (1,2) + (1,2) = (0,1)
+    difference = FiniteAbelianGroup(z23).difference_table()
+    assert difference[1, 5] == 5  # (0,1) - (1,2) = (1,2)
+    assert cyclic(3).difference_table()[0].tolist() == [0, 2, 1]
 
 
 @pytest.mark.parametrize("factors", CONFIGURED_GROUPS)
 def test_group_axioms_exhaustive(factors):
+    """The reference digit addition is a group, and the library's
+    difference table inverts it entry by entry."""
     g = FiniteAbelianGroup(factors)
     n = g.order
     assert n <= 64
-    table = [[g.add(a, b) for b in range(n)] for a in range(n)]
+    table = [[group_add(factors, a, b) for b in range(n)] for a in range(n)]
+    difference = g.difference_table()
+    assert difference.shape == (n, n)
     for a in range(n):
         assert table[a][0] == a  # identity
-        assert table[a][g.negate(a)] == 0  # inverses
+        assert table[a][difference[0, a]] == 0  # inverses
         for b in range(n):
             assert 0 <= table[a][b] < n  # closure
             assert table[a][b] == table[b][a]  # commutativity
+            assert table[difference[a, b]][b] == a  # (a - b) + b = a
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -67,10 +62,17 @@ def test_encode_decode_bijection(factors):
     g = FiniteAbelianGroup(factors)
     seen = set()
     for a in range(g.order):
-        comps = g.decode(a)
-        assert g.encode(comps) == a
+        comps = group_decode(factors, a)
+        assert all(0 <= c < m for c, m in zip(comps, factors))
+        assert group_encode(factors, comps) == a
         seen.add(comps)
     assert len(seen) == g.order
+    # a -> a - b and b -> a - b are bijections of the group
+    difference = g.difference_table()
+    elements = list(range(g.order))
+    for a in elements:
+        assert sorted(difference[a]) == elements
+        assert sorted(difference[:, a]) == elements
 
 
 def test_group_rejects_bad_input():
@@ -78,10 +80,6 @@ def test_group_rejects_bad_input():
         FiniteAbelianGroup(())
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
-    with pytest.raises(ValueError):
-        cyclic(3).add(3, 0)
-    with pytest.raises(ValueError):
-        cyclic(3).add(0, -1)
 
 
 def test_random_unitary_scalar_case():

@@ -1,11 +1,20 @@
+import copy
 import csv
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oraclelab import useless
+from oraclelab.algebra import cyclic
 from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
-from oraclelab.problems import make_shamir
+from oraclelab.gallery import deutsch
+from oraclelab.problems import make_parity, make_shamir, problem_to_json
+from oraclelab.qsim import algorithm_to_json, random_algorithm
 
 
 def _read_report(path):
@@ -94,10 +103,39 @@ def _labels_as_list(schema):
     schema["labels"] = [1, 2]
 
 
+def _nan_in_rho0(schema):
+    schema["rho0"][0][0] = [float("nan"), 0.0]
+
+
+def _infinity_in_unitary(schema):
+    schema["unitaries"][0][1][1] = [float("inf"), 0.0]
+
+
+def _nan_in_povm(schema):
+    schema["povm"][0][0][0] = [float("nan"), 0.0]
+
+
+def _fractional_function_value(schema):
+    schema["functions"][0][0] = 0.9  # int() would read the (0, 0) table
+
+
+def _fractional_domain_size(schema):
+    schema["domain_size"] = 2.7
+
+
+def _fractional_z_dim(schema):
+    schema["z_dim"] = 1.5
+
+
+def _fractional_label(schema):
+    schema["labels"]["0"] = 0.5
+
+
 EMIT_PROBLEM = ["problem", "--gen", "parity", "--n", "2"]
 CHECK_PROBLEM = ["check-classical", "--k", "1", "--problem"]
 EMIT_ALG = ["gallery", "emit", "--name", "deutsch"]
 SIMULATE_ALG = ["simulate", "--oracle", "0,1", "--alg"]
+COMPILE_ALG = ["compile", "--accept", "0", "--alg"]
 
 
 @pytest.mark.parametrize(
@@ -107,8 +145,27 @@ SIMULATE_ALG = ["simulate", "--oracle", "0,1", "--alg"]
         (EMIT_PROBLEM, _drop_labels, CHECK_PROBLEM),
         (EMIT_ALG, _string_in_complex_pair, SIMULATE_ALG),
         (EMIT_ALG, _labels_as_list, SIMULATE_ALG),
+        (EMIT_ALG, _nan_in_rho0, SIMULATE_ALG),
+        (EMIT_ALG, _infinity_in_unitary, COMPILE_ALG),
+        (EMIT_ALG, _nan_in_povm, SIMULATE_ALG),
+        (EMIT_PROBLEM, _fractional_function_value, CHECK_PROBLEM),
+        (EMIT_PROBLEM, _fractional_domain_size, CHECK_PROBLEM),
+        (EMIT_ALG, _fractional_z_dim, SIMULATE_ALG),
+        (EMIT_ALG, _fractional_label, SIMULATE_ALG),
     ],
-    ids=["zero-denominator", "missing-key", "string-in-complex", "labels-list"],
+    ids=[
+        "zero-denominator",
+        "missing-key",
+        "string-in-complex",
+        "labels-list",
+        "nan-in-rho0",
+        "infinity-in-unitary",
+        "nan-in-povm",
+        "fractional-function-value",
+        "fractional-domain-size",
+        "fractional-z-dim",
+        "fractional-label",
+    ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command):
     path = tmp_path / "input.json"
@@ -121,6 +178,112 @@ def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and str(path) in err[0]
+
+
+# Values a mutated schema may carry: wrong types, non-integral and
+# non-finite numbers, zero, negatives and a size far beyond any ceiling.
+FUZZ_VALUES = st.sampled_from(
+    [None, True, "x", "2", 0, -1, 2, 3, 10**6, 0.5, 0.9, 2.0, 2.7]
+    + [float("nan"), float("inf"), float("-inf"), [], {}, [1, 0], [[1, 0]], {"0": 1}]
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as the keys and indices leading to it."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def _mutated(draw, schema):
+    """The schema after one to three edits: drop a key or entry, replace a
+    value, or shorten or lengthen a list."""
+    data = copy.deepcopy(schema)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        value = copy.deepcopy(draw(FUZZ_VALUES))  # never share a list between draws
+        if not path:
+            return value
+        *head, key = path
+        parent = data
+        for step in head:
+            parent = parent[step]
+        node = parent[key]
+        edit = draw(st.sampled_from(["drop", "replace", "shorten", "lengthen"]))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "replace" or not isinstance(node, list) or not node:
+            parent[key] = value
+        elif edit == "shorten":
+            node.pop()
+        else:
+            node.append(copy.deepcopy(node[-1]))
+    return data
+
+
+# What EMIT_PROBLEM and EMIT_ALG write under "result".
+PROBLEM_SCHEMA = problem_to_json(make_parity(2))
+ALG_SCHEMA = algorithm_to_json(deutsch())
+AUDIT_ALG = ["audit", "--gen", "parity", "--n", "2", "--accept", "0", "--alg"]
+
+
+def _check_mutated_input(data, commands):
+    """Each command exits 0, 1 or 2 without raising; exit 1 carries its
+    evidence, and every probability a report gives is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        out = os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for command in commands:
+            code = main([*command, path, "--out", out])
+            assert code in (EXIT_OK, EXIT_FALSIFIED, EXIT_USAGE), command
+            if code == EXIT_USAGE:
+                continue
+            result = _read_report(out)["result"]
+            if code == EXIT_FALSIFIED:
+                assert command[0] in ("check-classical", "audit")
+                assert result.get("witness") or result.get("identity_holds") is False
+            if command[0] == "simulate":
+                assert all(math.isfinite(p) for p in result["outcome_probs"])
+            if command[0] == "compile":
+                assert math.isfinite(result["T"])
+                assert all(math.isfinite(term["prob"]) for term in result["terms"])
+            os.remove(out)
+
+
+@given(_mutated(PROBLEM_SCHEMA))
+@settings(max_examples=100, deadline=None)
+def test_mutated_problem_never_crashes(data):
+    _check_mutated_input(data, [CHECK_PROBLEM, ["bound", "--problem"]])
+
+
+@given(_mutated(ALG_SCHEMA))
+@settings(max_examples=100, deadline=None)
+def test_mutated_algorithm_never_crashes(data):
+    _check_mutated_input(data, [SIMULATE_ALG, COMPILE_ALG, AUDIT_ALG])
+
+
+def test_audit_rejects_mismatched_algorithm(tmp_path, capsys):
+    # a Z3-response algorithm cannot query parity-4's Z2 tables
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(algorithm_to_json(random_algorithm(4, cyclic(3), 1, 1, 5))))
+    argv = ["audit", "--gen", "parity", "--n", "4", "--alg", str(path), "--accept", "0"]
+    assert main(argv) == EXIT_USAGE
+    assert "group" in capsys.readouterr().err
+
+
+def test_reproduce_only_without_match_is_usage_error(capsys):
+    assert main(["reproduce", "--only", "zzz"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "zzz" in err and "parity-classical" in err and "determinism" in err
 
 
 def test_check_quantum_report(tmp_path):

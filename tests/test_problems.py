@@ -6,7 +6,6 @@ import pytest
 from oraclelab.errors import CapacityError
 from oraclelab.problems import (
     LearningProblem,
-    generate,
     is_prime,
     make_image_parity,
     make_parity,
@@ -213,10 +212,3 @@ def test_problem_json_round_trip():
         again = problem_from_json(data, name=problem.name)
         assert again == problem
 
-
-def test_generate_dispatch():
-    assert generate("parity", n=3).name == "parity-3"
-    assert generate("image-parity").name == "image-parity"
-    assert generate("shamir", p=3, k=1).name == "shamir-3-1"
-    with pytest.raises(ValueError):
-        generate("nope")

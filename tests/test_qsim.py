@@ -17,26 +17,16 @@ from oraclelab.qsim import (
     QuantumAlgorithm,
     algorithm_from_json,
     algorithm_to_json,
-    basis_index,
     joint_distribution,
     oracle_matrix,
     outcome_posteriors,
-    posterior_quantum,
     random_algorithm,
     run,
     success_probability,
     trial_seeds,
 )
 from oraclelab.useless import DEFAULT_MAX_DIM
-from reference import dense_oracle_matrix, dense_run
-
-
-def test_basis_index_ordering():
-    # x-major, then y, then z
-    assert basis_index(0, 0, 0, 2, 3) == 0
-    assert basis_index(0, 0, 2, 2, 3) == 2
-    assert basis_index(0, 1, 0, 2, 3) == 3
-    assert basis_index(1, 0, 0, 2, 3) == 6
+from reference import CONFIGURED_GROUPS, dense_oracle_matrix, dense_run, group_add
 
 
 def _dense(f, x_dim, group, z_dim):
@@ -75,13 +65,25 @@ def test_oracle_matrix_is_permutation(x_dim, factors):
         assert np.array_equal(m, dense_oracle_matrix(f, x_dim, group, 2))
 
 
+@pytest.mark.parametrize("factors", CONFIGURED_GROUPS)
+def test_oracle_matrix_matches_dense_reference_on_every_configured_group(factors):
+    group = FiniteAbelianGroup(factors)
+    tables = list(product(range(group.order), repeat=2))
+    if len(tables) > 64:  # a seeded sample that keeps both extremes
+        rng = np.random.default_rng(group.order)
+        picks = rng.choice(len(tables), size=62, replace=False)
+        tables = [tables[0], tables[-1], *(tables[i] for i in picks)]
+    for f, index in zip(tables, oracle_matrix(tables, 2, group, 2)):
+        assert np.array_equal(np.eye(len(index))[index], dense_oracle_matrix(f, 2, group, 2))
+
+
 @pytest.mark.parametrize("x_dim,order", [(1, 2), (2, 2), (2, 3), (3, 3)])
 def test_oracle_matrix_composes_pointwise(x_dim, order):
     group = cyclic(order)
     tables = list(product(range(order), repeat=x_dim))
     for f in tables:
         for g in tables:
-            fg = tuple(group.add(a, b) for a, b in zip(f, g))
+            fg = tuple(group_add(group.factors, a, b) for a, b in zip(f, g))
             lhs = _dense(f, x_dim, group, 1) @ _dense(g, x_dim, group, 1)
             assert np.array_equal(lhs, _dense(fg, x_dim, group, 1))
 
@@ -278,11 +280,10 @@ def test_posterior_quantum_no_oracle_returns_prior():
 
 
 def test_posterior_quantum_deutsch_is_point_mass():
-    problem = make_parity(2)
-    assert posterior_quantum(deutsch(), problem, 0) == pytest.approx({0: 1.0, 1: 0.0}, abs=1e-12)
-    assert posterior_quantum(deutsch(), problem, 1) == pytest.approx({0: 0.0, 1: 1.0}, abs=1e-12)
-    with pytest.raises(ValueError):
-        posterior_quantum(deutsch(), problem, 2)
+    _, posteriors = outcome_posteriors(deutsch(), make_parity(2))
+    assert len(posteriors) == 2
+    assert posteriors[0] == pytest.approx({0: 1.0, 1: 0.0}, abs=1e-12)
+    assert posteriors[1] == pytest.approx({0: 0.0, 1: 1.0}, abs=1e-12)
 
 
 def test_posterior_quantum_sums_to_one_when_defined():

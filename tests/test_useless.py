@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +20,7 @@ from oraclelab.problems import (
 )
 from oraclelab.qsim import random_algorithm, trial_seeds
 from oraclelab.useless import (
+    DEFAULT_MAX_DIM,
     DEFAULT_MAX_EVENTS,
     VERDICT_NOT_USELESS,
     VERDICT_USELESS,
@@ -286,12 +288,16 @@ def test_falsify_parity2_with_deutsch_witness():
 def test_falsify_deterministic():
     a = quantum_useless_falsify(make_parity(2), queries=1, trials=10, seed=3)
     b = quantum_useless_falsify(make_parity(2), queries=1, trials=10, seed=3)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert asdict(a) == asdict(b)
 
 
 def test_falsify_budget():
-    with pytest.raises(CapacityError):
-        quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, max_dim=7)
+    # parity-4 has |X||Y| = 8, so z_dim = 25 sits exactly at the ceiling
+    assert 8 * 25 == DEFAULT_MAX_DIM
+    report = quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=25)
+    assert report.verdict == VERDICT_USELESS
+    with pytest.raises(CapacityError, match="208"):
+        quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=26)
 
 
 def test_report_csv_row():
