@@ -100,32 +100,40 @@ def unitary_defect(u: np.ndarray) -> float:
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def validate_unitary(u, tol: float = TOL_NUM) -> np.ndarray:
+def validate_unitary(u) -> np.ndarray:
     u = as_complex_matrix(u)
     defect = unitary_defect(u)
-    if defect > tol:
-        raise ValueError(f"not unitary: max|U^H U - I| = {defect:.3e} > {tol:g}")
+    if defect > TOL_NUM:
+        raise ValueError(f"not unitary: max|U^H U - I| = {defect:.3e} > {TOL_NUM:g}")
     return u
 
 
-def validate_density_matrix(rho, tol: float = TOL_NUM) -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness."""
+def _check_hermitian_psd(a: np.ndarray, name: str) -> None:
+    """Raise unless ``a`` is Hermitian and its smallest eigenvalue is at
+    least -TOL_NUM, naming the matrix as ``name`` in the error."""
+    herm = max_abs(a - a.conj().T)
+    if herm > TOL_NUM:
+        raise ValueError(
+            f"{name} is not Hermitian within {TOL_NUM:g}: max|A - A^H| = {herm:.3e}"
+        )
+    lo = float(np.linalg.eigvalsh(hermitian_part(a)).min())
+    if lo < -TOL_NUM:
+        raise ValueError(f"{name} has eigenvalue {lo:.3e} below -{TOL_NUM:g}")
+
+
+def validate_density_matrix(rho) -> np.ndarray:
+    """Check Hermiticity, positive semidefiniteness and unit trace."""
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm = max_abs(rho - rho.conj().T)
-    if herm > tol:
-        raise ValueError(f"not Hermitian: max|A - A^H| = {herm:.3e} > {tol:g}")
+    _check_hermitian_psd(rho, "density matrix")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} differs from 1 by more than {tol:g}")
-    lo = float(np.linalg.eigvalsh(hermitian_part(rho)).min())
-    if lo < -tol:
-        raise ValueError(f"negative eigenvalue {lo:.3e} below -{tol:g}")
+    if abs(tr - 1.0) > TOL_NUM:
+        raise ValueError(f"trace {tr} differs from 1 by more than {TOL_NUM:g}")
     return rho
 
 
-def validate_povm(elements: Sequence[np.ndarray], tol: float = TOL_NUM) -> tuple[np.ndarray, ...]:
+def validate_povm(elements: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Check each element is Hermitian PSD and that the family sums to I."""
     mats = tuple(as_complex_matrix(e) for e in elements)
     if not mats:
@@ -134,14 +142,10 @@ def validate_povm(elements: Sequence[np.ndarray], tol: float = TOL_NUM) -> tuple
     for i, e in enumerate(mats):
         if e.shape != (dim, dim):
             raise ValueError(f"POVM element {i} has shape {e.shape}, expected {(dim, dim)}")
-        if max_abs(e - e.conj().T) > tol:
-            raise ValueError(f"POVM element {i} is not Hermitian within {tol:g}")
-        lo = float(np.linalg.eigvalsh(hermitian_part(e)).min())
-        if lo < -tol:
-            raise ValueError(f"POVM element {i} has eigenvalue {lo:.3e} below -{tol:g}")
+        _check_hermitian_psd(e, f"POVM element {i}")
     defect = max_abs(sum(mats) - np.eye(dim))
-    if defect > tol:
-        raise ValueError(f"POVM does not sum to identity: defect {defect:.3e} > {tol:g}")
+    if defect > TOL_NUM:
+        raise ValueError(f"POVM does not sum to identity: defect {defect:.3e} > {TOL_NUM:g}")
     return mats
 
 

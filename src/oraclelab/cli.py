@@ -21,6 +21,7 @@ from . import __version__
 from .errors import CapacityError
 from .gallery import entries as gallery_entries
 from .polycompile import (
+    AUDIT_TOL,
     acceptance_polynomial,
     classical_output_prob,
     compile_classical,
@@ -38,7 +39,6 @@ from .qsim import EPS_COND, algorithm_from_json, algorithm_to_json, run
 from .reproduce import DEFAULT_SEED, format_table, run_all
 from .useless import (
     CSV_HEADER,
-    DEFAULT_MAX_EVENTS,
     FALSIFY_TOL,
     VERDICT_NOT_USELESS,
     classical_useless,
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-classical", help="decide k-query uselessness exactly")
     _add_problem_args(p)
     p.add_argument("--k", type=int, required=True, help="number of classical queries")
-    p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
     p.add_argument("--out")
     p.add_argument("--csv", help="also append the verdict as a CSV row")
 
@@ -164,20 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, required=True, help="oracle calls per algorithm")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=FALSIFY_TOL)
     p.add_argument("--z-dim", type=int, default=1)
-    p.add_argument(
-        "--skip-certificate",
-        action="store_true",
-        help="do not attempt the exact classical certificate",
-    )
-    p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
     p.add_argument("--out")
     p.add_argument("--csv")
 
     p = sub.add_parser("bound", help="quantum query lower bound from the classical scan")
     _add_problem_args(p)
-    p.add_argument("--max-events", type=int, default=DEFAULT_MAX_EVENTS)
     p.add_argument("--out")
 
     p = sub.add_parser("simulate", help="run an algorithm on one oracle table")
@@ -196,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     p.add_argument("--alg", required=True)
     p.add_argument("--accept", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out")
 
     p = sub.add_parser("gallery", help="list or emit named algorithms")
@@ -220,8 +210,8 @@ def _cmd_problem(args) -> int:
 
 def _cmd_check_classical(args) -> int:
     problem, config = _load_problem(args)
-    config.update({"k": args.k, "max_events": args.max_events})
-    report = classical_useless(problem, args.k, max_events=args.max_events)
+    config["k"] = args.k
+    report = classical_useless(problem, args.k)
     _emit(_report(config, asdict(report)), args.out)
     if args.csv:
         _write_csv(args.csv, [CSV_HEADER, report.csv_row()])
@@ -239,21 +229,19 @@ def _cmd_check_quantum(args) -> int:
         queries=args.queries,
         trials=args.trials,
         seed=seed,
-        tol=args.tol,
         z_dim=args.z_dim,
     )
     result = asdict(report)
-    if not args.skip_certificate:
-        try:
-            m = max_useless_k(problem, max_events=args.max_events)
-            result["classical_certificate"] = {
-                "max_useless_k": m,
-                "proves_quantum_useless_up_to": m // 2,
-                "covers_this_check": args.queries <= m // 2,
-            }
-        except CapacityError as exc:
-            result["classical_certificate"] = {"skipped": str(exc)}
-    _emit(_report(config, result, {"tol": args.tol, "eps_cond": EPS_COND}), args.out)
+    try:
+        m = max_useless_k(problem)
+        result["classical_certificate"] = {
+            "max_useless_k": m,
+            "proves_quantum_useless_up_to": m // 2,
+            "covers_this_check": args.queries <= m // 2,
+        }
+    except CapacityError as exc:
+        result["classical_certificate"] = {"skipped": str(exc)}
+    _emit(_report(config, result, {"tol": FALSIFY_TOL, "eps_cond": EPS_COND}), args.out)
     if args.csv:
         _write_csv(args.csv, [CSV_HEADER, report.csv_row()])
     return EXIT_FALSIFIED if report.verdict == VERDICT_NOT_USELESS else EXIT_OK
@@ -261,7 +249,7 @@ def _cmd_check_quantum(args) -> int:
 
 def _cmd_bound(args) -> int:
     problem, config = _load_problem(args)
-    m = max_useless_k(problem, max_events=args.max_events)
+    m = max_useless_k(problem)
     # quantum_lower_bound's formula on the scan already made, not a second scan
     result = {"problem": problem.name, "max_useless_k": m, "quantum_lower_bound": m // 2 + 1}
     _emit(_report(config, result), args.out)
@@ -314,9 +302,9 @@ def _cmd_audit(args) -> int:
     problem, config = _load_problem(args)
     alg = _read_input(args.alg, algorithm_from_json)
     accept = _parse_accept(args.accept)
-    report = corollary5_audit(problem, alg, accept, tol=args.tol)
+    report = corollary5_audit(problem, alg, accept)
     config.update({"alg": args.alg, "accept": accept})
-    _emit(_report(config, asdict(report), {"tol": args.tol}), args.out)
+    _emit(_report(config, asdict(report), {"tol": AUDIT_TOL}), args.out)
     hypothesis_and_identity_broken = (
         report.classical_useless_2k is True and not report.identity_holds
     )

@@ -36,6 +36,9 @@ PRUNE_TOL = 1e-12
 # A compiled sampler's term probabilities must sum to 1 within this.
 PROB_SUM_TOL = 1e-10
 
+# The ratio audit's two sides must agree within this.
+AUDIT_TOL = 1e-8
+
 
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
@@ -66,6 +69,15 @@ def _butterfly(values: Sequence[float], kernel: Sequence[Sequence[float]]) -> np
 
 def _subset_sorted(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _accept_indices(alg: QuantumAlgorithm, accept_outcomes: Iterable[int]) -> list[int]:
+    """The accept set as sorted distinct outcome indices of ``alg``."""
+    accept = sorted({int(s) for s in accept_outcomes})
+    for s in accept:
+        if not 0 <= s < alg.n_outcomes:
+            raise ValueError(f"accept outcome {s} outside [0, {alg.n_outcomes})")
+    return accept
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +132,7 @@ def acceptance_polynomial(
     n = alg.x_dim
     if n > MAX_CUBE_VARS:
         raise CapacityError(f"cube has 2^{n} tables, over the ceiling n <= {MAX_CUBE_VARS}")
-    accept = sorted({int(s) for s in accept_outcomes})
-    for s in accept:
-        if not 0 <= s < alg.n_outcomes:
-            raise ValueError(f"accept outcome {s} outside [0, {alg.n_outcomes})")
+    accept = _accept_indices(alg, accept_outcomes)
     tables = np.arange(1 << n)[:, None] >> np.arange(n) & 1
     values = run(alg, tables).outcome_probs[:, accept].sum(axis=1)
     poly = interpolate_on_cube(values)
@@ -276,7 +285,6 @@ def corollary5_audit(
     problem: LearningProblem,
     alg: QuantumAlgorithm,
     accept_outcomes: Iterable[int],
-    tol: float = 1e-8,
     check_classical: bool = True,
 ) -> Corollary5Report:
     """Audit the ratio identity tying acceptance mass to the prior.
@@ -291,7 +299,7 @@ def corollary5_audit(
     parts = problem.part_labels()
     if len(parts) != 2:
         raise ValueError(f"the audit requires exactly two parts, got {parts}")
-    accept = sorted({int(s) for s in accept_outcomes})
+    accept = _accept_indices(alg, accept_outcomes)
     weights = [float(w) for w in problem.prior]
     accept_probs = run(alg, problem.functions).outcome_probs[:, accept].sum(axis=1).tolist()
     first = parts[0]
@@ -315,8 +323,8 @@ def corollary5_audit(
         lhs=lhs,
         rhs=rhs,
         deviation=deviation,
-        tolerance=tol,
+        tolerance=AUDIT_TOL,
         defined=defined,
-        identity_holds=bool(defined and deviation <= tol),
+        identity_holds=bool(defined and deviation <= AUDIT_TOL),
         classical_useless_2k=useless_2k,
     )

@@ -29,10 +29,9 @@ from .errors import CapacityError
 # A transcript is an ordered list of (query point, response) pairs.
 Transcript = Sequence[tuple[int, int]]
 
-# The largest parity class whose every exact check fits the default
-# cells-read ceiling (useless.DEFAULT_MAX_EVENTS = 10^7): parity-11 reads at
-# most 6 * C(11, 6) * 2^11 = 5,677,056 cells, parity-12 needs 16,220,160 at
-# k = 5.
+# The largest parity class whose every exact check fits the cells-read
+# ceiling (useless.MAX_TABLE_CELLS = 10^7): parity-11 reads at most
+# 6 * C(11, 6) * 2^11 = 5,677,056 cells, parity-12 needs 16,220,160 at k = 5.
 MAX_PARITY_N = 11
 MAX_SHAMIR_CLASS = 10**6
 

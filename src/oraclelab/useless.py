@@ -34,10 +34,10 @@ from .qsim import (
 # Ceiling on the table cells an exact check reads, k' * C(|X|, k') * |C|
 # with k' = min(k, |X|). At 0.2-0.5 us per cell (CPython 3.11), a check
 # at the ceiling takes 2-5 s.
-DEFAULT_MAX_EVENTS = 10**7
+MAX_TABLE_CELLS = 10**7
 
 # Hilbert-space ceiling for simulation-backed checks.
-DEFAULT_MAX_DIM = 200
+MAX_DIM = 200
 
 # A sampled posterior deviation above this is reported as a violation.
 FALSIFY_TOL = 1e-8
@@ -106,15 +106,13 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list, int] |
     return None
 
 
-def classical_useless(
-    problem: LearningProblem, k: int, max_events: int = DEFAULT_MAX_EVENTS
-) -> UselessnessReport:
+def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     """Decide exactly whether k classical queries are useless.
 
     A k-query event fixes responses at k' = min(k, |X|) or fewer points,
     and an event on fewer points is a disjoint union of events on k'
     points, so only point-sets of size exactly k' are checked, reading
-    k' * C(|X|, k') * |C| table cells (capped by ``max_events``). A
+    k' * C(|X|, k') * |C| table cells (capped by ``MAX_TABLE_CELLS``). A
     witness is the violating event's k' pairs, padded to k by repeating
     the first, with its posterior replayed by :func:`posterior_classical`.
     """
@@ -122,10 +120,10 @@ def classical_useless(
         raise ValueError(f"k must be >= 0, got {k}")
     width = min(k, problem.domain_size)
     cost = width * math.comb(problem.domain_size, width) * problem.size
-    if cost > max_events:
+    if cost > MAX_TABLE_CELLS:
         raise CapacityError(
             f"classical check reads {cost} table cells, over the ceiling "
-            f"max_events={max_events}"
+            f"MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
         )
     violation = _first_violation(problem, width)
     witness = None
@@ -150,7 +148,7 @@ def classical_useless(
     )
 
 
-def max_useless_k(problem: LearningProblem, max_events: int = DEFAULT_MAX_EVENTS) -> int:
+def max_useless_k(problem: LearningProblem) -> int:
     """Largest k for which k classical queries are useless.
 
     Uselessness is downward monotone (pad a shorter transcript by
@@ -161,20 +159,20 @@ def max_useless_k(problem: LearningProblem, max_events: int = DEFAULT_MAX_EVENTS
     """
     k = 0
     while k < problem.domain_size:
-        report = classical_useless(problem, k + 1, max_events=max_events)
+        report = classical_useless(problem, k + 1)
         if report.verdict == VERDICT_NOT_USELESS:
             return k
         k += 1
     return k
 
 
-def quantum_lower_bound(problem: LearningProblem, max_events: int = DEFAULT_MAX_EVENTS) -> int:
+def quantum_lower_bound(problem: LearningProblem) -> int:
     """Lower bound on the quantum query complexity from the classical scan.
 
     With m classical queries useless, floor(m/2) quantum queries are also
     useless, so floor(m/2) + 1 quantum queries are necessary.
     """
-    return max_useless_k(problem, max_events=max_events) // 2 + 1
+    return max_useless_k(problem) // 2 + 1
 
 
 def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
@@ -203,7 +201,6 @@ def quantum_useless_falsify(
     queries: int,
     trials: int,
     seed: int,
-    tol: float = FALSIFY_TOL,
     z_dim: int = 1,
     extra_algorithms: Sequence[QuantumAlgorithm] = (),
 ) -> UselessnessReport:
@@ -212,19 +209,17 @@ def quantum_useless_falsify(
     Runs ``trials`` seeded random ``queries``-call algorithms (plus any
     ``extra_algorithms``, which occupy the first trial slots) and records
     the largest |posterior - prior| over observable outcomes and parts.
-    A deviation above ``tol`` yields a "not useless" verdict with a witness
-    naming the trial; anything else is "useless" backed by sampling only,
-    which is evidence, not proof.
+    A deviation above ``FALSIFY_TOL`` yields a "not useless" verdict with a
+    witness naming the trial; anything else is "useless" backed by sampling
+    only, which is evidence, not proof.
     """
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dim = problem.domain_size * problem.group.order * z_dim
-    if dim > DEFAULT_MAX_DIM:
-        raise CapacityError(
-            f"Hilbert dimension {dim} exceeds the ceiling DEFAULT_MAX_DIM={DEFAULT_MAX_DIM}"
-        )
+    if dim > MAX_DIM:
+        raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")
     prior = {j: float(w) for j, w in problem.part_prior().items()}
     algorithms: list[tuple[str, QuantumAlgorithm]] = [
         (f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)
@@ -256,7 +251,7 @@ def quantum_useless_falsify(
                         "posterior": p,
                         "prior": prior[j],
                     }
-    verdict = VERDICT_NOT_USELESS if max_deviation > tol else VERDICT_USELESS
+    verdict = VERDICT_NOT_USELESS if max_deviation > FALSIFY_TOL else VERDICT_USELESS
     return UselessnessReport(
         problem=problem.name,
         mode="quantum",
@@ -266,5 +261,5 @@ def quantum_useless_falsify(
         witness=argmax if verdict == VERDICT_NOT_USELESS else None,
         max_deviation=max_deviation,
         trials=len(algorithms),
-        detail={"tol": tol, "seed": seed, "z_dim": z_dim, "best": argmax},
+        detail={"tol": FALSIFY_TOL, "seed": seed, "z_dim": z_dim, "best": argmax},
     )

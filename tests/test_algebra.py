@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab.algebra import (
+    TOL_NUM,
     FiniteAbelianGroup,
     cyclic,
     group_from_json,
@@ -165,6 +166,28 @@ def test_validate_unitary_rejects():
 def test_validate_povm_rejects_incomplete():
     with pytest.raises(ValueError):
         validate_povm([np.diag([1.0, 0.0])])
+
+
+# Each validator check as a function of its defect e: the check passes at
+# e = TOL_NUM / 2 and raises at e = 2 * TOL_NUM.
+TOL_NUM_CHECKS = {
+    "density-eigenvalue": lambda e: validate_density_matrix(np.diag([1 + e, -e])),
+    "density-hermitian": lambda e: validate_density_matrix(np.array([[0.5, e], [0, 0.5]])),
+    "density-trace": lambda e: validate_density_matrix(np.diag([0.5 + e, 0.5])),
+    "unitary-defect": lambda e: validate_unitary(np.diag([np.sqrt(1 + e), 1])),
+    "povm-eigenvalue": lambda e: validate_povm([np.diag([1, -e]), np.diag([0, 1 + e])]),
+    "povm-hermitian": lambda e: validate_povm(
+        [np.array([[0.5, e], [0, 0.5]]), np.array([[0.5, -e], [0, 0.5]])]
+    ),
+    "povm-sum": lambda e: validate_povm([np.diag([1 + e, 0]), np.diag([0, 1])]),
+}
+
+
+@pytest.mark.parametrize("check", TOL_NUM_CHECKS.values(), ids=TOL_NUM_CHECKS.keys())
+def test_validators_pass_within_tol_num_and_reject_beyond(check):
+    check(TOL_NUM / 2)
+    with pytest.raises(ValueError):
+        check(2 * TOL_NUM)
 
 
 def test_hermitian_part():

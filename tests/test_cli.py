@@ -5,16 +5,19 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab import useless
-from oraclelab.algebra import cyclic
+from oraclelab.algebra import cyclic, matrix_from_json
 from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
 from oraclelab.qsim import algorithm_to_json, random_algorithm
+
+from reference import dense_run
 
 
 def _read_report(path):
@@ -419,15 +422,72 @@ def test_gallery_list(capsys):
     assert "deutsch" in report["result"]
 
 
-def test_usage_errors_exit_two(tmp_path, capsys):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert main(["check-classical", "--k", "3"]) == EXIT_USAGE  # no problem given
     assert main(["gallery", "emit", "--name", "nope"]) == EXIT_USAGE
     assert main(["problem", "--gen", "parity"]) == EXIT_USAGE  # missing --n
-    assert (
-        main(["check-classical", "--gen", "parity", "--n", "8", "--k", "6", "--max-events", "10"])
-        == EXIT_USAGE
-    )  # capacity ceiling
+    argv = ["check-classical", "--gen", "parity", "--n", "8", "--k", "6"]
+    cost = 6 * math.comb(8, 6) * 2**8  # table cells the check reads
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost - 1)
+    assert main(argv) == EXIT_USAGE  # capacity ceiling
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost)
+    assert main(argv) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--tol", "nan"],
+        ["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--skip-certificate"],
+        ["check-classical", "--gen", "parity", "--n", "4", "--k", "3", "--max-events", "10"],
+        ["audit", "--gen", "parity", "--n", "2", "--accept", "0", "--tol", "-1", "--alg"],
+    ],
+    ids=["check-quantum-tol", "skip-certificate", "max-events", "audit-tol"],
+)
+def test_deleted_ceiling_and_tolerance_flags_are_rejected(tmp_path, capsys, argv):
+    # ceilings and tolerances are module constants; no flag overrides one
+    path = tmp_path / "deutsch.json"
+    assert main([*EMIT_ALG, "--out", str(path)]) == EXIT_OK
+    if argv[-1] == "--alg":
+        argv = [*argv, str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("accept", ["5", "-1"])
+def test_audit_rejects_accept_outside_outcomes(tmp_path, capsys, accept):
+    path = tmp_path / "deutsch.json"
+    assert main([*EMIT_ALG, "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["audit", "--gen", "parity", "--n", "2", "--alg", str(path), "--accept", accept]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and f"accept outcome {accept} outside" in err[0]
+
+
+def test_check_quantum_skips_certificate_over_ceiling(tmp_path, monkeypatch):
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", 10)
+    out = tmp_path / "q.json"
+    argv = ["check-quantum", "--gen", "parity", "--n", "4", "--queries", "1", "--trials", "2",
+            "--seed", "7", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    result = _read_report(out)["result"]
+    assert result["verdict"] == "useless"
+    assert "MAX_TABLE_CELLS=10" in result["classical_certificate"]["skipped"]
+
+
+def test_simulate_state_matches_dense_reference(tmp_path):
+    path = tmp_path / "deutsch.json"
+    assert main([*EMIT_ALG, "--out", str(path)]) == EXIT_OK
+    out = tmp_path / "sim.json"
+    assert main([*SIMULATE_ALG, str(path), "--state", "--out", str(out)]) == EXIT_OK
+    state = matrix_from_json(_read_report(out)["result"]["final_state"])
+    rho, _ = dense_run(deutsch(), (0, 1))
+    assert np.abs(state - rho).max() < 1e-12
 
 
 def test_reproduce_subset_and_determinism(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from oraclelab.algebra import cyclic, random_pure_state
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
 from oraclelab.polycompile import (
+    MAX_CUBE_VARS,
     CompiledClassicalAlgorithm,
     MultilinearPolynomial,
     acceptance_polynomial,
@@ -263,8 +264,12 @@ def test_corollary5_preconditions():
 
 
 def test_capacity_guard():
+    at_ceiling = random_algorithm(MAX_CUBE_VARS, cyclic(2), 1, 1, 0)
+    poly = acceptance_polynomial(at_ceiling, _accept_evens(at_ceiling))
+    assert poly.n == MAX_CUBE_VARS
+    n, dim = MAX_CUBE_VARS + 1, 2 * (MAX_CUBE_VARS + 1)
     alg = QuantumAlgorithm(
-        13, cyclic(2), 1, random_pure_state(26, 0), (), (np.eye(26, dtype=complex),)
+        n, cyclic(2), 1, random_pure_state(dim, 0), (), (np.eye(dim, dtype=complex),)
     )
     with pytest.raises(CapacityError):
         acceptance_polynomial(alg, [0])

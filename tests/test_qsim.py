@@ -25,7 +25,7 @@ from oraclelab.qsim import (
     success_probability,
     trial_seeds,
 )
-from oraclelab.useless import DEFAULT_MAX_DIM
+from oraclelab.useless import MAX_DIM
 from reference import CONFIGURED_GROUPS, dense_oracle_matrix, dense_run, group_add
 
 
@@ -182,16 +182,16 @@ def test_run_matches_dense_reference(factors, x_dim, z_dim):
 
 
 def test_run_matches_dense_reference_at_dim_ceiling():
-    group, z_dim = cyclic(2), DEFAULT_MAX_DIM // 8
+    group, z_dim = cyclic(2), MAX_DIM // 8
     alg = QuantumAlgorithm(
         4,
         group,
         z_dim,
-        random_pure_state(DEFAULT_MAX_DIM, 1),
-        (random_unitary(DEFAULT_MAX_DIM, 2),),
-        random_povm(DEFAULT_MAX_DIM, 4, 3),
+        random_pure_state(MAX_DIM, 1),
+        (random_unitary(MAX_DIM, 2),),
+        random_povm(MAX_DIM, 4, 3),
     )
-    assert alg.dim == DEFAULT_MAX_DIM
+    assert alg.dim == MAX_DIM
     tables = [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 1, 1)]
     res = run(alg, tables)
     for t, f in enumerate(tables):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclelab import useless
 from oraclelab.algebra import FiniteAbelianGroup, cyclic
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
@@ -20,8 +21,8 @@ from oraclelab.problems import (
 )
 from oraclelab.qsim import random_algorithm, trial_seeds
 from oraclelab.useless import (
-    DEFAULT_MAX_DIM,
-    DEFAULT_MAX_EVENTS,
+    MAX_DIM,
+    MAX_TABLE_CELLS,
     VERDICT_NOT_USELESS,
     VERDICT_USELESS,
     classical_useless,
@@ -135,17 +136,20 @@ def test_classical_useless_matches_naive_on_random_problems(problem):
             assert posterior_classical(problem, transcript)[j] != prior[j]
 
 
-def test_classical_useless_budget():
-    with pytest.raises(CapacityError):
-        classical_useless(make_parity(8), 6, max_events=1000)
+def test_classical_useless_budget(monkeypatch):
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", 1000)
+    with pytest.raises(CapacityError, match="MAX_TABLE_CELLS=1000"):
+        classical_useless(make_parity(8), 6)
 
 
-def test_classical_useless_ceiling_is_cells_read():
+def test_classical_useless_ceiling_is_cells_read(monkeypatch):
     problem = make_parity(5)
     cost = 3 * math.comb(5, 3) * problem.size  # k' * C(|X|, k') * |C|
-    assert classical_useless(problem, 3, max_events=cost).verdict == VERDICT_USELESS
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost)
+    assert classical_useless(problem, 3).verdict == VERDICT_USELESS
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost - 1)
     with pytest.raises(CapacityError):
-        classical_useless(problem, 3, max_events=cost - 1)
+        classical_useless(problem, 3)
 
 
 def test_classical_witness_beyond_domain_is_padded():
@@ -165,17 +169,18 @@ def test_max_useless_k_parity_8_under_default_ceiling():
     assert max_useless_k(make_parity(8)) == 7
 
 
-def test_parity_ceiling_fits_the_cells_read_ceiling():
+def test_parity_ceiling_fits_the_cells_read_ceiling(monkeypatch):
     # the checker raises one cell below each count, so it reads as many as
     # the formula says; every k of the largest parity class then fits
     problem = make_parity(MAX_PARITY_N)
     costs = [k * math.comb(MAX_PARITY_N, k) * problem.size for k in range(1, MAX_PARITY_N + 1)]
     for k, cost in enumerate(costs, start=1):
+        monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost - 1)
         with pytest.raises(CapacityError):
-            classical_useless(problem, k, max_events=cost - 1)
-    assert max(costs) <= DEFAULT_MAX_EVENTS
+            classical_useless(problem, k)
+    assert max(costs) <= MAX_TABLE_CELLS
     n = MAX_PARITY_N + 1
-    assert 5 * math.comb(n, 5) * 2**n > DEFAULT_MAX_EVENTS
+    assert 5 * math.comb(n, 5) * 2**n > MAX_TABLE_CELLS
 
 
 def test_max_useless_k_values():
@@ -293,7 +298,7 @@ def test_falsify_deterministic():
 
 def test_falsify_budget():
     # parity-4 has |X||Y| = 8, so z_dim = 25 sits exactly at the ceiling
-    assert 8 * 25 == DEFAULT_MAX_DIM
+    assert 8 * 25 == MAX_DIM
     report = quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=25)
     assert report.verdict == VERDICT_USELESS
     with pytest.raises(CapacityError, match="208"):
