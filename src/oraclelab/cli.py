@@ -70,7 +70,8 @@ def _report(config: dict, result: dict, tolerances: dict | None = None) -> dict:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # NaN and Infinity are not JSON: a report carrying one is refused (exit 2)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -303,6 +304,11 @@ def _cmd_audit(args) -> int:
     alg = _read_input(args.alg, algorithm_from_json)
     accept = _parse_accept(args.accept)
     report = corollary5_audit(problem, alg, accept)
+    if not report.defined:
+        raise ValueError(
+            f"accept mass {report.accept_mass:.3e} is at most EPS_COND={EPS_COND:g}, "
+            "so the audited ratio is undefined"
+        )
     config.update({"alg": args.alg, "accept": accept})
     _emit(_report(config, asdict(report), {"tol": AUDIT_TOL}), args.out)
     hypothesis_and_identity_broken = (

@@ -24,14 +24,13 @@ MAX_PAIRWISE_N = 8
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 
-def _kickback_state(x_dim: int, first_pair: tuple[int, int]) -> np.ndarray:
-    """Pure state: uniform superposition of two query points tensor the
-    (|0> - |1>)/sqrt(2) response state."""
+def _kickback_state(x_dim: int, first_pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pure state, as its one-column factor: uniform superposition of two
+    query points tensor the (|0> - |1>)/sqrt(2) response state."""
     psi_x = np.zeros(x_dim, dtype=np.complex128)
     psi_x[first_pair[0]] = psi_x[first_pair[1]] = 1 / math.sqrt(2)
     psi_y = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
-    psi = np.kron(psi_x, psi_y)
-    return np.outer(psi, psi.conj())
+    return np.ones(1), np.kron(psi_x, psi_y)[:, None]
 
 
 def _pair_hadamard(x_dim: int, pair_index: int) -> np.ndarray:
@@ -57,12 +56,11 @@ def _pair_advance(x_dim: int, pair_index: int) -> np.ndarray:
 
 
 def _x_parity_povm(x_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto even and odd query coordinates (response traced over)."""
-    even = np.zeros(x_dim * 2, dtype=np.complex128)
-    for x in range(x_dim):
-        if x % 2 == 0:
-            even[2 * x] = even[2 * x + 1] = 1
-    return np.diag(even), np.diag(1 - even)
+    """Projectors onto even and odd query coordinates (response traced
+    over), as factors: the basis columns (x, y) each one keeps."""
+    basis = np.eye(x_dim * 2, dtype=np.complex128)
+    even = np.arange(x_dim * 2) // 2 % 2 == 0
+    return basis[:, even], basis[:, ~even]
 
 
 def deutsch() -> QuantumAlgorithm:
@@ -77,7 +75,7 @@ def deutsch() -> QuantumAlgorithm:
         x_dim=2,
         group=cyclic(2),
         z_dim=1,
-        rho0=_kickback_state(2, (0, 1)),
+        state=_kickback_state(2, (0, 1)),
         unitaries=(np.kron(_pair_hadamard(2, 0), np.eye(2)),),
         povm=(p_even, p_odd),
         outcome_labels={0: 0, 1: 1},
@@ -109,7 +107,7 @@ def pairwise_parity(n: int) -> QuantumAlgorithm:
         x_dim=n,
         group=cyclic(2),
         z_dim=1,
-        rho0=_kickback_state(n, (0, 1)),
+        state=_kickback_state(n, (0, 1)),
         unitaries=tuple(unitaries),
         povm=(p_even, p_odd),
         outcome_labels={0: 0, 1: 1},

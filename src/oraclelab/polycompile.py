@@ -263,15 +263,18 @@ def compiled_to_json(compiled: CompiledClassicalAlgorithm) -> dict:
 class Corollary5Report:
     """Both sides of the part-mass ratio identity for a two-part problem.
 
-    ``lhs`` is (sum over the first part of mu * accept) / (sum over the
-    class of mu * accept); ``rhs`` is the prior mass of the first part.
-    When 2k classical queries are useless the two must agree; the report
-    also carries that classical verdict so a failed identity can be told
-    apart from a failed hypothesis.
+    ``lhs`` is (sum over the first part of mu * accept) / ``accept_mass``,
+    the sum over the class of mu * accept; ``rhs`` is the prior mass of the
+    first part. The ratio is ``defined`` only when the accept mass is above
+    ``EPS_COND``; otherwise ``lhs`` and ``deviation`` are NaN. When 2k
+    classical queries are useless the two must agree; the report also
+    carries that classical verdict so a failed identity can be told apart
+    from a failed hypothesis.
     """
 
     problem: str
     part: int
+    accept_mass: float
     lhs: float
     rhs: float
     deviation: float
@@ -320,6 +323,7 @@ def corollary5_audit(
     return Corollary5Report(
         problem=problem.name,
         part=first,
+        accept_mass=total_mass,
         lhs=lhs,
         rhs=rhs,
         deviation=deviation,

@@ -12,12 +12,14 @@ final state for oracle table f is
     rho_f = U_k O_f ... U_1 O_f rho_0 O_f^H U_1^H ... O_f^H U_k^H
 
 An oracle call is a permutation of basis indices, so it is applied as a
-gather along the basis axis and no dense oracle matrix is ever built. The
-initial state is factored once as rho_0 = V diag(lambda) V^H over its
-nonzero eigenvalues; every column of V evolves as a state vector, for all
+gather along the basis axis and no dense oracle matrix is ever built. An
+algorithm holds its initial state as the factor rho_0 = V diag(lambda) V^H
+over its nonzero eigenvalues, and each POVM element as a factor B_s with
+Pi_s = B_s B_s^H. Every column of V evolves as a state vector, for all
 tables of a stack at once, so a pure state costs one column per table and
-a mixed state one per eigenvalue. Final density matrices are formed from
-the evolved factor only when they are read.
+a mixed state one per eigenvalue; the measurement is one product with the
+stacked B^H. Final density matrices are formed from the evolved factor
+only when they are read.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ import numpy as np
 from .algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
+    factor_hermitian,
     group_from_json,
     group_to_json,
-    hermitian_part,
     int_from_json,
     matrix_from_json,
     matrix_to_json,
+    povm_from_dense,
     random_povm,
     random_pure_state,
     random_unitary,
@@ -55,14 +58,18 @@ EPS_COND = 1e-12
 class QuantumAlgorithm:
     """Initial state, interleaved unitaries, POVM, optional outcome labels.
 
-    ``outcome_labels`` maps POVM outcome index s to a part label j; it is
-    only needed for success-probability computations.
+    ``state`` is the factor (weights, vectors) of the initial density matrix
+    rho_0 = V diag(weights) V^H, with orthonormal columns V of shape (d, r).
+    ``povm`` holds one factor B_s of shape (d, r_s) per outcome, for the
+    element Pi_s = B_s B_s^H. ``outcome_labels`` maps POVM outcome index s
+    to a part label j; it is only needed for success-probability
+    computations.
     """
 
     x_dim: int
     group: FiniteAbelianGroup
     z_dim: int
-    rho0: np.ndarray
+    state: tuple[np.ndarray, np.ndarray]
     unitaries: tuple[np.ndarray, ...]
     povm: tuple[np.ndarray, ...]
     outcome_labels: dict[int, int] | None = None
@@ -71,23 +78,23 @@ class QuantumAlgorithm:
         if self.x_dim < 1 or self.z_dim < 1:
             raise ValueError("x_dim and z_dim must be >= 1")
         dim = self.dim
-        rho0 = validate_density_matrix(self.rho0)
-        if rho0.shape != (dim, dim):
-            raise ValueError(f"rho0 has shape {rho0.shape}, expected {(dim, dim)}")
+        weights, vectors = validate_density_matrix(*self.state)
+        if len(vectors) != dim:
+            raise ValueError(f"state vectors have dimension {len(vectors)}, expected {dim}")
         unitaries = tuple(validate_unitary(u) for u in self.unitaries)
         for i, u in enumerate(unitaries):
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary {i} has shape {u.shape}, expected {(dim, dim)}")
         povm = validate_povm(self.povm)
-        if povm[0].shape != (dim, dim):
-            raise ValueError(f"POVM dimension {povm[0].shape} does not match {(dim, dim)}")
+        if len(povm[0]) != dim:
+            raise ValueError(f"POVM dimension {len(povm[0])} does not match {dim}")
         labels = self.outcome_labels
         if labels is not None:
             labels = {int(s): int(j) for s, j in labels.items()}
             bad = [s for s in labels if not 0 <= s < len(povm)]
             if bad:
                 raise ValueError(f"outcome labels reference unknown outcomes {bad}")
-        object.__setattr__(self, "rho0", rho0)
+        object.__setattr__(self, "state", (weights, vectors))
         object.__setattr__(self, "unitaries", unitaries)
         object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "outcome_labels", labels)
@@ -115,8 +122,9 @@ class RunResult:
 
     ``outcome_probs`` has shape (T, S). The final states are kept in
     factored form: table t ends in rho_t = sum_r weights[r] v_rt v_rt^H
-    with v_rt = ``columns[:, t, r]``, where ``columns`` has shape (d, T, R)
-    and R is the rank of the initial state.
+    with v_rt = ``columns[:, t, r]``, where ``columns`` has shape (d, T, R),
+    R is the rank of the initial state's factor and ``weights`` its signed
+    weights.
     """
 
     outcome_probs: np.ndarray
@@ -155,35 +163,23 @@ def oracle_matrix(
     return index.reshape(len(tables), x_dim * y_dim * z_dim)
 
 
-def _factor(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, vectors) with rho = V diag(weights) V^H, dropping null directions.
-
-    Eigenvalues at or below numpy's ``matrix_rank`` cutoff |lambda|_max * d *
-    eps are dropped; the rest keep their sign, so a validated state with a
-    slightly negative eigenvalue evolves exactly as its matrix does.
-    """
-    weights, vectors = np.linalg.eigh(hermitian_part(rho))
-    cutoff = np.abs(weights).max() * len(rho) * np.finfo(float).eps
-    keep = np.abs(weights) > cutoff
-    return weights[keep], vectors[:, keep]
-
-
 def run(alg: QuantumAlgorithm, tables) -> RunResult:
     """Evolve the initial state through k oracle calls and k unitaries,
     for every oracle table in the (T, x_dim) stack at once.
 
-    The initial state is factored once into signed-weight eigenvectors;
-    each vector evolves as a column, oracle calls gather along the basis
-    axis and each unitary is one matrix product over all tables and
-    columns. With no unitaries the initial state is measured directly.
-    Outcome probabilities are sum_r weights[r] <v_rt|Pi_s|v_rt>, verified
-    to be a distribution within the numeric tolerance for every table and
-    then clamped to [0, 1].
+    Each signed-weight vector of the initial state's factor evolves as a
+    column, oracle calls gather along the basis axis and each unitary is
+    one matrix product over all tables and columns. With no unitaries the
+    initial state is measured directly. The measurement is one product
+    B^H @ columns with the stacked POVM factor B; outcome probabilities are
+    sum_r weights[r] ||B_s^H v_rt||^2, a segmented sum of its squared
+    moduli, verified to be a distribution within the numeric tolerance for
+    every table and then clamped to [0, 1].
     """
     tables = np.asarray(tables)
     perm = oracle_matrix(tables, alg.x_dim, alg.group, alg.z_dim)
     n_tables, dim = perm.shape
-    weights, vectors = _factor(alg.rho0)
+    weights, vectors = alg.state
     rank = len(weights)
     columns = np.broadcast_to(vectors[:, None, :], (dim, n_tables, rank))
     # row (i, t) of the (d*T, R) view reads row (P[t, i], t)
@@ -192,10 +188,14 @@ def run(alg: QuantumAlgorithm, tables) -> RunResult:
         columns = columns.reshape(dim * n_tables, rank)[gather]
         columns = (u @ columns.reshape(dim, n_tables * rank)).reshape(dim, n_tables, rank)
     flat = np.ascontiguousarray(columns).reshape(dim, n_tables * rank)
-    probs = np.empty((n_tables, alg.n_outcomes))
-    for s, pi in enumerate(alg.povm):
-        expect = np.einsum("ij,ij->j", flat.conj(), pi @ flat).real
-        probs[:, s] = expect.reshape(n_tables, rank) @ weights
+    amplitudes = np.hstack(alg.povm).conj().T @ flat
+    squares = amplitudes.real**2 + amplitudes.imag**2
+    sizes = np.array([b.shape[1] for b in alg.povm])
+    starts = np.cumsum(sizes) - sizes
+    expect = np.zeros((alg.n_outcomes, n_tables * rank))
+    measured = sizes > 0  # reduceat would copy a row into an empty segment
+    expect[measured] = np.add.reduceat(squares, starts[measured], axis=0)
+    probs = (expect.reshape(alg.n_outcomes, n_tables, rank) @ weights).T
     out_of_range = (probs.min(axis=1) < -TOL_NUM) | (probs.max(axis=1) > 1 + TOL_NUM)
     if out_of_range.any():
         t = int(np.argmax(out_of_range))
@@ -296,14 +296,15 @@ def random_algorithm(
     labels_cycle: Sequence[int] | None = None,
 ) -> QuantumAlgorithm:
     """Seeded random algorithm: Haar pure initial state, Haar unitaries,
-    and a random projective POVM with one rank-1 element per dimension.
+    and a random projective POVM with one rank-1 element per dimension,
+    each built as its factor.
 
     ``labels_cycle`` assigns outcome s the label ``cycle[s % len(cycle)]``,
     for problems where a success probability is wanted.
     """
     dim = x_dim * group.order * z_dim
     seeds = trial_seeds(seed, queries + 2)
-    rho0 = random_pure_state(dim, seeds[0])
+    state = random_pure_state(dim, seeds[0])
     unitaries = tuple(random_unitary(dim, s) for s in seeds[1:queries + 1])
     povm = random_povm(dim, dim, seeds[queries + 1])
     labels = None
@@ -314,7 +315,7 @@ def random_algorithm(
         x_dim=x_dim,
         group=group,
         z_dim=z_dim,
-        rho0=rho0,
+        state=state,
         unitaries=unitaries,
         povm=povm,
         outcome_labels=labels,
@@ -326,19 +327,22 @@ def random_algorithm(
 
 
 def algorithm_to_json(alg: QuantumAlgorithm) -> dict:
+    """The algorithm with its state and POVM elements written as dense matrices."""
     labels = alg.outcome_labels
+    weights, vectors = alg.state
     return {
         "x_dim": alg.x_dim,
         "group": group_to_json(alg.group),
         "z_dim": alg.z_dim,
-        "rho0": matrix_to_json(alg.rho0),
+        "rho0": matrix_to_json((vectors * weights) @ vectors.conj().T),
         "unitaries": [matrix_to_json(u) for u in alg.unitaries],
-        "povm": [matrix_to_json(e) for e in alg.povm],
+        "povm": [matrix_to_json(b @ b.conj().T) for b in alg.povm],
         "labels": None if labels is None else {str(s): j for s, j in labels.items()},
     }
 
 
 def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
+    """Read the dense JSON form, factoring rho0 and each POVM element once."""
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, Mapping):
         raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
@@ -346,9 +350,9 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
         x_dim=int_from_json(data["x_dim"]),
         group=group_from_json(data["group"]),
         z_dim=int_from_json(data["z_dim"]),
-        rho0=matrix_from_json(data["rho0"]),
+        state=factor_hermitian(matrix_from_json(data["rho0"]), "density matrix"),
         unitaries=tuple(matrix_from_json(u) for u in data["unitaries"]),
-        povm=tuple(matrix_from_json(e) for e in data["povm"]),
+        povm=povm_from_dense(matrix_from_json(e) for e in data["povm"]),
         outcome_labels=None
         if labels is None
         else {int(s): int_from_json(j) for s, j in labels.items()},

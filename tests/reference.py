@@ -182,16 +182,20 @@ def dense_oracle_matrix(f, x_dim, group, z_dim):
     return m
 
 
-def dense_run(alg, f):
+def dense_run(alg, f, rho0, povm):
     """(final state, outcome probabilities) for one table by conjugating rho.
 
-    Tr(rho Pi) is summed elementwise as sum_ij rho_ij Pi_ji, not by a
-    matrix product, and clamped to [0, 1] as the simulator documents.
+    ``rho0`` and ``povm`` are the dense initial state and POVM elements the
+    caller built; only the dimensions and unitaries come from ``alg``, so
+    a fault in how the algorithm factors its state or measurement cannot
+    check against itself. Tr(rho Pi) is summed elementwise as
+    sum_ij rho_ij Pi_ji, not by a matrix product, and clamped to [0, 1] as
+    the simulator documents.
     """
     oracle = dense_oracle_matrix(f, alg.x_dim, alg.group, alg.z_dim)
-    rho = alg.rho0
+    rho = rho0
     for u in alg.unitaries:
         rho = oracle @ rho @ oracle.conj().T
         rho = u @ rho @ u.conj().T
-    probs = np.array([float(np.sum(rho * pi.T).real) for pi in alg.povm])
+    probs = np.array([float(np.sum(rho * pi.T).real) for pi in povm])
     return rho, np.clip(probs, 0.0, 1.0)

@@ -7,11 +7,13 @@ from oraclelab.algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
     cyclic,
+    factor_hermitian,
     group_from_json,
     group_to_json,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
+    povm_from_dense,
     random_povm,
     random_pure_state,
     random_unitary,
@@ -109,13 +111,27 @@ def test_random_unitary_property(dim, seed):
     assert unitary_defect(random_unitary(dim, seed)) < 1e-10
 
 
+def _ingest_state(rho):
+    """A dense state through the factoring a file read takes, then checked."""
+    return validate_density_matrix(*factor_hermitian(rho, "density matrix"))
+
+
+def _ingest_povm(elements):
+    """Dense POVM elements through the factoring a file read takes, then checked."""
+    return validate_povm(povm_from_dense(elements))
+
+
+def _projectors(factors):
+    return [b @ b.conj().T for b in factors]
+
+
 def test_random_povm_single_outcome_is_identity():
-    (element,) = random_povm(2, 1, 5)
+    (element,) = _projectors(random_povm(2, 1, 5))
     assert np.allclose(element, np.eye(2), atol=1e-10)
 
 
 def test_random_povm_two_projectors():
-    povm = random_povm(4, 2, 3)
+    povm = _projectors(random_povm(4, 2, 3))
     assert len(povm) == 2
     total = sum(povm)
     assert np.max(np.abs(total - np.eye(4))) < 1e-10
@@ -126,7 +142,7 @@ def test_random_povm_two_projectors():
 
 
 def test_random_povm_rank_one_orthogonal():
-    povm = random_povm(3, 3, 1)
+    povm = _projectors(random_povm(3, 3, 1))
     assert len(povm) == 3
     for i, a in enumerate(povm):
         assert round(float(np.trace(a).real)) == 1
@@ -143,19 +159,30 @@ def test_random_povm_validates():
 
 def test_random_pure_state_is_density_matrix():
     for dim, seed in [(2, 0), (8, 5)]:
-        rho = random_pure_state(dim, seed)
-        validate_density_matrix(rho)
+        weights, vectors = validate_density_matrix(*random_pure_state(dim, seed))
+        assert vectors.shape == (dim, 1)
+        rho = (vectors * weights) @ vectors.conj().T
         # purity of a pure state
         assert abs(float(np.trace(rho @ rho).real) - 1) < 1e-10
 
 
 def test_validate_density_matrix_rejects():
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.array([[0.5, 0.5], [0.4, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="trace"):
+        _ingest_state(np.eye(2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _ingest_state(np.array([[0.5, 0.5], [0.4, 0.5]]))
+    with pytest.raises(ValueError, match="density matrix has eigenvalue"):
+        _ingest_state(np.diag([1.5, -0.5]))
+
+
+def test_validate_density_matrix_rejects_malformed_factors():
+    v = np.eye(2)[:, :1]
+    with pytest.raises(ValueError, match="real"):
+        validate_density_matrix(np.array([1 + 0.5j]), v)  # complex weight
+    with pytest.raises(ValueError, match="real"):
+        validate_density_matrix(np.ones(2), v)  # one weight per vector
+    with pytest.raises(ValueError, match="finite"):
+        validate_density_matrix(np.array([np.nan]), v)
 
 
 def test_validate_unitary_rejects():
@@ -164,22 +191,38 @@ def test_validate_unitary_rejects():
 
 
 def test_validate_povm_rejects_incomplete():
-    with pytest.raises(ValueError):
-        validate_povm([np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match="identity"):
+        _ingest_povm([np.diag([1.0, 0.0])])
+
+
+def test_povm_ingest_names_the_element():
+    with pytest.raises(ValueError, match="POVM element 1 has eigenvalue -5"):
+        _ingest_povm([np.eye(2), np.diag([0.0, -0.5])])
+
+
+def test_factor_hermitian_drops_eigenvalues_at_the_rank_cutoff():
+    v = random_unitary(6, 1)[:, :1]
+    weights, vectors = factor_hermitian(v @ v.conj().T, "rank one")
+    assert vectors.shape == (6, 1) and abs(weights[0] - 1) < 1e-12
 
 
 # Each validator check as a function of its defect e: the check passes at
-# e = TOL_NUM / 2 and raises at e = 2 * TOL_NUM.
+# e = TOL_NUM / 2 and raises at e = 2 * TOL_NUM. Dense matrices go through
+# the factoring a file read takes; the factor-* cases are built as factors.
 TOL_NUM_CHECKS = {
-    "density-eigenvalue": lambda e: validate_density_matrix(np.diag([1 + e, -e])),
-    "density-hermitian": lambda e: validate_density_matrix(np.array([[0.5, e], [0, 0.5]])),
-    "density-trace": lambda e: validate_density_matrix(np.diag([0.5 + e, 0.5])),
+    "density-eigenvalue": lambda e: _ingest_state(np.diag([1 + e, -e])),
+    "density-hermitian": lambda e: _ingest_state(np.array([[0.5, e], [0, 0.5]])),
+    "density-trace": lambda e: _ingest_state(np.diag([0.5 + e, 0.5])),
+    "density-factor-orthonormal": lambda e: validate_density_matrix(
+        [0.5, 0.5], np.array([[1, e], [0, 1]])
+    ),
     "unitary-defect": lambda e: validate_unitary(np.diag([np.sqrt(1 + e), 1])),
-    "povm-eigenvalue": lambda e: validate_povm([np.diag([1, -e]), np.diag([0, 1 + e])]),
-    "povm-hermitian": lambda e: validate_povm(
+    "povm-eigenvalue": lambda e: _ingest_povm([np.diag([1, -e]), np.diag([0, 1 + e])]),
+    "povm-hermitian": lambda e: _ingest_povm(
         [np.array([[0.5, e], [0, 0.5]]), np.array([[0.5, -e], [0, 0.5]])]
     ),
-    "povm-sum": lambda e: validate_povm([np.diag([1 + e, 0]), np.diag([0, 1])]),
+    "povm-sum": lambda e: _ingest_povm([np.diag([1 + e, 0]), np.diag([0, 1])]),
+    "povm-factor-sum": lambda e: validate_povm([np.array([[1], [e]]), np.array([[0], [1]])]),
 }
 
 

@@ -1,16 +1,22 @@
 """The traced benchmark wraps package functions by name; each must exist.
 
 ``benchmark/tracing.py`` fails a traced run when a boundary it reads is
-missing. Checking the names here makes a deletion that would break the
-traced benchmark fail the test suite instead.
+missing, or when a boundary a workload expects never fires. Checking here
+makes a deletion, or a fast path that skips a boundary, that would break
+the traced benchmark fail the test suite instead.
 """
 
+import functools
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import oraclelab
+from oraclelab import algebra, qsim
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -42,3 +48,38 @@ def test_traced_boundary_resolves(name):
     else:
         assert len(path) == 1
     assert inspect.isfunction(obj)
+
+
+def test_building_an_algorithm_fires_the_traced_validators(monkeypatch):
+    # every binding of a function is counted, as tracing wraps every binding
+    calls = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [oraclelab, *(importlib.import_module(f"oraclelab.{m}") for m in tracing.MODULES)]
+    for attr in ("validate_povm", "validate_density_matrix", "random_povm"):
+        fn = getattr(algebra, attr)
+        wrapper = counted(f"algebra.{attr}", fn)
+        for module in modules:
+            for name, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, name, wrapper)
+    init = counted("qsim.QuantumAlgorithm.init", qsim.QuantumAlgorithm.__post_init__)
+    monkeypatch.setattr(qsim.QuantumAlgorithm, "__post_init__", init)
+    validators = {
+        "algebra.validate_povm": 1,
+        "algebra.validate_density_matrix": 1,
+        "qsim.QuantumAlgorithm.init": 1,
+    }
+
+    alg = qsim.random_algorithm(2, algebra.cyclic(2), 1, 1, seed=0)
+    assert calls == {**validators, "algebra.random_povm": 1}
+    calls.clear()
+    qsim.algorithm_from_json(qsim.algorithm_to_json(alg))
+    assert calls == validators

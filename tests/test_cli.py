@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oraclelab import useless
 from oraclelab.algebra import cyclic, matrix_from_json
-from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
+from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _emit, main
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
 from oraclelab.qsim import algorithm_to_json, random_algorithm
@@ -20,9 +20,14 @@ from oraclelab.qsim import algorithm_to_json, random_algorithm
 from reference import dense_run
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _read_report(path):
+    """A report parsed strictly: a NaN or Infinity in it fails the test."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def test_problem_gen_dump(tmp_path):
@@ -283,6 +288,30 @@ def test_audit_rejects_mismatched_algorithm(tmp_path, capsys):
     assert "group" in capsys.readouterr().err
 
 
+def test_audit_with_undefined_ratio_is_usage_error(tmp_path, capsys):
+    # an empty accept set has mass 0, so the ratio is undefined: no claim
+    # was checked, so this is not a falsification and no report is written
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(algorithm_to_json(random_algorithm(4, cyclic(2), 1, 1, 7))))
+    argv = ["audit", "--gen", "parity", "--n", "4", "--alg", str(path), "--accept", ","]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: accept mass 0.000e+00 is at most EPS_COND")
+
+
+def test_emit_refuses_non_finite_numbers(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _emit({"result": {"lhs": value}}, str(out))
+        with pytest.raises(ValueError):
+            _emit({"result": {"lhs": value}}, None)
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
 def test_reproduce_only_without_match_is_usage_error(capsys):
     assert main(["reproduce", "--only", "zzz"]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -486,7 +515,10 @@ def test_simulate_state_matches_dense_reference(tmp_path):
     out = tmp_path / "sim.json"
     assert main([*SIMULATE_ALG, str(path), "--state", "--out", str(out)]) == EXIT_OK
     state = matrix_from_json(_read_report(out)["result"]["final_state"])
-    rho, _ = dense_run(deutsch(), (0, 1))
+    # Deutsch's kickback state and parity projectors, written out densely
+    psi = np.kron([1, 1], [1, -1]) / 2
+    povm = [np.diag([1, 1, 0, 0]), np.diag([0, 0, 1, 1])]
+    rho, _ = dense_run(deutsch(), (0, 1), np.outer(psi, psi), povm)
     assert np.abs(state - rho).max() < 1e-12
 
 

@@ -167,9 +167,10 @@ def test_compile_always_accept():
 def test_compile_degenerate_fair_coin():
     # half-half mixture of accept and reject has p identically 1/2
     dim = 4
-    povm = (np.diag([1.0, 0, 1, 0]).astype(complex), np.diag([0, 1.0, 0, 1]).astype(complex))
-    rho0 = np.eye(dim, dtype=complex) / dim
-    alg = QuantumAlgorithm(2, cyclic(2), 1, rho0, (), povm)
+    basis = np.eye(dim, dtype=complex)
+    povm = (basis[:, [0, 2]], basis[:, [1, 3]])  # factors of diag(1,0,1,0), diag(0,1,0,1)
+    maximally_mixed = (np.full(dim, 1 / dim), np.eye(dim, dtype=complex))
+    alg = QuantumAlgorithm(2, cyclic(2), 1, maximally_mixed, (), povm)
     values = [run(alg, [[m >> i & 1 for i in range(2)]]).outcome_probs[0, 0] for m in range(4)]
     assert np.allclose(values, 0.5, atol=1e-12)
     compiled = compile_classical(alg, [0])

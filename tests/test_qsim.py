@@ -7,6 +7,8 @@ from oraclelab.algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
     cyclic,
+    factor_hermitian,
+    povm_from_dense,
     random_povm,
     random_pure_state,
     random_unitary,
@@ -27,6 +29,24 @@ from oraclelab.qsim import (
 )
 from oraclelab.useless import MAX_DIM
 from reference import CONFIGURED_GROUPS, dense_oracle_matrix, dense_run, group_add
+
+
+def _dense_algorithm(x_dim, group, z_dim, rho0, unitaries, povm, **labels):
+    """The algorithm with a dense initial state and dense POVM elements,
+    factored as ``algorithm_from_json`` factors them."""
+    state = factor_hermitian(rho0, "density matrix")
+    return QuantumAlgorithm(x_dim, group, z_dim, state, unitaries, povm_from_dense(povm), **labels)
+
+
+def _product(factor):
+    """F F^H for a POVM factor F."""
+    return factor @ factor.conj().T
+
+
+def _density(state):
+    """V diag(w) V^H for a state factor (w, V)."""
+    weights, vectors = state
+    return (vectors * weights) @ vectors.conj().T
 
 
 def _dense(f, x_dim, group, z_dim):
@@ -116,12 +136,25 @@ def test_oracle_matrix_rejects_malformed_stacks(tables):
 def test_run_zero_queries_measures_initial_state():
     rho0 = np.diag([0.25, 0.75]).astype(complex)
     povm = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    alg = QuantumAlgorithm(1, cyclic(2), 1, rho0, (), povm)
+    alg = _dense_algorithm(1, cyclic(2), 1, rho0, (), povm)
     res = run(alg, [(0,)])
     assert np.allclose(res.outcome_probs, [[0.25, 0.75]])
     # oracle acts before any unitary, so with none it never acts at all
     res_flip = run(alg, [(1,)])
     assert np.allclose(res_flip.outcome_probs, [[0.25, 0.75]])
+
+
+def test_run_measures_zero_elements_as_zero():
+    # a zero element read from a file keeps no column; the segmented sum
+    # must still give it probability 0, first or last
+    alg = deutsch()
+    zero = np.zeros((4, 4))
+    even, odd = (_product(b) for b in alg.povm)
+    povm = [zero, even, zero, odd, zero]
+    ingested = _dense_algorithm(2, cyclic(2), 1, _density(alg.state), alg.unitaries, povm)
+    assert [b.shape[1] for b in ingested.povm] == [0, 2, 0, 2, 0]
+    probs = run(ingested, [(0, 1), (1, 1)]).outcome_probs
+    assert np.abs(probs - [[0, 0, 0, 1, 0], [0, 1, 0, 0, 0]]).max() < 1e-12
 
 
 def test_run_deutsch_identifies_parity():
@@ -148,7 +181,7 @@ def _initial_states(dim, seed):
     spectra = [[0.7, 0.3]]
     if dim > 2:
         spectra.append([1 + 1e-10, -1e-10, 0.0])
-    states = [random_pure_state(dim, seed + 1)]
+    states = [_density(random_pure_state(dim, seed + 1))]
     for spectrum in spectra:
         diag = np.zeros(dim)
         diag[: len(spectrum)] = spectrum
@@ -164,50 +197,47 @@ def test_run_matches_dense_reference(factors, x_dim, z_dim):
     dim = x_dim * group.order * z_dim
     seed = 100 * x_dim + 10 * z_dim + group.order
     unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(3))
-    povm = random_povm(dim, min(dim, 5), seed)
+    povm = [_product(b) for b in random_povm(dim, min(dim, 5), seed)]
     tables = list(product(range(group.order), repeat=x_dim))
     # the whole stack runs at once; every table of stacks up to 27 is
     # compared, and an evenly spaced third or less of the larger ones
     checked = range(0, len(tables), max(1, len(tables) // 27))
     for rho0 in _initial_states(dim, seed):
         for q in range(4):
-            alg = QuantumAlgorithm(x_dim, group, z_dim, rho0, unitaries[:q], povm)
+            alg = _dense_algorithm(x_dim, group, z_dim, rho0, unitaries[:q], povm)
             res = run(alg, tables)
             assert res.outcome_probs.shape == (len(tables), alg.n_outcomes)
             assert res.final_states.shape == (len(tables), dim, dim)
             for t in checked:
-                rho, probs = dense_run(alg, tables[t])
+                rho, probs = dense_run(alg, tables[t], rho0, povm)
                 assert np.abs(res.outcome_probs[t] - probs).max() < 1e-12
                 assert np.abs(res.final_states[t] - rho).max() < 1e-12
 
 
 def test_run_matches_dense_reference_at_dim_ceiling():
+    # built from the generators' factors, as the falsifier builds its trials
     group, z_dim = cyclic(2), MAX_DIM // 8
-    alg = QuantumAlgorithm(
-        4,
-        group,
-        z_dim,
-        random_pure_state(MAX_DIM, 1),
-        (random_unitary(MAX_DIM, 2),),
-        random_povm(MAX_DIM, 4, 3),
-    )
+    state, povm = random_pure_state(MAX_DIM, 1), random_povm(MAX_DIM, 4, 3)
+    alg = QuantumAlgorithm(4, group, z_dim, state, (random_unitary(MAX_DIM, 2),), povm)
     assert alg.dim == MAX_DIM
+    rho0, dense_povm = _density(state), [_product(b) for b in povm]
     tables = [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 1, 1)]
     res = run(alg, tables)
     for t, f in enumerate(tables):
-        rho, probs = dense_run(alg, f)
+        rho, probs = dense_run(alg, f, rho0, dense_povm)
         assert np.abs(res.outcome_probs[t] - probs).max() < 1e-12
         assert np.abs(res.final_states[t] - rho).max() < 1e-12
 
 
 def test_run_names_first_table_with_broken_distribution():
-    # halving one element of Deutsch's POVM (after validation) leaves the
-    # even-parity tables summing to 1 and the odd ones to 1/2
+    # halving one element of Deutsch's POVM (after validation), by scaling
+    # its factor by 1/sqrt(2), leaves the even-parity tables summing to 1
+    # and the odd ones to 1/2
     alg = deutsch()
-    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] / 2))
+    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] / np.sqrt(2)))
     with pytest.raises(ArithmeticError, match=r"table 1 \[0, 1\] sum to 0\.(5|49)"):
         run(alg, [(0, 0), (0, 1), (1, 0)])
-    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] * 4))
+    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] * 2))
     with pytest.raises(ArithmeticError, match=r"outside \[0,1\] on table 1 \[0, 1\]"):
         run(alg, [(0, 0), (0, 1), (1, 0)])
 
@@ -218,7 +248,7 @@ def test_run_preserves_trace_and_positivity_at_every_step():
     # algorithm truncated to its first i unitaries
     for steps in range(len(alg.unitaries) + 1):
         prefix = QuantumAlgorithm(
-            alg.x_dim, alg.group, alg.z_dim, alg.rho0, alg.unitaries[:steps], alg.povm
+            alg.x_dim, alg.group, alg.z_dim, alg.state, alg.unitaries[:steps], alg.povm
         )
         for f in product(range(2), repeat=3):
             rho = run(prefix, [f]).final_states[0]
@@ -255,7 +285,7 @@ def test_joint_distribution_no_oracle_factorizes():
     problem = make_parity(2)
     alg = random_algorithm(2, problem.group, 1, 1, seed=4)
     # erase the oracle's effect by measuring the initial state directly
-    alg = QuantumAlgorithm(2, problem.group, 1, alg.rho0, (), alg.povm)
+    alg = QuantumAlgorithm(2, problem.group, 1, alg.state, (), alg.povm)
     table = joint_distribution(alg, problem)
     marginal_s = table.sum(axis=0)
     for i, w in enumerate(problem.prior):
@@ -265,7 +295,7 @@ def test_joint_distribution_no_oracle_factorizes():
 def test_posterior_quantum_no_oracle_returns_prior():
     problem = make_image_parity()
     alg = random_algorithm(3, problem.group, 1, 1, seed=8)
-    alg = QuantumAlgorithm(3, problem.group, 1, alg.rho0, (), alg.povm)
+    alg = QuantumAlgorithm(3, problem.group, 1, alg.state, (), alg.povm)
     probs, posteriors = outcome_posteriors(alg, problem)
     prior = {j: float(w) for j, w in problem.part_prior().items()}
     seen = 0
@@ -332,8 +362,8 @@ def test_algorithm_problem_mismatch_detected():
 
 
 def test_quantum_algorithm_validates_operators():
-    with pytest.raises(ValueError):  # rho0 trace wrong
-        QuantumAlgorithm(1, cyclic(2), 1, np.eye(2, dtype=complex), (), (np.eye(2, dtype=complex),))
+    with pytest.raises(ValueError, match="trace"):  # rho0 trace wrong
+        QuantumAlgorithm(1, cyclic(2), 1, (np.ones(2), np.eye(2)), (), (np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):  # non-unitary evolution
         QuantumAlgorithm(
             1,
@@ -343,10 +373,8 @@ def test_quantum_algorithm_validates_operators():
             (np.array([[1, 1], [0, 1]], dtype=complex),),
             (np.eye(2, dtype=complex),),
         )
-    with pytest.raises(ValueError):  # POVM incomplete
-        QuantumAlgorithm(
-            1, cyclic(2), 1, random_pure_state(2, 0), (), (np.diag([1.0, 0.0]).astype(complex),)
-        )
+    with pytest.raises(ValueError, match="identity"):  # POVM incomplete
+        QuantumAlgorithm(1, cyclic(2), 1, random_pure_state(2, 0), (), (np.array([[1.0], [0.0]]),))
     with pytest.raises(ValueError):  # label on a missing outcome
         QuantumAlgorithm(
             1,
@@ -362,7 +390,7 @@ def test_quantum_algorithm_validates_operators():
 def test_random_algorithm_deterministic_and_labeled():
     a = random_algorithm(2, cyclic(2), 1, 1, seed=42, labels_cycle=(0, 1))
     b = random_algorithm(2, cyclic(2), 1, 1, seed=42, labels_cycle=(0, 1))
-    assert np.array_equal(a.rho0, b.rho0)
+    assert all(np.array_equal(v, w) for v, w in zip(a.state, b.state))
     assert all(np.array_equal(u, v) for u, v in zip(a.unitaries, b.unitaries))
     assert a.outcome_labels == {0: 0, 1: 1, 2: 0, 3: 1}
     assert a.n_outcomes == a.dim
@@ -375,10 +403,18 @@ def test_trial_seeds_deterministic():
 
 def test_algorithm_json_round_trip():
     alg = random_algorithm(2, cyclic(2), 1, 1, seed=3, labels_cycle=(0, 1))
-    data = algorithm_to_json(alg)
-    again = algorithm_from_json(data)
-    assert np.array_equal(alg.rho0, again.rho0)
+    again = algorithm_from_json(algorithm_to_json(alg))
+    # written as given
     assert all(np.array_equal(u, v) for u, v in zip(alg.unitaries, again.unitaries))
-    assert all(np.array_equal(e, g) for e, g in zip(alg.povm, again.povm))
     assert alg.outcome_labels == again.outcome_labels
     assert (alg.x_dim, alg.group, alg.z_dim) == (again.x_dim, again.group, again.z_dim)
+    # refactored on read: equal as matrices, with the rank cutoff keeping
+    # one column per rank-1 element and one vector for the pure state
+    assert len(again.state[0]) == 1
+    assert [b.shape[1] for b in again.povm] == [1] * alg.dim
+    assert np.abs(_density(again.state) - _density(alg.state)).max() < 1e-12
+    for b, c in zip(alg.povm, again.povm):
+        assert np.abs(_product(b) - _product(c)).max() < 1e-12
+    tables = list(product(range(2), repeat=2))
+    probs, again_probs = run(alg, tables).outcome_probs, run(again, tables).outcome_probs
+    assert np.abs(probs - again_probs).max() < 1e-12

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
@@ -297,12 +299,30 @@ def test_falsify_deterministic():
 
 
 def test_falsify_budget():
-    # parity-4 has |X||Y| = 8, so z_dim = 25 sits exactly at the ceiling
-    assert 8 * 25 == MAX_DIM
-    report = quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=25)
+    # parity-4 has |X||Y| = 8, so z_dim = 154 sits exactly at the ceiling
+    assert 8 * 154 == MAX_DIM
+    report = quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=154)
     assert report.verdict == VERDICT_USELESS
-    with pytest.raises(CapacityError, match="208"):
-        quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=26)
+    with pytest.raises(CapacityError, match="1240"):
+        quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=155)
+
+
+def test_falsify_holds_one_random_algorithm_at_a_time(monkeypatch):
+    # at the dimension ceiling a random algorithm holds ~50 MB, so trials
+    # are built as they are simulated, never all up front
+    built, most_alive = [], []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        most_alive.append(sum(ref() is not None for ref in built))
+        alg = random_algorithm(*args, **kwargs)
+        built.append(weakref.ref(alg))
+        return alg
+
+    monkeypatch.setattr(useless, "random_algorithm", tracked)
+    report = quantum_useless_falsify(make_parity(2), queries=1, trials=4, seed=1)
+    assert report.trials == 4 and len(built) == 4
+    assert max(most_alive) <= 1
 
 
 def test_report_csv_row():
