@@ -23,8 +23,8 @@ from .gallery import entries as gallery_entries
 from .polycompile import (
     AUDIT_TOL,
     acceptance_polynomial,
-    classical_output_prob,
-    compile_classical,
+    bias_certificate,
+    compile_polynomial,
     compiled_to_json,
     corollary5_audit,
 )
@@ -279,22 +279,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_compile(args) -> int:
     alg = _read_input(args.alg, algorithm_from_json)
     accept = _parse_accept(args.accept)
-    compiled = compile_classical(alg, accept)
+    poly = acceptance_polynomial(alg, accept)
+    compiled = compile_polynomial(poly, alg.query_count)
     _emit(
         _report({"alg": args.alg, "accept": accept}, compiled_to_json(compiled)), args.out
     )
     if args.certificate:
-        poly = acceptance_polynomial(alg, accept)
-        values = poly.values_on_cube()
         rows = [["f", "p_quantum", "p_classical", "residual"]]
-        for mask in range(1 << compiled.n):
-            bits = [mask >> i & 1 for i in range(compiled.n)]
-            p_q = float(values[mask])
-            p_c = classical_output_prob(compiled, bits)
-            expected = 0.5 if compiled.degenerate else (p_q - 0.5) / compiled.scale + 0.5
-            rows.append(
-                ["".join(map(str, bits)), repr(p_q), repr(p_c), repr(p_c - expected)]
-            )
+        for bits, p_q, p_c, residual in bias_certificate(compiled, poly):
+            rows.append(["".join(map(str, bits)), repr(p_q), repr(p_c), repr(residual)])
         _write_csv(args.certificate, rows)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ indices, bit i for point i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,33 +200,36 @@ class CompiledClassicalAlgorithm:
         return max((_popcount(mask) for mask, _, _ in self.terms), default=0)
 
 
-def compile_classical(
-    alg: QuantumAlgorithm, accept_outcomes: Iterable[int]
-) -> CompiledClassicalAlgorithm:
-    """Compile a Boolean-oracle algorithm into the subset sampler.
+def compile_polynomial(poly: MultilinearPolynomial, queries: int) -> CompiledClassicalAlgorithm:
+    """Subset sampler for the acceptance polynomial of a ``queries``-query algorithm.
 
     T is the total absolute character mass. Subsets beyond the 2k degree
     bound (certified dust by `acceptance_polynomial`) and coefficients
     below the pruning threshold are dropped before normalizing.
     """
-    poly = acceptance_polynomial(alg, accept_outcomes)
     coeffs = to_fourier(poly).coeffs
-    budget = 2 * alg.query_count
     kept = np.flatnonzero(
-        (np.abs(coeffs) >= PRUNE_TOL) & (_popcounts(len(coeffs)) <= budget)
+        (np.abs(coeffs) >= PRUNE_TOL) & (_popcounts(len(coeffs)) <= 2 * queries)
     )
     scale = float(np.abs(coeffs[kept]).sum())
     if scale < PRUNE_TOL:
         return CompiledClassicalAlgorithm(
-            n=poly.n, queries=alg.query_count, scale=0.0, terms=(), degenerate=True
+            n=poly.n, queries=queries, scale=0.0, terms=(), degenerate=True
         )
     terms = tuple(
         (int(mask), float(abs(coeffs[mask]) / scale), 1 if coeffs[mask] > 0 else -1)
         for mask in kept
     )
     return CompiledClassicalAlgorithm(
-        n=poly.n, queries=alg.query_count, scale=scale, terms=terms, degenerate=False
+        n=poly.n, queries=queries, scale=scale, terms=terms, degenerate=False
     )
+
+
+def compile_classical(
+    alg: QuantumAlgorithm, accept_outcomes: Iterable[int]
+) -> CompiledClassicalAlgorithm:
+    """Compile a Boolean-oracle algorithm into the subset sampler."""
+    return compile_polynomial(acceptance_polynomial(alg, accept_outcomes), alg.query_count)
 
 
 def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]) -> float:
@@ -244,6 +247,23 @@ def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]
     zeros = np.bitwise_count(compiled._masks & np.uint64(zero_mask)).astype(np.int64)
     w = 1 - 2 * (zeros % 2)
     return float(compiled._probs[compiled._signs * w == 1].sum())
+
+
+def bias_certificate(
+    compiled: CompiledClassicalAlgorithm, poly: MultilinearPolynomial
+) -> Iterator[tuple[list[int], float, float, float]]:
+    """(table bits, p_quantum, p_classical, residual) for every table, in mask order.
+
+    The residual is p_classical - ((p_quantum - 1/2)/T + 1/2), the 1/T bias
+    identity, or p_classical - 1/2 for a degenerate compilation.
+    """
+    values = poly.values_on_cube()
+    for mask in range(1 << compiled.n):
+        bits = [mask >> i & 1 for i in range(compiled.n)]
+        p_q = float(values[mask])
+        p_c = classical_output_prob(compiled, bits)
+        expected = 0.5 if compiled.degenerate else (p_q - 0.5) / compiled.scale + 0.5
+        yield bits, p_q, p_c, p_c - expected
 
 
 def compiled_to_json(compiled: CompiledClassicalAlgorithm) -> dict:

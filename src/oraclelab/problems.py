@@ -205,27 +205,27 @@ def make_shamir(p: int, k: int) -> LearningProblem:
     f(1), ..., f(p-1) so internal point i is field point i+1. Part labels
     are the secret a_0, each with prior weight 1/p.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k + 1 >= p:
         raise ValueError(f"need k + 1 < p, got k={k}, p={p}")
-    size = p ** (k + 1)
-    if size > MAX_SHAMIR_CLASS:
-        raise CapacityError(f"class size p^(k+1) = {size} exceeds {MAX_SHAMIR_CLASS}")
+    # before trial division; as p >= 3, k + 1 >= the ceiling's bit length overflows it
+    if k + 1 >= MAX_SHAMIR_CLASS.bit_length() or p ** (k + 1) > MAX_SHAMIR_CLASS:
+        raise CapacityError(f"class size {p}^{k + 1} exceeds {MAX_SHAMIR_CLASS}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     functions = []
     labels = []
     for coeffs in product(range(p), repeat=k + 1):
         functions.append(tuple(_poly_eval_mod(coeffs, x, p) for x in range(1, p)))
         labels.append(coeffs[0])
-    weight = Fraction(1, size)
+    weight = Fraction(1, len(functions))
     return LearningProblem(
         domain_size=p - 1,
         group=cyclic(p),
         functions=tuple(functions),
         labels=tuple(labels),
-        prior=(weight,) * size,
+        prior=(weight,) * len(functions),
         name=f"shamir-{p}-{k}",
     )
 

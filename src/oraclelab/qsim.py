@@ -228,12 +228,6 @@ def _check_match(alg: QuantumAlgorithm, problem: LearningProblem) -> None:
         )
 
 
-def final_states(alg: QuantumAlgorithm, problem: LearningProblem) -> np.ndarray:
-    """rho_f for every function in the class, in class order, shape (|C|, d, d)."""
-    _check_match(alg, problem)
-    return run(alg, problem.functions).final_states
-
-
 def joint_distribution(alg: QuantumAlgorithm, problem: LearningProblem) -> np.ndarray:
     """Table over (function, outcome) of mu(f) * Tr(rho_f Pi_s)."""
     _check_match(alg, problem)

@@ -15,8 +15,8 @@ from typing import Callable
 from .gallery import deutsch, pairwise_parity
 from .polycompile import (
     acceptance_polynomial,
-    classical_output_prob,
-    compile_classical,
+    bias_certificate,
+    compile_polynomial,
     corollary5_audit,
     to_fourier,
 )
@@ -208,24 +208,14 @@ def _bias_identity(seed: int) -> dict:
     worst_bias = 0.0
     worst_norm = 0.0
     max_subset = 0
-    for n, alg in _compile_algorithms(seed):
-        accept = _accept_set(alg)
-        poly = acceptance_polynomial(alg, accept)
-        compiled = compile_classical(alg, accept)
-        values = poly.values_on_cube()
+    for _, alg in _compile_algorithms(seed):
+        poly = acceptance_polynomial(alg, _accept_set(alg))
+        compiled = compile_polynomial(poly, alg.query_count)
         if not compiled.degenerate:
-            worst_norm = max(
-                worst_norm, abs(sum(t[1] for t in compiled.terms) - 1.0)
-            )
+            worst_norm = max(worst_norm, abs(sum(t[1] for t in compiled.terms) - 1.0))
             max_subset = max(max_subset, compiled.max_queries)
-        for mask in range(1 << n):
-            bits = [mask >> i & 1 for i in range(n)]
-            got = classical_output_prob(compiled, bits)
-            if compiled.degenerate:
-                expected = 0.5
-            else:
-                expected = (values[mask] - 0.5) / compiled.scale + 0.5
-            worst_bias = max(worst_bias, abs(got - expected))
+        for *_, residual in bias_certificate(compiled, poly):
+            worst_bias = max(worst_bias, abs(residual))
     ok = worst_bias < 1e-9 and worst_norm < 1e-10 and max_subset <= 2
     return _row(
         8,
@@ -245,8 +235,8 @@ def _ratio_audit(seed: int) -> dict:
     for s in trial_seeds(seed, COMPILE_TRIALS):
         alg = random_algorithm(4, problem.group, 1, 1, s)
         report = corollary5_audit(problem, alg, _accept_set(alg), check_classical=False)
-        if report.defined:
-            worst = max(worst, report.deviation)
+        # an undefined ratio certifies nothing, so it fails the row
+        worst = max(worst, report.deviation if report.defined else float("inf"))
     deutsch_report = corollary5_audit(make_parity(2), deutsch(), [0])
     ok = (
         worst < 1e-8

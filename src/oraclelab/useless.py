@@ -25,9 +25,10 @@ from .errors import CapacityError
 from .problems import LearningProblem, posterior_classical
 from .qsim import (
     QuantumAlgorithm,
-    final_states,
+    _check_match,
     outcome_posteriors,
     random_algorithm,
+    run,
     trial_seeds,
 )
 
@@ -115,8 +116,9 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     and an event on fewer points is a disjoint union of events on k'
     points, so only point-sets of size exactly k' are checked, reading
     k' * C(|X|, k') * |C| table cells (capped by ``MAX_TABLE_CELLS``). A
-    witness is the violating event's k' pairs, padded to k by repeating
-    the first, with its posterior replayed by :func:`posterior_classical`.
+    witness is the violating event's k' pairs, unpadded (repeating a query
+    adds nothing), with its posterior replayed by
+    :func:`posterior_classical`.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -131,11 +133,10 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     witness = None
     if violation is not None:
         pairs, j = violation
-        transcript = pairs + pairs[:1] * (k - width)
-        posterior = posterior_classical(problem, transcript)[j]
+        posterior = posterior_classical(problem, pairs)[j]
         prior = problem.part_prior()[j]
         witness = {
-            "transcript": [[x, y] for x, y in transcript],
+            "transcript": [[x, y] for x, y in pairs],
             "part": j,
             "posterior": [posterior.numerator, posterior.denominator],
             "prior": [prior.numerator, prior.denominator],
@@ -185,17 +186,19 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
     absolute difference. The identity holds exactly whenever twice the
     algorithm's query count is classically useless.
     """
-    states = final_states(alg, problem)
-    weights = np.array([float(w) for w in problem.prior])
-    mixture = np.tensordot(weights, states, axes=1)
+    _check_match(alg, problem)
+    result = run(alg, problem.functions)
+    mu = np.array([float(w) for w in problem.prior])
+
+    def weighted_sum(rows) -> np.ndarray:
+        """sum of mu(f) rho_f over ``rows``: A diag(mu(f) w_r) A^H, A their columns."""
+        vectors = result.columns[:, rows, :].reshape(len(result.columns), -1)
+        return (vectors * np.outer(mu[rows], result.weights).ravel()) @ vectors.conj().T
+
+    mixture = weighted_sum(slice(None))
     prior = problem.part_prior()
-    deviation = 0.0
-    for j, indices in problem.parts().items():
-        rows = list(indices)
-        lhs = np.tensordot(weights[rows], states[rows], axes=1)
-        rhs = float(prior[j]) * mixture
-        deviation = max(deviation, max_abs(lhs - rhs))
-    return deviation
+    parts = problem.parts().items()
+    return max(max_abs(weighted_sum(list(ix)) - float(prior[j]) * mixture) for j, ix in parts)
 
 
 def quantum_useless_falsify(

@@ -8,6 +8,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+from oraclelab import reproduce
 from oraclelab.gallery import deutsch, pairwise_parity
 from oraclelab.polycompile import (
     acceptance_polynomial,
@@ -201,6 +202,15 @@ def test_criterion_9_ratio_audit():
         f"parity-4 ratio deviation {worst:.3e} (< 1e-8); parity-2 audit flags "
         f"violation (lhs {violation.lhs:.3f} vs rhs {violation.rhs:.3f})",
     )
+
+
+def test_criterion_9_fails_when_every_ratio_is_undefined(monkeypatch):
+    # an empty accept set has accept mass 0, where the ratio is undefined and
+    # certifies nothing; twenty such audits must fail the row, not pass it
+    monkeypatch.setattr(reproduce, "_accept_set", lambda alg: [])
+    row = reproduce._ratio_audit(SEED)
+    assert not row["pass"]
+    assert "max deviation inf" in row["observed"]
 
 
 def test_criterion_10_reproduce_determinism():

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclelab import useless
+from oraclelab import polycompile, reproduce, useless
 from oraclelab.algebra import cyclic, matrix_from_json
 from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _emit, main
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
-from oraclelab.qsim import algorithm_to_json, random_algorithm
+from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
 
 from reference import dense_run
 
@@ -520,6 +520,49 @@ def test_simulate_state_matches_dense_reference(tmp_path):
     povm = [np.diag([1, 1, 0, 0]), np.diag([0, 0, 1, 1])]
     rho, _ = dense_run(deutsch(), (0, 1), np.outer(psi, psi), povm)
     assert np.abs(state - rho).max() < 1e-12
+
+
+def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
+    simulated = []
+    simulate = polycompile.run
+
+    def counting_run(alg, tables):
+        simulated.append(len(tables))
+        return simulate(alg, tables)
+
+    monkeypatch.setattr(polycompile, "run", counting_run)
+    data = algorithm_to_json(random_algorithm(4, cyclic(2), 1, 1, seed=11))
+    alg_path, out, cert = tmp_path / "alg.json", tmp_path / "c.json", tmp_path / "cert.csv"
+    alg_path.write_text(json.dumps(data))
+    accept = [0, 2, 5]
+    argv = ["compile", "--alg", str(alg_path), "--accept", "0,2,5", "--out", str(out),
+            "--certificate", str(cert)]
+    assert main(argv) == EXIT_OK
+    assert simulated == [16]
+    simulated.clear()
+    reproduce._bias_identity(7)
+    assert len(simulated) == 40  # one per algorithm of the pool
+
+    # every row against dense conjugation of the JSON's own rho0 and POVM
+    compiled = _read_report(out)["result"]
+    assert not compiled["degenerate"]
+    alg = algorithm_from_json(data)
+    rho0 = matrix_from_json(data["rho0"])
+    povm = [matrix_from_json(e) for e in data["povm"]]
+    with open(cert) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["f", "p_quantum", "p_classical", "residual"]
+    assert len(rows) == 17
+    for mask, (f, p_q, p_c, residual) in enumerate(rows[1:]):
+        bits = [mask >> i & 1 for i in range(4)]
+        assert f == "".join(map(str, bits))
+        p_dense = dense_run(alg, bits, rho0, povm)[1][accept].sum()
+        signs = [1 - 2 * (sum(1 - bits[i] for i in t["S"]) % 2) for t in compiled["terms"]]
+        p_sampler = sum(t["prob"] for t, w in zip(compiled["terms"], signs) if t["sign"] * w == 1)
+        assert abs(float(p_q) - p_dense) < 1e-12
+        assert abs(float(p_c) - p_sampler) < 1e-12
+        expected = (p_dense - 0.5) / compiled["T"] + 0.5
+        assert abs(float(residual) - (p_sampler - expected)) < 1e-12
 
 
 def test_reproduce_subset_and_determinism(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from oraclelab import problems
 from oraclelab.errors import CapacityError
 from oraclelab.problems import (
     LearningProblem,
@@ -91,6 +93,24 @@ def test_shamir_preconditions():
         make_shamir(5, 0)
     with pytest.raises(CapacityError):
         make_shamir(101, 3)
+
+
+def test_shamir_class_ceiling_boundary(monkeypatch):
+    monkeypatch.setattr(problems, "MAX_SHAMIR_CLASS", 5**3)
+    assert make_shamir(5, 2).size == 5**3
+    monkeypatch.setattr(problems, "MAX_SHAMIR_CLASS", 5**3 - 1)
+    with pytest.raises(CapacityError):
+        make_shamir(5, 2)
+
+
+def test_shamir_ceiling_precedes_trial_division():
+    # trial division of a 61-bit prime takes minutes, and p^(k+1) for a
+    # 61-bit k would not fit in memory
+    for k in (1, 2**60):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            make_shamir(2**61 - 1, k)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_generators_validate():

@@ -1,16 +1,18 @@
 import gc
 import math
+import time
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab import useless
-from oraclelab.algebra import FiniteAbelianGroup, cyclic
+from oraclelab.algebra import FiniteAbelianGroup, cyclic, factor_hermitian, random_pure_state
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
 from oraclelab.problems import (
@@ -21,7 +23,7 @@ from oraclelab.problems import (
     make_shamir,
     posterior_classical,
 )
-from oraclelab.qsim import random_algorithm, trial_seeds
+from oraclelab.qsim import QuantumAlgorithm, RunResult, random_algorithm, trial_seeds
 from oraclelab.useless import (
     MAX_DIM,
     MAX_TABLE_CELLS,
@@ -34,7 +36,7 @@ from oraclelab.useless import (
     quantum_useless_falsify,
 )
 
-from reference import naive_classical_useless
+from reference import dense_run, naive_classical_useless
 
 
 def test_classical_useless_parity_examples():
@@ -133,7 +135,7 @@ def test_classical_useless_matches_naive_on_random_problems(problem):
         assert (report.verdict == VERDICT_USELESS) == expected_useless
         if report.witness is not None:
             transcript = [tuple(pair) for pair in report.witness["transcript"]]
-            assert len(transcript) == k
+            assert len(transcript) == min(k, problem.domain_size)
             j = report.witness["part"]
             assert posterior_classical(problem, transcript)[j] != prior[j]
 
@@ -159,12 +161,21 @@ def test_classical_witness_beyond_domain_is_padded():
     report = classical_useless(problem, 5)
     assert report.verdict == VERDICT_NOT_USELESS
     transcript = [tuple(pair) for pair in report.witness["transcript"]]
-    assert len(transcript) == 5
+    assert len(transcript) == min(5, problem.domain_size)
     assert sorted({x for x, _ in transcript}) == [0, 1, 2]
     j = report.witness["part"]
     posterior = posterior_classical(problem, transcript)
     assert posterior[j] == Fraction(*report.witness["posterior"])
     assert posterior[j] != problem.part_prior()[j]
+
+
+def test_classical_witness_size_is_bounded_by_the_domain():
+    # the verdict reads 8 cells; a witness padded to k pairs would not fit in memory
+    start = time.perf_counter()
+    report = classical_useless(make_parity(2), 10**9)
+    assert time.perf_counter() - start < 0.1
+    assert report.verdict == VERDICT_NOT_USELESS
+    assert len(report.witness["transcript"]) == 2
 
 
 def test_max_useless_k_parity_8_under_default_ceiling():
@@ -251,6 +262,37 @@ def test_lemma_check_fails_when_hypothesis_fails():
     problem = make_parity(2)
     alg = random_algorithm(2, problem.group, 1, 1, seed=0)
     assert lemma_check(problem, alg) > 1e-6
+
+
+def test_lemma_check_matches_dense_mixture(monkeypatch):
+    # the part sums come from the evolved factor, never from d x d final states
+    def no_dense_states(self):
+        raise AssertionError("lemma_check read the dense final states")
+
+    monkeypatch.setattr(RunResult, "final_states", property(no_dense_states))
+    cases = [
+        (make_parity(2), 1, 1),
+        (make_parity(3), 1, 2),
+        (make_parity(3), 2, 1),
+        (make_image_parity(), 1, 1),
+        (make_shamir(3, 1), 1, 2),
+    ]
+    for problem, q, z_dim in cases:
+        mu = [float(w) for w in problem.prior]
+        for seed in trial_seeds(17, 3):
+            alg = random_algorithm(problem.domain_size, problem.group, z_dim, q, seed)
+            # a rank-2 initial state, so the factor carries two signed columns
+            (_, a), (_, b) = random_pure_state(alg.dim, seed), random_pure_state(alg.dim, seed + 1)
+            rho0 = 0.3 * a @ a.conj().T + 0.7 * b @ b.conj().T
+            state = factor_hermitian(rho0, "density matrix")
+            alg = QuantumAlgorithm(alg.x_dim, alg.group, z_dim, state, alg.unitaries, alg.povm)
+            states = [dense_run(alg, f, rho0, [])[0] for f in problem.functions]
+            mixture = sum(m * rho for m, rho in zip(mu, states))
+            expected = 0.0
+            for j, part_prior in problem.part_prior().items():
+                part = sum(m * rho for m, rho, i in zip(mu, states, problem.labels) if i == j)
+                expected = max(expected, np.abs(part - float(part_prior) * mixture).max())
+            assert abs(lemma_check(problem, alg) - expected) < 1e-12
 
 
 def test_falsify_parity4_finds_nothing():
