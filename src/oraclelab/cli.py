@@ -46,15 +46,9 @@ from .useless import (
     quantum_useless_falsify,
 )
 
-SEED_ENV = "ORACLELAB_SEED"
-
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, DEFAULT_SEED))
 
 
 def _report(config: dict, result: dict, tolerances: dict | None = None) -> dict:
@@ -163,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     p.add_argument("--queries", type=int, required=True, help="oracle calls per algorithm")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--z-dim", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--csv")
@@ -196,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("reproduce", help="run the full verification bundle")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--only", help="run only criteria whose tag contains this")
     p.add_argument("--out")
 
@@ -221,15 +215,14 @@ def _cmd_check_classical(args) -> int:
 
 def _cmd_check_quantum(args) -> int:
     problem, config = _load_problem(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     config.update(
-        {"queries": args.queries, "trials": args.trials, "seed": seed, "z_dim": args.z_dim}
+        {"queries": args.queries, "trials": args.trials, "seed": args.seed, "z_dim": args.z_dim}
     )
     report = quantum_useless_falsify(
         problem,
         queries=args.queries,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         z_dim=args.z_dim,
     )
     result = asdict(report)
@@ -336,11 +329,10 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    payload = run_all(seed=seed, only=args.only)
+    payload = run_all(seed=args.seed, only=args.only)
     print(format_table(payload))
     if args.out:
-        _emit(_report({"seed": seed, "only": args.only}, payload), args.out)
+        _emit(_report({"seed": args.seed, "only": args.only}, payload), args.out)
     return EXIT_OK if payload["all_pass"] else EXIT_FALSIFIED
 
 

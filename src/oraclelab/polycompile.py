@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .problems import LearningProblem
-from .qsim import EPS_COND, QuantumAlgorithm, _check_match, run
+from .qsim import EPS_COND, QuantumAlgorithm, joint_distribution, run
 
 MAX_CUBE_VARS = 12
 
@@ -313,23 +313,18 @@ def corollary5_audit(
     """Audit the ratio identity tying acceptance mass to the prior.
 
     Requires a Boolean-valued problem with exactly two parts. The accept
-    probabilities come from direct simulation of the class members, kept
+    masses come from :func:`joint_distribution`, a direct simulation kept
     independent of the polynomial and sampler machinery on purpose.
     """
-    _check_match(alg, problem)
     if problem.group.factors != (2,):
         raise ValueError("the audit requires the binary response group")
     parts = problem.part_labels()
     if len(parts) != 2:
         raise ValueError(f"the audit requires exactly two parts, got {parts}")
     accept = _accept_indices(alg, accept_outcomes)
-    weights = [float(w) for w in problem.prior]
-    accept_probs = run(alg, problem.functions).outcome_probs[:, accept].sum(axis=1).tolist()
+    part_mass = joint_distribution(alg, problem)[:, accept].sum(axis=1)
     first = parts[0]
-    lhs_mass = sum(
-        w * p for w, p, j in zip(weights, accept_probs, problem.labels) if j == first
-    )
-    total_mass = sum(w * p for w, p in zip(weights, accept_probs))
+    lhs_mass, total_mass = float(part_mass[0]), float(part_mass.sum())
     rhs = float(problem.part_prior()[first])
     defined = total_mass > EPS_COND
     lhs = lhs_mass / total_mass if defined else float("nan")

@@ -35,6 +35,11 @@ Transcript = Sequence[tuple[int, int]]
 MAX_PARITY_N = 11
 MAX_SHAMIR_CLASS = 10**6
 
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below psi_13 (Sorenson and Webster, 2015), so is_prime is exact there.
+PRIMALITY_CEILING = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 @dataclass(frozen=True)
 class LearningProblem:
@@ -79,13 +84,6 @@ class LearningProblem:
 
     def part_labels(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.labels)))
-
-    def parts(self) -> dict[int, tuple[int, ...]]:
-        """Function indices grouped by part label."""
-        out: dict[int, list[int]] = {j: [] for j in self.part_labels()}
-        for i, j in enumerate(self.labels):
-            out[j].append(i)
-        return {j: tuple(ix) for j, ix in out.items()}
 
     def part_prior(self) -> dict[int, Fraction]:
         out = {j: Fraction(0) for j in self.part_labels()}
@@ -181,13 +179,23 @@ def make_image_parity() -> LearningProblem:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin over the bases 2..41, exact below ``PRIMALITY_CEILING``."""
+    if n >= PRIMALITY_CEILING:
+        raise CapacityError(f"is_prime is exact only below PRIMALITY_CEILING={PRIMALITY_CEILING}")
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):  # some a^(d * 2^i), i < r, must be -1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 

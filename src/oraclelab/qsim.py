@@ -229,35 +229,31 @@ def _check_match(alg: QuantumAlgorithm, problem: LearningProblem) -> None:
 
 
 def joint_distribution(alg: QuantumAlgorithm, problem: LearningProblem) -> np.ndarray:
-    """Table over (function, outcome) of mu(f) * Tr(rho_f Pi_s)."""
+    """Table over (part, outcome) of Pr[j, s] = sum_{f in part j} mu(f) Tr(rho_f Pi_s).
+
+    Rows follow ``problem.part_labels()``. Every quantum verdict reads this
+    table; no other code sums a class's outcome table by part.
+    """
     _check_match(alg, problem)
     prior = np.array([float(mu) for mu in problem.prior])
-    table = prior[:, None] * run(alg, problem.functions).outcome_probs
+    in_part = np.equal.outer(problem.part_labels(), problem.labels)  # (J, |C|)
+    table = (in_part * prior) @ run(alg, problem.functions).outcome_probs
     if abs(table.sum() - 1.0) > TOL_NUM:
         raise ArithmeticError(f"joint distribution sums to {table.sum()}, not 1")
-    return np.clip(table, 0.0, None)
+    return table
 
 
 def outcome_posteriors(
     alg: QuantumAlgorithm, problem: LearningProblem
-) -> tuple[np.ndarray, list[dict[int, float] | None]]:
-    """Outcome probabilities and the part posterior for each outcome.
-
-    The posterior entry is ``None`` for outcomes with probability at or
-    below ``EPS_COND``, where conditioning is undefined.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities (S,) and part posteriors (J, S), rows as in
+    :func:`joint_distribution`; a column is NaN where conditioning is
+    undefined, at an outcome probability of at most ``EPS_COND``."""
     table = joint_distribution(alg, problem)
     outcome_probs = table.sum(axis=0)
-    part_indices = problem.parts()
-    posteriors: list[dict[int, float] | None] = []
-    for s in range(alg.n_outcomes):
-        p_s = float(outcome_probs[s])
-        if p_s <= EPS_COND:
-            posteriors.append(None)
-            continue
-        posteriors.append(
-            {j: float(table[list(ix), s].sum()) / p_s for j, ix in part_indices.items()}
-        )
+    posteriors = np.divide(
+        table, outcome_probs, out=np.full_like(table, np.nan), where=outcome_probs > EPS_COND
+    )
     return outcome_probs, posteriors
 
 
@@ -266,9 +262,8 @@ def success_probability(alg: QuantumAlgorithm, problem: LearningProblem) -> floa
     if alg.outcome_labels is None:
         raise ValueError("algorithm has no outcome labels")
     table = joint_distribution(alg, problem)
-    labels = alg.outcome_labels
-    outcomes = list(labels)
-    hit = np.array(problem.labels)[:, None] == [labels[s] for s in outcomes]
+    outcomes = list(alg.outcome_labels)
+    hit = np.equal.outer(problem.part_labels(), [alg.outcome_labels[s] for s in outcomes])
     return float(table[:, outcomes][hit].sum())
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .gallery import deutsch, pairwise_parity
+from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
     acceptance_polynomial,
     bias_certificate,
@@ -89,19 +89,19 @@ def _parity_quantum(seed: int) -> dict:
 def _parity_upper(seed: int) -> dict:
     observed = []
     ok = True
-    for n in (2, 4, 6):
-        alg = pairwise_parity(n)
-        s = success_probability(alg, make_parity(n))
+    for n in range(2, 7):
+        problem, alg = parity_with_padding(n) if n % 2 else (make_parity(n), pairwise_parity(n))
+        s = success_probability(alg, problem)
         observed.append(f"N={n}: {s:.12f} in {alg.query_count} queries")
-        ok = ok and abs(s - 1.0) <= 1e-9 and alg.query_count == n // 2
+        ok = ok and abs(s - 1.0) <= 1e-9 and alg.query_count == (n + 1) // 2
     s_deutsch = success_probability(deutsch(), make_parity(2))
     observed.append(f"deutsch: {s_deutsch:.12f}")
     ok = ok and abs(s_deutsch - 1.0) <= 1e-9
     return _row(
         3,
         "parity-upper",
-        "pairwise kickback solves parity exactly with N/2 queries",
-        "success probability 1 +/- 1e-9 on N in {2,4,6}",
+        "pairwise kickback solves parity exactly with ceil(N/2) queries",
+        "success probability 1 +/- 1e-9 for N in 2..6, odd N padded with a zero point",
         "; ".join(observed),
         ok,
     )

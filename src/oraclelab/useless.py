@@ -196,9 +196,9 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
         return (vectors * np.outer(mu[rows], result.weights).ravel()) @ vectors.conj().T
 
     mixture = weighted_sum(slice(None))
-    prior = problem.part_prior()
-    parts = problem.parts().items()
-    return max(max_abs(weighted_sum(list(ix)) - float(prior[j]) * mixture) for j, ix in parts)
+    labels = np.array(problem.labels)
+    prior = problem.part_prior().items()
+    return max(max_abs(weighted_sum(labels == j) - float(w) * mixture) for j, w in prior)
 
 
 def quantum_useless_falsify(
@@ -225,7 +225,8 @@ def quantum_useless_falsify(
     dim = problem.domain_size * problem.group.order * z_dim
     if dim > MAX_DIM:
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")
-    prior = {j: float(w) for j, w in problem.part_prior().items()}
+    parts = problem.part_labels()
+    prior = np.array([float(w) for w in problem.part_prior().values()])  # in ``parts`` order
     # built one at a time: at MAX_DIM each random algorithm holds ~50 MB
     algorithms = chain(
         ((f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)),
@@ -238,22 +239,20 @@ def quantum_useless_falsify(
     argmax: dict | None = None
     for trial, (tag, alg) in enumerate(algorithms):
         outcome_probs, posteriors = outcome_posteriors(alg, problem)
-        for s, posterior in enumerate(posteriors):
-            if posterior is None:
-                continue
-            for j, p in posterior.items():
-                deviation = abs(p - prior[j])
-                if deviation > max_deviation:
-                    max_deviation = deviation
-                    argmax = {
-                        "trial": trial,
-                        "algorithm": tag,
-                        "outcome": s,
-                        "outcome_probability": float(outcome_probs[s]),
-                        "part": j,
-                        "posterior": p,
-                        "prior": prior[j],
-                    }
+        # outcome-major, so the first of equal maxima is the earliest outcome
+        deviations = np.abs(posteriors - prior[:, None]).T
+        s, r = divmod(int(np.argmax(np.nan_to_num(deviations, nan=-1.0))), len(parts))
+        if deviations[s, r] > max_deviation:
+            max_deviation = float(deviations[s, r])
+            argmax = {
+                "trial": trial,
+                "algorithm": tag,
+                "outcome": s,
+                "outcome_probability": float(outcome_probs[s]),
+                "part": parts[r],
+                "posterior": float(posteriors[r, s]),
+                "prior": float(prior[r]),
+            }
     verdict = VERDICT_NOT_USELESS if max_deviation > FALSIFY_TOL else VERDICT_USELESS
     return UselessnessReport(
         problem=problem.name,

@@ -199,3 +199,25 @@ def dense_run(alg, f, rho0, povm):
         rho = u @ rho @ u.conj().T
     probs = np.array([float(np.sum(rho * pi.T).real) for pi in povm])
     return rho, np.clip(probs, 0.0, 1.0)
+
+
+def trial_division_is_prime(n):
+    """Primality by trying every divisor up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def dense_part_table(alg, problem, rho0, povm):
+    """Pr[part j, outcome s] from one dense run per table, summed part by
+    part in a Python loop; rows follow the sorted part labels."""
+    parts = sorted(set(problem.labels))
+    table = np.zeros((len(parts), len(povm)))
+    for f, j, w in zip(problem.functions, problem.labels, problem.prior):
+        table[parts.index(j)] += float(w) * dense_run(alg, f, rho0, povm)[1]
+    return table

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from oraclelab import reproduce
-from oraclelab.gallery import deutsch, pairwise_parity
+from oraclelab.gallery import deutsch, pairwise_parity, parity_with_padding
 from oraclelab.polycompile import (
     acceptance_polynomial,
     classical_output_prob,
@@ -67,10 +67,10 @@ def test_criterion_2_parity_quantum_uselessness():
 def test_criterion_3_parity_upper_bound():
     pieces = []
     ok = True
-    for n in (2, 4, 6):
-        alg = pairwise_parity(n)
-        s = success_probability(alg, make_parity(n))
-        ok = ok and abs(s - 1) <= 1e-9 and alg.query_count == n // 2
+    for n in range(2, 7):
+        problem, alg = parity_with_padding(n) if n % 2 else (make_parity(n), pairwise_parity(n))
+        s = success_probability(alg, problem)
+        ok = ok and abs(s - 1) <= 1e-9 and alg.query_count == (n + 1) // 2
         pieces.append(f"N={n}: {s:.10f} with {alg.query_count} queries")
     s = success_probability(deutsch(), make_parity(2))
     ok = ok and abs(s - 1) <= 1e-9

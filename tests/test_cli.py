@@ -579,7 +579,8 @@ def test_reproduce_subset_and_determinism(tmp_path, capsys, monkeypatch):
     assert [row["tag"] for row in r1["result"]["criteria"]] == ["shamir"]
 
 
-def test_seed_env_variable(monkeypatch, capsys, tmp_path):
+def test_seed_env_variable_is_ignored(monkeypatch, capsys, tmp_path):
+    # --seed is the only way to set the seed; it defaults to reproduce.DEFAULT_SEED
     monkeypatch.setenv("ORACLELAB_SEED", "123")
     out = tmp_path / "q.json"
     code = main(
@@ -596,4 +597,4 @@ def test_seed_env_variable(monkeypatch, capsys, tmp_path):
         ]
     )
     assert code == EXIT_OK
-    assert _read_report(out)["header"]["config"]["seed"] == 123
+    assert _read_report(out)["header"]["config"]["seed"] == 20100325

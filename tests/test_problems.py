@@ -18,7 +18,12 @@ from oraclelab.problems import (
     shamir_reconstruct,
 )
 
-from reference import naive_posterior, poly_eval_mod, shamir_consistent_polys
+from reference import (
+    naive_posterior,
+    poly_eval_mod,
+    shamir_consistent_polys,
+    trial_division_is_prime,
+)
 
 
 def test_make_parity_small():
@@ -213,6 +218,25 @@ def test_shamir_reconstruct_rejects_bad_shares():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n) != trial_division_is_prime(n)] == []
+
+
+def test_is_prime_large_values_and_ceiling():
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert not is_prime(318665857834031151167461)  # psi_12, a strong pseudoprime to 2..37
+    assert not is_prime(problems.PRIMALITY_CEILING - 1)
+    with pytest.raises(CapacityError, match="PRIMALITY_CEILING"):
+        is_prime(problems.PRIMALITY_CEILING)  # psi_13, a strong pseudoprime to 2..41
+
+
+def test_shamir_reconstruct_over_a_large_prime_is_fast():
+    start = time.perf_counter()
+    assert shamir_reconstruct(10000000000000061, 1, [(1, 5), (2, 7)]) == 3
+    assert time.perf_counter() - start < 0.1
 
 
 def test_learning_problem_validation():

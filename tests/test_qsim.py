@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -14,8 +15,9 @@ from oraclelab.algebra import (
     random_unitary,
 )
 from oraclelab.gallery import deutsch
-from oraclelab.problems import make_image_parity, make_parity
+from oraclelab.problems import LearningProblem, make_image_parity, make_parity, make_shamir
 from oraclelab.qsim import (
+    EPS_COND,
     QuantumAlgorithm,
     algorithm_from_json,
     algorithm_to_json,
@@ -27,8 +29,14 @@ from oraclelab.qsim import (
     success_probability,
     trial_seeds,
 )
-from oraclelab.useless import MAX_DIM
-from reference import CONFIGURED_GROUPS, dense_oracle_matrix, dense_run, group_add
+from oraclelab.useless import MAX_DIM, quantum_useless_falsify
+from reference import (
+    CONFIGURED_GROUPS,
+    dense_oracle_matrix,
+    dense_part_table,
+    dense_run,
+    group_add,
+)
 
 
 def _dense_algorithm(x_dim, group, z_dim, rho0, unitaries, povm, **labels):
@@ -268,17 +276,16 @@ def test_joint_distribution_single_outcome_povm_recovers_prior():
         (np.eye(dim, dtype=complex),),
     )
     table = joint_distribution(alg, problem)
-    assert table.shape == (4, 1)
-    assert np.allclose(table[:, 0], [float(w) for w in problem.prior], atol=1e-12)
+    assert table.shape == (2, 1)
+    assert np.allclose(table[:, 0], [float(w) for w in problem.part_prior().values()], atol=1e-12)
 
 
 def test_joint_distribution_deutsch_concentrates_on_correct_outcome():
     problem = make_parity(2)
     table = joint_distribution(deutsch(), problem)
-    for i, f in enumerate(problem.functions):
-        parity = sum(f) % 2
-        assert table[i, parity] == pytest.approx(0.25, abs=1e-12)
-        assert table[i, 1 - parity] == pytest.approx(0.0, abs=1e-12)
+    for parity in (0, 1):
+        assert table[parity, parity] == pytest.approx(0.5, abs=1e-12)
+        assert table[parity, 1 - parity] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_joint_distribution_no_oracle_factorizes():
@@ -288,8 +295,8 @@ def test_joint_distribution_no_oracle_factorizes():
     alg = QuantumAlgorithm(2, problem.group, 1, alg.state, (), alg.povm)
     table = joint_distribution(alg, problem)
     marginal_s = table.sum(axis=0)
-    for i, w in enumerate(problem.prior):
-        assert np.allclose(table[i], float(w) * marginal_s, atol=1e-12)
+    for row, w in enumerate(problem.part_prior().values()):
+        assert np.allclose(table[row], float(w) * marginal_s, atol=1e-12)
 
 
 def test_posterior_quantum_no_oracle_returns_prior():
@@ -297,32 +304,114 @@ def test_posterior_quantum_no_oracle_returns_prior():
     alg = random_algorithm(3, problem.group, 1, 1, seed=8)
     alg = QuantumAlgorithm(3, problem.group, 1, alg.state, (), alg.povm)
     probs, posteriors = outcome_posteriors(alg, problem)
-    prior = {j: float(w) for j, w in problem.part_prior().items()}
+    prior = [float(w) for w in problem.part_prior().values()]
     seen = 0
-    for s, post in enumerate(posteriors):
-        if post is None:
+    for post in posteriors.T:
+        if np.isnan(post).all():
             continue
         seen += 1
-        for j in prior:
-            assert post[j] == pytest.approx(prior[j], abs=1e-10)
+        assert post == pytest.approx(prior, abs=1e-10)
     assert seen > 0
     assert abs(probs.sum() - 1) < TOL_NUM
 
 
 def test_posterior_quantum_deutsch_is_point_mass():
     _, posteriors = outcome_posteriors(deutsch(), make_parity(2))
-    assert len(posteriors) == 2
-    assert posteriors[0] == pytest.approx({0: 1.0, 1: 0.0}, abs=1e-12)
-    assert posteriors[1] == pytest.approx({0: 0.0, 1: 1.0}, abs=1e-12)
+    assert posteriors.shape == (2, 2)
+    assert posteriors[:, 0] == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert posteriors[:, 1] == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_posterior_quantum_sums_to_one_when_defined():
     problem = make_image_parity()
     alg = random_algorithm(3, problem.group, 1, 1, seed=2)
     _, posteriors = outcome_posteriors(alg, problem)
-    for post in posteriors:
-        if post is not None:
-            assert sum(post.values()) == pytest.approx(1.0, abs=TOL_NUM)
+    for post in posteriors.T:
+        if not np.isnan(post).all():
+            assert post.sum() == pytest.approx(1.0, abs=TOL_NUM)
+
+
+def _relabelled_parity_3():
+    """parity-3 with its rows shuffled, its parts named 5 and 2, and the
+    prior 2^i/255 on row i, so the parts' priors differ."""
+    base = make_parity(3)
+    order = np.random.default_rng(0).permutation(base.size)
+    return LearningProblem(
+        domain_size=3,
+        group=base.group,
+        functions=[base.functions[i] for i in order],
+        labels=[(5, 2)[base.labels[i]] for i in order],
+        prior=[Fraction(2**i, 255) for i in range(base.size)],
+        name="parity-3-relabelled",
+    )
+
+
+# (problem, queries): non-contiguous labels on shuffled rows, and five parts
+PART_TABLE_CASES = [(_relabelled_parity_3, 2), (lambda: make_shamir(5, 1), 1)]
+
+
+def _dense_trial(problem, queries, seed, empty_element=False):
+    """(algorithm, dense rho0, dense POVM) with a mixed initial state and a
+    projective POVM of d - 1 elements, one of rank 2, optionally with an
+    extra zero element."""
+    dim = problem.domain_size * problem.group.order
+    rho0 = _initial_states(dim, seed)[1]
+    povm = [_product(b) for b in random_povm(dim, dim - 1, seed + 1)]
+    if empty_element:
+        povm.insert(2, np.zeros((dim, dim)))
+    unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(queries))
+    alg = _dense_algorithm(problem.domain_size, problem.group, 1, rho0, unitaries, povm)
+    return alg, rho0, povm
+
+
+@pytest.mark.parametrize("make, queries", PART_TABLE_CASES)
+def test_joint_distribution_matches_dense_reference(make, queries):
+    problem = make()
+    alg, rho0, povm = _dense_trial(problem, queries, seed=3)
+    table = joint_distribution(alg, problem)
+    assert table.shape == (len(problem.part_labels()), len(povm))
+    assert np.abs(table - dense_part_table(alg, problem, rho0, povm)).max() < 1e-12
+
+
+def test_outcome_posteriors_empty_element_is_nan_with_probability_zero():
+    problem = _relabelled_parity_3()
+    alg, _, _ = _dense_trial(problem, 1, seed=5, empty_element=True)
+    assert alg.povm[2].shape[1] == 0
+    probs, posteriors = outcome_posteriors(alg, problem)
+    assert probs[2] == 0.0
+    assert np.isnan(posteriors[:, 2]).all()
+    assert not np.isnan(np.delete(posteriors, 2, axis=1)).any()
+
+
+@pytest.mark.parametrize("make, queries", PART_TABLE_CASES)
+def test_falsifier_witness_matches_dense_reference(make, queries):
+    problem = make()
+    # seeds where a dense trial holds the maximum, so an empty element's NaN
+    # column that hid the rest of its trial would change the verdict
+    trials = [_dense_trial(problem, queries, seed, empty_element=True) for seed in (11, 12)]
+    for s in trial_seeds(7, 1):
+        alg = random_algorithm(problem.domain_size, problem.group, 1, queries, s)
+        trials.append((alg, _density(alg.state), [_product(b) for b in alg.povm]))
+    report = quantum_useless_falsify(
+        problem, queries, trials=1, seed=7, extra_algorithms=[alg for alg, _, _ in trials[:2]]
+    )
+    parts = problem.part_labels()
+    prior = [float(w) for w in problem.part_prior().values()]
+    deviation = {}  # (trial, outcome, part) -> |posterior - prior| of the dense reference
+    for trial, (alg, rho0, povm) in enumerate(trials):
+        table = dense_part_table(alg, problem, rho0, povm)
+        for s, p_s in enumerate(table.sum(axis=0)):
+            if p_s > EPS_COND:
+                for r, j in enumerate(parts):
+                    deviation[trial, s, j] = abs(table[r, s] / p_s - prior[r])
+    reference_max = max(deviation.values())
+    witness = report.witness
+    assert report.trials == 3
+    assert abs(report.max_deviation - reference_max) < 1e-12
+    assert abs(witness["posterior"] - witness["prior"]) == report.max_deviation
+    cell = (witness["trial"], witness["outcome"], witness["part"])
+    assert abs(deviation[cell] - reference_max) < 1e-12
+    assert witness["trial"] in (0, 1)
 
 
 def test_success_probability_guess_majority():
