@@ -16,10 +16,8 @@ import numpy as np
 
 from .algebra import cyclic
 from .errors import CapacityError
-from .problems import LearningProblem, make_parity
+from .problems import MAX_PARITY_N, LearningProblem, make_parity
 from .qsim import QuantumAlgorithm
-
-MAX_PAIRWISE_N = 8
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
@@ -70,16 +68,7 @@ def deutsch() -> QuantumAlgorithm:
     relative sign to the occupied basis state; outcome 0 is even parity,
     outcome 1 odd.
     """
-    p_even, p_odd = _x_parity_povm(2)
-    return QuantumAlgorithm(
-        x_dim=2,
-        group=cyclic(2),
-        z_dim=1,
-        state=_kickback_state(2, (0, 1)),
-        unitaries=(np.kron(_pair_hadamard(2, 0), np.eye(2)),),
-        povm=(p_even, p_odd),
-        outcome_labels={0: 0, 1: 1},
-    )
+    return pairwise_parity(2)
 
 
 def pairwise_parity(n: int) -> QuantumAlgorithm:
@@ -93,8 +82,8 @@ def pairwise_parity(n: int) -> QuantumAlgorithm:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if n > MAX_PAIRWISE_N:
-        raise CapacityError(f"pairwise parity supports n <= {MAX_PAIRWISE_N}, got {n}")
+    if n > MAX_PARITY_N + 1:  # the padded size of the largest parity problem
+        raise CapacityError(f"pairwise parity supports n <= {MAX_PARITY_N + 1}, got {n}")
     k = n // 2
     identity_y = np.eye(2)
     unitaries = []

@@ -211,8 +211,8 @@ def quantum_useless_falsify(
 ) -> UselessnessReport:
     """Search for posterior-vs-prior deviations over random algorithms.
 
-    Runs ``trials`` seeded random ``queries``-call algorithms (plus any
-    ``extra_algorithms``, which occupy the first trial slots) and records
+    Runs any ``extra_algorithms`` (each making ``queries`` calls) and then
+    ``trials`` seeded random ``queries``-call algorithms, and records
     the largest |posterior - prior| over observable outcomes and parts.
     A deviation above ``FALSIFY_TOL`` yields a "not useless" verdict with a
     witness naming the trial; anything else is "useless" backed by sampling
@@ -220,8 +220,11 @@ def quantum_useless_falsify(
     """
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials < 0 or trials + len(extra_algorithms) < 1:
+        raise ValueError(f"trials must be >= 0, and >= 1 without extra algorithms; got {trials}")
+    miscounted = [f"extra-{i}" for i, a in enumerate(extra_algorithms) if a.query_count != queries]
+    if miscounted:
+        raise ValueError(f"extras must make {queries} queries; {', '.join(miscounted)} do not")
     dim = problem.domain_size * problem.group.order * z_dim
     if dim > MAX_DIM:
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")

@@ -4,11 +4,18 @@ Each test prints one PASS/FAIL line (run with -s to see them inline).
 Seeds are fixed so the whole gate is reproducible byte for byte.
 """
 
+import functools
+import importlib
 import json
+import pkgutil
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
-from oraclelab import reproduce
+import pytest
+
+import oraclelab
+from oraclelab import qsim, reproduce
 from oraclelab.gallery import deutsch, pairwise_parity, parity_with_padding
 from oraclelab.polycompile import (
     acceptance_polynomial,
@@ -224,3 +231,57 @@ def test_criterion_10_reproduce_determinism():
         f"two full bundles identical: {same}; all criteria pass inside the bundle: "
         f"{first['all_pass']}",
     )
+
+
+@pytest.mark.parametrize("only", [None, "determinism"])
+def test_criterion_10_fails_when_a_rerun_diverges(monkeypatch, only):
+    # criterion 10 compares its rerun with the bundle's row (or, run alone,
+    # with a row it made first), so a row that changes between calls fails it
+    calls = count(1)
+    parity_quantum = reproduce._parity_quantum
+
+    def drifting(seed):
+        return {**parity_quantum(seed), "observed": f"call {next(calls)}"}
+
+    monkeypatch.setattr(reproduce, "_parity_quantum", drifting)
+    payload = run_all(seed=SEED, only=only)
+    row = payload["criteria"][-1]
+    assert row["id"] == 10
+    assert row["observed"] == "divergent"
+    assert not row["pass"] and not payload["all_pass"]
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named qsim functions through every binding in the package."""
+    calls = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    submodules = [m.name for m in pkgutil.iter_modules(oraclelab.__path__) if m.name != "__main__"]
+    modules = [oraclelab, *(importlib.import_module(f"oraclelab.{m}") for m in submodules)]
+    for name in names:
+        fn = getattr(qsim, name)
+        wrapper = counting(name, fn)
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "only, expected",
+    [(None, {"random_algorithm": 320, "run": 428}), ("parity-quantum", {"random_algorithm": 50})],
+)
+def test_reproduce_builds_each_algorithm_once(monkeypatch, only, expected):
+    # criterion 2 hands its 50 algorithms to the falsifier and to lemma_check,
+    # and criterion 10 reruns criteria 1, 2 and 9 once against the bundle
+    calls = _count_calls(monkeypatch, "random_algorithm", "run")
+    assert run_all(only=only)["all_pass"]
+    assert {name: calls[name] for name in expected} == expected

@@ -11,8 +11,9 @@ from oraclelab.gallery import (
     pairwise_parity,
     parity_with_padding,
 )
-from oraclelab.problems import make_parity
+from oraclelab.problems import MAX_PARITY_N, make_parity
 from oraclelab.qsim import random_algorithm, run, success_probability, trial_seeds
+from reference import dense_run
 
 
 def test_deutsch_per_function_outcomes():
@@ -64,7 +65,25 @@ def test_pairwise_parity_rejects_bad_n():
     with pytest.raises(ValueError):
         pairwise_parity(0)
     with pytest.raises(CapacityError):
-        pairwise_parity(10)
+        pairwise_parity(14)
+
+
+def test_parity_with_padding_at_the_parity_ceiling():
+    # the largest parity problem, padded to MAX_PARITY_N + 1 points
+    problem, alg = parity_with_padding(MAX_PARITY_N)
+    assert alg.x_dim == MAX_PARITY_N + 1
+    assert success_probability(alg, problem) == pytest.approx(1.0, abs=1e-9)
+    # the kickback state on points 0 and 1 and the query-parity projectors,
+    # written out densely over basis index 2x + y
+    psi = np.kron(np.eye(alg.x_dim)[0] + np.eye(alg.x_dim)[1], [1, -1]) / 2
+    even = np.arange(2 * alg.x_dim) // 2 % 2 == 0
+    povm = [np.diag(even.astype(float)), np.diag((~even).astype(float))]
+    tables = problem.functions[::500]
+    probs = run(alg, tables).outcome_probs
+    for f, p in zip(tables, probs):
+        _, expected = dense_run(alg, f, np.outer(psi, psi), povm)
+        assert np.abs(p - expected).max() < 1e-12
+        assert p[sum(f) % 2] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])

@@ -1,5 +1,7 @@
 """The README's CLI section runs as written."""
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 from oraclelab.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "oraclelab"
 
 
 def _cli_blocks():
@@ -50,3 +53,29 @@ def _parser_flags():
 def test_readme_names_only_existing_flags():
     named = set(re.findall(r"`(--[a-z][a-z-]*)", README.read_text()))
     assert named and named <= _parser_flags(), named - _parser_flags()
+
+
+def _ceiling_rows():
+    """(constant, value, module) of each row of the "Ceilings and tolerances" table."""
+    section = README.read_text().split("\n## Ceilings and tolerances\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| ([^|]+?) \| `(\w+)` \|", section, flags=re.M)
+
+
+def _number(text):
+    base, _, exponent = text.partition("^")
+    return int(base) ** int(exponent) if exponent else ast.literal_eval(text)
+
+
+def test_readme_ceilings_match_the_code():
+    rows = _ceiling_rows()
+    for name, value, module in rows:
+        assert getattr(importlib.import_module(f"oraclelab.{module}"), name) == _number(value), name
+    # every ceiling and tolerance in src/ has a row, so none goes stale
+    defined = {
+        (name, path.stem)
+        for path in SRC.glob("*.py")
+        for name in re.findall(
+            r"^((?:MAX|TOL|EPS)_\w+|\w+_(?:TOL|CEILING)) = ", path.read_text(), flags=re.M
+        )
+    }
+    assert defined == {(name, module) for name, _, module in rows}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oraclelab import useless
 from oraclelab.algebra import FiniteAbelianGroup, cyclic, factor_hermitian, random_pure_state
 from oraclelab.errors import CapacityError
-from oraclelab.gallery import deutsch
+from oraclelab.gallery import deutsch, pairwise_parity
 from oraclelab.problems import (
     MAX_PARITY_N,
     LearningProblem,
@@ -332,6 +332,34 @@ def test_falsify_parity2_with_deutsch_witness():
     assert report.max_deviation >= 0.4
     assert report.witness["trial"] == 0
     assert report.witness["algorithm"] == "extra-0"
+
+
+def test_falsify_rejects_extras_with_another_query_count():
+    # two queries solve parity-4, so run as a one-query algorithm it would
+    # "falsify" a budget that is provably useless
+    with pytest.raises(ValueError, match="make 1 queries; extra-0 do not"):
+        quantum_useless_falsify(
+            make_parity(4), queries=1, trials=1, seed=1, extra_algorithms=(pairwise_parity(4),)
+        )
+    extras = (random_algorithm(4, cyclic(2), 1, 1, 3), pairwise_parity(4), pairwise_parity(4))
+    with pytest.raises(ValueError, match="; extra-1, extra-2 do not"):
+        quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=1, extra_algorithms=extras)
+
+
+def test_falsify_zero_trials_runs_only_the_extras(monkeypatch):
+    def no_random_algorithm(*args, **kwargs):
+        raise AssertionError("trials=0 builds no random algorithm")
+
+    monkeypatch.setattr(useless, "random_algorithm", no_random_algorithm)
+    extras = [random_algorithm(2, cyclic(2), 1, 1, 5), deutsch()]
+    report = quantum_useless_falsify(make_parity(2), 1, trials=0, seed=7, extra_algorithms=extras)
+    assert report.trials == len(extras)
+    assert report.verdict == VERDICT_NOT_USELESS
+    assert report.witness["algorithm"] == "extra-1"
+    with pytest.raises(ValueError, match="trials"):
+        quantum_useless_falsify(make_parity(2), 1, trials=0, seed=7)
+    with pytest.raises(ValueError, match="trials"):
+        quantum_useless_falsify(make_parity(2), 1, trials=-1, seed=7, extra_algorithms=extras)
 
 
 def test_falsify_deterministic():
