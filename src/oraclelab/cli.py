@@ -44,6 +44,7 @@ from .useless import (
     classical_useless,
     max_useless_k,
     quantum_useless_falsify,
+    quantum_useless_up_to,
 )
 
 EXIT_OK = 0
@@ -228,10 +229,11 @@ def _cmd_check_quantum(args) -> int:
     result = asdict(report)
     try:
         m = max_useless_k(problem)
+        proven = quantum_useless_up_to(m)
         result["classical_certificate"] = {
             "max_useless_k": m,
-            "proves_quantum_useless_up_to": m // 2,
-            "covers_this_check": args.queries <= m // 2,
+            "proves_quantum_useless_up_to": proven,
+            "covers_this_check": args.queries <= proven,
         }
     except CapacityError as exc:
         result["classical_certificate"] = {"skipped": str(exc)}
@@ -244,8 +246,9 @@ def _cmd_check_quantum(args) -> int:
 def _cmd_bound(args) -> int:
     problem, config = _load_problem(args)
     m = max_useless_k(problem)
-    # quantum_lower_bound's formula on the scan already made, not a second scan
-    result = {"problem": problem.name, "max_useless_k": m, "quantum_lower_bound": m // 2 + 1}
+    # quantum_lower_bound on the scan already made, not a second scan
+    bound = quantum_useless_up_to(m) + 1
+    result = {"problem": problem.name, "max_useless_k": m, "quantum_lower_bound": bound}
     _emit(_report(config, result), args.out)
     return EXIT_OK
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CapacityError
 from .problems import LearningProblem
 from .qsim import EPS_COND, QuantumAlgorithm, joint_distribution, run
+from .useless import VERDICT_NOT_USELESS, classical_useless
 
 MAX_CUBE_VARS = 12
 
@@ -331,8 +332,6 @@ def corollary5_audit(
     deviation = abs(lhs - rhs) if defined else float("nan")
     useless_2k: bool | None = None
     if check_classical:
-        from .useless import VERDICT_NOT_USELESS, classical_useless
-
         verdict = classical_useless(problem, 2 * alg.query_count).verdict
         useless_2k = verdict != VERDICT_NOT_USELESS
     return Corollary5Report(

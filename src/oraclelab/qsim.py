@@ -272,7 +272,12 @@ def success_probability(alg: QuantumAlgorithm, problem: LearningProblem) -> floa
 
 
 def trial_seeds(seed: int, n: int) -> list[int]:
-    """Deterministic child seeds for a batch of independent trials."""
+    """Deterministic child seeds for a batch of independent trials.
+
+    The seeds for n trials are a prefix of the seeds for any larger n.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 

@@ -1,19 +1,29 @@
 """One-shot verification bundle: every headline claim at its tolerance.
 
-Each criterion is a pure function of the seed returning a result row; the
-bundle is a deterministic JSON payload plus a printable table. The CLI
-`reproduce` subcommand wraps this module.
+Each criterion is a function of one :class:`BundleRun`, deterministic in
+its seed, returning a result row; the bundle is a deterministic JSON payload plus a printable
+table. The CLI `reproduce` subcommand wraps this module.
+
+A run draws each random input once, on first use, and its criteria share
+it: criteria 2 and 4 read the 50 labelled 1-query parity-4 algorithms and
+criterion 9 the first 20 of them; criteria 7 and 8 read the 40
+Boolean-oracle algorithms with their acceptance polynomials. Criterion 10
+reruns criteria 1, 2 and 9 on a fresh run of the same seed, so the rerun
+draws again.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
+    MultilinearPolynomial,
     acceptance_polynomial,
     bias_certificate,
     compile_polynomial,
@@ -21,19 +31,60 @@ from .polycompile import (
     to_fourier,
 )
 from .problems import make_image_parity, make_parity, make_shamir, shamir_reconstruct
-from .qsim import random_algorithm, success_probability, trial_seeds
+from .qsim import QuantumAlgorithm, random_algorithm, success_probability, trial_seeds
 from .useless import (
     VERDICT_USELESS,
     classical_useless,
     lemma_check,
     max_useless_k,
-    quantum_lower_bound,
     quantum_useless_falsify,
+    quantum_useless_up_to,
 )
 
 DEFAULT_SEED = 20100325
 DEFAULT_TRIALS = 50
 COMPILE_TRIALS = 20
+
+
+@dataclass
+class BundleRun:
+    """One run of the bundle: its seed, the rows made so far, and the random
+    inputs its criteria share, each drawn on first use."""
+
+    seed: int
+    rows: dict[int, dict] = field(default_factory=dict)
+    _parity4: list[QuantumAlgorithm] = field(default_factory=list, init=False, repr=False)
+
+    def parity4_algorithms(self, count: int) -> list[QuantumAlgorithm]:
+        """The first ``count`` labelled 1-query parity-4 algorithms.
+
+        Labels enter only success probabilities, so the criteria that need
+        none read the same algorithms. ``trial_seeds(seed, m)`` is a prefix
+        of ``trial_seeds(seed, n)`` for m <= n, so a longer read draws only
+        the missing tail.
+        """
+        drawn = self._parity4
+        if len(drawn) < count:
+            group = make_parity(4).group
+            for s in trial_seeds(self.seed, count)[len(drawn):]:
+                drawn.append(random_algorithm(4, group, 1, 1, s, labels_cycle=(0, 1)))
+        return drawn[:count]
+
+    @cached_property
+    def compile_cubes(self) -> list[tuple[int, QuantumAlgorithm, MultilinearPolynomial]]:
+        """Random 1-query Boolean-oracle algorithms on n = 2 and 3 points,
+        with the acceptance polynomial of their even outcomes."""
+        cubes = []
+        for n in (2, 3):
+            group = make_parity(n).group
+            for s in trial_seeds(self.seed + n, COMPILE_TRIALS):
+                alg = random_algorithm(n, group, 1, 1, s)
+                cubes.append((n, alg, acceptance_polynomial(alg, _accept_set(alg))))
+        return cubes
+
+
+def _accept_set(alg) -> list[int]:
+    return [s for s in range(alg.n_outcomes) if s % 2 == 0]
 
 
 def _row(cid: int, tag: str, claim: str, expected: str, observed: str, ok: bool) -> dict:
@@ -47,7 +98,7 @@ def _row(cid: int, tag: str, claim: str, expected: str, observed: str, ok: bool)
     }
 
 
-def _parity_classical(seed: int) -> dict:
+def _parity_classical(bundle: BundleRun) -> dict:
     observed = {}
     ok = True
     for n in (2, 3, 4, 5):
@@ -64,11 +115,12 @@ def _parity_classical(seed: int) -> dict:
     )
 
 
-def _parity_quantum(seed: int) -> dict:
+def _parity_quantum(bundle: BundleRun) -> dict:
     problem = make_parity(4)
-    seeds = trial_seeds(seed, DEFAULT_TRIALS)
-    algorithms = [random_algorithm(4, problem.group, 1, 1, s) for s in seeds]
-    report = quantum_useless_falsify(problem, 1, trials=0, seed=seed, extra_algorithms=algorithms)
+    algorithms = bundle.parity4_algorithms(DEFAULT_TRIALS)
+    report = quantum_useless_falsify(
+        problem, 1, trials=0, seed=bundle.seed, extra_algorithms=algorithms
+    )
     lemma_max = max(lemma_check(problem, alg) for alg in algorithms)
     ok = (
         report.verdict == VERDICT_USELESS
@@ -85,7 +137,7 @@ def _parity_quantum(seed: int) -> dict:
     )
 
 
-def _parity_upper(seed: int) -> dict:
+def _parity_upper(bundle: BundleRun) -> dict:
     observed = []
     ok = True
     for n in range(2, 7):
@@ -106,11 +158,10 @@ def _parity_upper(seed: int) -> dict:
     )
 
 
-def _parity_barrier(seed: int) -> dict:
+def _parity_barrier(bundle: BundleRun) -> dict:
     problem = make_parity(4)
     worst = 0.0
-    for s in trial_seeds(seed, DEFAULT_TRIALS):
-        alg = random_algorithm(4, problem.group, 1, 1, s, labels_cycle=(0, 1))
+    for alg in bundle.parity4_algorithms(DEFAULT_TRIALS):
         worst = max(worst, abs(success_probability(alg, problem) - 0.5))
     return _row(
         4,
@@ -122,11 +173,11 @@ def _parity_barrier(seed: int) -> dict:
     )
 
 
-def _image_parity(seed: int) -> dict:
+def _image_parity(bundle: BundleRun) -> dict:
     problem = make_image_parity()
     prior_even = problem.part_prior()[0]
     classical = classical_useless(problem, 2)
-    falsify = quantum_useless_falsify(problem, queries=1, trials=DEFAULT_TRIALS, seed=seed)
+    falsify = quantum_useless_falsify(problem, queries=1, trials=DEFAULT_TRIALS, seed=bundle.seed)
     ok = (
         prior_even == Fraction(2, 3)
         and classical.verdict == VERDICT_USELESS
@@ -144,13 +195,13 @@ def _image_parity(seed: int) -> dict:
     )
 
 
-def _shamir(seed: int) -> dict:
+def _shamir(bundle: BundleRun) -> dict:
     observed = []
     ok = True
     for p, k in ((3, 1), (5, 1), (5, 2)):
         problem = make_shamir(p, k)
         m = max_useless_k(problem)
-        bound = quantum_lower_bound(problem)
+        bound = quantum_useless_up_to(m) + 1
         recon_ok = True
         points = range(1, p)
         for coeffs_index, f in enumerate(problem.functions):
@@ -172,24 +223,10 @@ def _shamir(seed: int) -> dict:
     )
 
 
-def _compile_algorithms(seed: int):
-    """The shared pool of random 1-query Boolean-oracle algorithms."""
-    pool = []
-    for n in (2, 3):
-        group = make_parity(n).group
-        for s in trial_seeds(seed + n, COMPILE_TRIALS):
-            pool.append((n, random_algorithm(n, group, 1, 1, s)))
-    return pool
-
-
-def _accept_set(alg) -> list[int]:
-    return [s for s in range(alg.n_outcomes) if s % 2 == 0]
-
-
-def _degree_bound(seed: int) -> dict:
+def _degree_bound(bundle: BundleRun) -> dict:
     worst = 0.0
-    for n, alg in _compile_algorithms(seed):
-        qhat = to_fourier(acceptance_polynomial(alg, _accept_set(alg)))
+    for n, _, poly in bundle.compile_cubes:
+        qhat = to_fourier(poly)
         for mask in range(1 << n):
             if bin(mask).count("1") > 2:
                 worst = max(worst, abs(qhat.coeffs[mask]))
@@ -203,12 +240,11 @@ def _degree_bound(seed: int) -> dict:
     )
 
 
-def _bias_identity(seed: int) -> dict:
+def _bias_identity(bundle: BundleRun) -> dict:
     worst_bias = 0.0
     worst_norm = 0.0
     max_subset = 0
-    for _, alg in _compile_algorithms(seed):
-        poly = acceptance_polynomial(alg, _accept_set(alg))
+    for _, alg, poly in bundle.compile_cubes:
         compiled = compile_polynomial(poly, alg.query_count)
         if not compiled.degenerate:
             worst_norm = max(worst_norm, abs(sum(t[1] for t in compiled.terms) - 1.0))
@@ -228,11 +264,10 @@ def _bias_identity(seed: int) -> dict:
     )
 
 
-def _ratio_audit(seed: int) -> dict:
+def _ratio_audit(bundle: BundleRun) -> dict:
     problem = make_parity(4)
     worst = 0.0
-    for s in trial_seeds(seed, COMPILE_TRIALS):
-        alg = random_algorithm(4, problem.group, 1, 1, s)
+    for alg in bundle.parity4_algorithms(COMPILE_TRIALS):
         report = corollary5_audit(problem, alg, _accept_set(alg), check_classical=False)
         # an undefined ratio certifies nothing, so it fails the row
         worst = max(worst, report.deviation if report.defined else float("inf"))
@@ -255,12 +290,15 @@ def _ratio_audit(seed: int) -> dict:
     )
 
 
-def _determinism(seed: int, made: dict[int, dict] | None = None) -> dict:
-    """Compare one rerun of criteria 1, 2 and 9 with ``made``, making a missing row first."""
-    made = made or {}
+def _determinism(bundle: BundleRun) -> dict:
+    """Compare the bundle's rows of criteria 1, 2 and 9 with a rerun on a
+    fresh run of the same seed, which draws its inputs again; a row the
+    bundle has not made is made first."""
     reruns = {1: _parity_classical, 2: _parity_quantum, 9: _ratio_audit}
-    first = json.dumps([made.get(cid) or fn(seed) for cid, fn in reruns.items()], sort_keys=True)
-    second = json.dumps([fn(seed) for fn in reruns.values()], sort_keys=True)
+    made = [bundle.rows.get(cid) or fn(bundle) for cid, fn in reruns.items()]
+    fresh = BundleRun(bundle.seed)
+    first = json.dumps(made, sort_keys=True)
+    second = json.dumps([fn(fresh) for fn in reruns.values()], sort_keys=True)
     return _row(
         10,
         "determinism",
@@ -271,7 +309,9 @@ def _determinism(seed: int, made: dict[int, dict] | None = None) -> dict:
     )
 
 
-CRITERIA: list[tuple[int, str, Callable[[int], dict]]] = [
+# The traced benchmark wraps these entries in place, so run_all calls every
+# criterion through this list and criterion 10 calls its reruns directly.
+CRITERIA: list[tuple[int, str, Callable[[BundleRun], dict]]] = [
     (1, "parity-classical", _parity_classical),
     (2, "parity-quantum", _parity_quantum),
     (3, "parity-upper", _parity_upper),
@@ -287,11 +327,11 @@ CRITERIA: list[tuple[int, str, Callable[[int], dict]]] = [
 
 def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
     """Run the criteria (optionally filtered by tag substring) and bundle rows."""
-    made: dict[int, dict] = {}
+    bundle = BundleRun(seed)
     for cid, tag, criterion in CRITERIA:
         if not only or only in tag or only == str(cid):
-            made[cid] = criterion(seed, made) if cid == 10 else criterion(seed)
-    rows = list(made.values())
+            bundle.rows[cid] = criterion(bundle)
+    rows = list(bundle.rows.values())
     if not rows:
         tags = ", ".join(tag for _, tag, _ in CRITERIA)
         raise ValueError(f"--only {only!r} matches no criterion id or tag; tags: {tags}")

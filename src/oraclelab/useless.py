@@ -169,13 +169,19 @@ def max_useless_k(problem: LearningProblem) -> int:
     return k
 
 
-def quantum_lower_bound(problem: LearningProblem) -> int:
-    """Lower bound on the quantum query complexity from the classical scan.
+def quantum_useless_up_to(m: int) -> int:
+    """Quantum queries proven useless when m classical queries are: floor(m/2).
 
-    With m classical queries useless, floor(m/2) quantum queries are also
-    useless, so floor(m/2) + 1 quantum queries are necessary.
+    If 2q classical queries are useless, q quantum queries are, so every
+    q <= floor(m/2) is useless and floor(m/2) + 1 quantum queries are
+    necessary.
     """
-    return max_useless_k(problem) // 2 + 1
+    return m // 2
+
+
+def quantum_lower_bound(problem: LearningProblem) -> int:
+    """Lower bound on the quantum query complexity from the classical scan."""
+    return quantum_useless_up_to(max_useless_k(problem)) + 1
 
 
 def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
@@ -225,6 +231,8 @@ def quantum_useless_falsify(
     miscounted = [f"extra-{i}" for i, a in enumerate(extra_algorithms) if a.query_count != queries]
     if miscounted:
         raise ValueError(f"extras must make {queries} queries; {', '.join(miscounted)} do not")
+    if z_dim < 1:
+        raise ValueError(f"z_dim must be >= 1, got {z_dim}")
     dim = problem.domain_size * problem.group.order * z_dim
     if dim > MAX_DIM:
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (run with -s to see them inline).
 Seeds are fixed so the whole gate is reproducible byte for byte.
 """
 
+import dataclasses
 import functools
 import importlib
 import json
@@ -12,10 +13,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
 
+import numpy as np
 import pytest
 
 import oraclelab
-from oraclelab import qsim, reproduce
+from oraclelab import polycompile, qsim, reproduce, useless
 from oraclelab.gallery import deutsch, pairwise_parity, parity_with_padding
 from oraclelab.polycompile import (
     acceptance_polynomial,
@@ -215,7 +217,7 @@ def test_criterion_9_fails_when_every_ratio_is_undefined(monkeypatch):
     # an empty accept set has accept mass 0, where the ratio is undefined and
     # certifies nothing; twenty such audits must fail the row, not pass it
     monkeypatch.setattr(reproduce, "_accept_set", lambda alg: [])
-    row = reproduce._ratio_audit(SEED)
+    row = reproduce._ratio_audit(reproduce.BundleRun(SEED))
     assert not row["pass"]
     assert "max deviation inf" in row["observed"]
 
@@ -240,8 +242,8 @@ def test_criterion_10_fails_when_a_rerun_diverges(monkeypatch, only):
     calls = count(1)
     parity_quantum = reproduce._parity_quantum
 
-    def drifting(seed):
-        return {**parity_quantum(seed), "observed": f"call {next(calls)}"}
+    def drifting(bundle):
+        return {**parity_quantum(bundle), "observed": f"call {next(calls)}"}
 
     monkeypatch.setattr(reproduce, "_parity_quantum", drifting)
     payload = run_all(seed=SEED, only=only)
@@ -251,8 +253,38 @@ def test_criterion_10_fails_when_a_rerun_diverges(monkeypatch, only):
     assert not row["pass"] and not payload["all_pass"]
 
 
+@pytest.mark.parametrize("only", [None, "determinism"])
+def test_criterion_10_rerun_draws_its_own_algorithms(monkeypatch, only):
+    # the rerun draws on a fresh run of the seed, not from the bundle's draws:
+    # from the 51st draw on, the drifting draw never shows an even outcome, so
+    # the rerun's ratio audit accepts nothing and its row diverges
+    draws = count()
+    draw = reproduce.random_algorithm
+
+    def drifting(*args, **kwargs):
+        alg = draw(*args, **kwargs)
+        if next(draws) < 50:
+            return alg
+        blind = (np.zeros((alg.dim, 0)), np.eye(alg.dim))
+        return dataclasses.replace(alg, povm=blind, outcome_labels=None)
+
+    monkeypatch.setattr(reproduce, "random_algorithm", drifting)
+    payload = run_all(seed=SEED, only=only)
+    row = payload["criteria"][-1]
+    assert row["id"] == 10 and row["observed"] == "divergent"
+
+
+_COUNTED = {
+    "random_algorithm": qsim,
+    "run": qsim,
+    "acceptance_polynomial": polycompile,
+    "max_useless_k": useless,
+}
+
+
 def _count_calls(monkeypatch, *names):
-    """Count calls of the named qsim functions through every binding in the package."""
+    """Count calls of the named functions (keys of ``_COUNTED``) through
+    every binding in the package."""
     calls = Counter()
 
     def counting(name, fn):
@@ -266,7 +298,7 @@ def _count_calls(monkeypatch, *names):
     submodules = [m.name for m in pkgutil.iter_modules(oraclelab.__path__) if m.name != "__main__"]
     modules = [oraclelab, *(importlib.import_module(f"oraclelab.{m}") for m in submodules)]
     for name in names:
-        fn = getattr(qsim, name)
+        fn = getattr(_COUNTED[name], name)
         wrapper = counting(name, fn)
         for module in modules:
             for attr, obj in list(vars(module).items()):
@@ -277,11 +309,22 @@ def _count_calls(monkeypatch, *names):
 
 @pytest.mark.parametrize(
     "only, expected",
-    [(None, {"random_algorithm": 320, "run": 428}), ("parity-quantum", {"random_algorithm": 50})],
+    [
+        (
+            None,
+            {"random_algorithm": 190, "run": 388, "acceptance_polynomial": 40, "max_useless_k": 11},
+        ),
+        ("parity-quantum", {"random_algorithm": 50}),
+        ("determinism", {"random_algorithm": 100, "run": 242}),
+        ("ratio-audit", {"random_algorithm": 20, "run": 21}),
+        ("parity", {"random_algorithm": 100, "run": 206}),
+        ("shamir", {"max_useless_k": 3}),
+    ],
 )
 def test_reproduce_builds_each_algorithm_once(monkeypatch, only, expected):
-    # criterion 2 hands its 50 algorithms to the falsifier and to lemma_check,
-    # and criterion 10 reruns criteria 1, 2 and 9 once against the bundle
-    calls = _count_calls(monkeypatch, "random_algorithm", "run")
+    # criteria 2, 4 and 9 share one parity-4 draw and criteria 7 and 8 one
+    # set of simulated cubes; criterion 10 reruns criteria 1, 2 and 9 once on
+    # a fresh draw, and criterion 6 scans each Shamir problem once
+    calls = _count_calls(monkeypatch, *_COUNTED)
     assert run_all(only=only)["all_pass"]
     assert {name: calls[name] for name in expected} == expected

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import oraclelab
-from oraclelab import algebra, qsim
+from oraclelab import algebra, qsim, reproduce
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -83,3 +83,19 @@ def test_building_an_algorithm_fires_the_traced_validators(monkeypatch):
     calls.clear()
     qsim.algorithm_from_json(qsim.algorithm_to_json(alg))
     assert calls == validators
+
+
+def test_traced_run_all_spans_each_criterion_once():
+    # the tracer wraps reproduce.CRITERIA entries by position, so run_all must
+    # call every criterion through that list, and criterion 10's rerun must not
+    modules = {short: importlib.import_module(f"oraclelab.{short}") for short in tracing.MODULES}
+    tracer = tracing.Tracer()
+    tracer.install(oraclelab, modules)
+    try:
+        reproduce.run_all()
+    finally:
+        tracer.enable(False)
+    stats, _ = tracer.take()
+    tags = tracing.CRITERION_TAGS
+    spans = {tag: stats.get(f"reproduce.criterion.{tag}", (0,))[0] for tag in tags}
+    assert spans == dict.fromkeys(tags, 1)

@@ -345,6 +345,28 @@ def test_check_quantum_report(tmp_path):
     assert result["classical_certificate"]["covers_this_check"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--seed", "-1"],
+        ["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_is_named(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: seed must be a non-negative integer, got {argv[-1]}"]
+
+
+@pytest.mark.parametrize("z_dim, code", [(0, EXIT_USAGE), (1, EXIT_OK)])
+def test_check_quantum_z_dim_boundary(z_dim, code, capsys):
+    argv = ["check-quantum", "--gen", "parity", "--n", "4", "--queries", "1", "--trials", "2",
+            "--z-dim", str(z_dim)]
+    assert main(argv) == code
+    if code == EXIT_USAGE:
+        assert capsys.readouterr().err.strip() == "error: z_dim must be >= 1, got 0"
+
+
 def test_bound_report(tmp_path):
     out = tmp_path / "b.json"
     code = main(
@@ -540,7 +562,7 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
     assert main(argv) == EXIT_OK
     assert simulated == [16]
     simulated.clear()
-    reproduce._bias_identity(7)
+    reproduce._bias_identity(reproduce.BundleRun(7))
     assert len(simulated) == 40  # one per algorithm of the pool
 
     # every row against dense conjugation of the JSON's own rho0 and POVM

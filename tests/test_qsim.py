@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oraclelab.algebra import (
     TOL_NUM,
@@ -488,6 +490,14 @@ def test_random_algorithm_deterministic_and_labeled():
 def test_trial_seeds_deterministic():
     assert trial_seeds(7, 5) == trial_seeds(7, 5)
     assert trial_seeds(7, 5) != trial_seeds(8, 5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 60), st.integers(0, 60))
+def test_trial_seeds_of_fewer_trials_are_a_prefix(seed, m, n):
+    # reproduce draws a shared input once and reads prefixes of it
+    m, n = sorted((m, n))
+    assert trial_seeds(seed, m) == trial_seeds(seed, n)[:m]
 
 
 def test_algorithm_json_round_trip():

@@ -377,6 +377,17 @@ def test_falsify_budget():
         quantum_useless_falsify(make_parity(4), queries=1, trials=1, seed=0, z_dim=155)
 
 
+@pytest.mark.parametrize("z_dim", [0, -2])
+def test_falsify_names_a_z_dim_below_one(z_dim):
+    # a negative z_dim gives a negative dimension, which passes the ceiling
+    extras = [random_algorithm(4, cyclic(2), 1, 1, 3)]
+    for trials, extra in ((1, ()), (0, extras)):
+        with pytest.raises(ValueError, match=f"z_dim must be >= 1, got {z_dim}"):
+            quantum_useless_falsify(
+                make_parity(4), 1, trials=trials, seed=0, z_dim=z_dim, extra_algorithms=extra
+            )
+
+
 def test_falsify_holds_one_random_algorithm_at_a_time(monkeypatch):
     # at the dimension ceiling a random algorithm holds ~50 MB, so trials
     # are built as they are simulated, never all up front
