@@ -115,7 +115,7 @@ def parity_with_padding(n: int) -> tuple[LearningProblem, QuantumAlgorithm]:
     padded = LearningProblem(
         domain_size=n + 1,
         group=base.group,
-        functions=tuple(f + (0,) for f in base.functions),
+        functions=np.pad(base.functions, ((0, 0), (0, 1))),
         labels=base.labels,
         prior=base.prior,
         name=f"parity-{n}-padded",

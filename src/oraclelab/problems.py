@@ -1,5 +1,13 @@
 """Learning problems: a finite class of oracle tables, a partition, a prior.
 
+A class is one read-only (|C|, |X|) array ``functions``, row i the table of
+function i, in dtype ``np.min_scalar_type(order - 1)`` (object, holding
+Python ints, above order 2^64), with a 1-d array of part ``labels``. The
+generators list rows in ``itertools.product`` order, first point most
+significant: parity table t has f[x] = (t >> (N-1-x)) & 1, image-parity the
+same in base 3, and Shamir rows run over (a_0, ..., a_k) lexicographically.
+Witnesses depend on this order.
+
 Priors are exact ``fractions.Fraction`` weights so that query-uselessness
 can be decided by rational equality rather than floating-point tolerance.
 
@@ -12,10 +20,12 @@ field points {1..p-1}) document the shift; transcripts handed to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .algebra import (
     FiniteAbelianGroup,
@@ -33,7 +43,9 @@ Transcript = Sequence[tuple[int, int]]
 # ceiling (useless.MAX_TABLE_CELLS = 10^7): parity-11 reads at most
 # 6 * C(11, 6) * 2^11 = 5,677,056 cells, parity-12 needs 16,220,160 at k = 5.
 MAX_PARITY_N = 11
-MAX_SHAMIR_CLASS = 10**6
+# Cells |C| * |X| of a class; `problem --out` of shamir-157-1 (3.8 * 10^6 cells) takes about 4 s.
+# At most MAX_TABLE_CELLS, as the cheapest exact check at any k >= 1 reads |C| * |X| cells.
+MAX_CLASS_CELLS = 2**22
 
 # Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
 # below psi_13 (Sorenson and Webster, 2015), so is_prime is exact there.
@@ -41,59 +53,78 @@ PRIMALITY_CEILING = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearningProblem:
-    """A function class with a disjoint part labeling and an exact prior."""
+    """A function class with a disjoint part labeling and an exact prior,
+    also held as Python-int ``weights`` over ``scale`` and as floats."""
 
     domain_size: int
     group: FiniteAbelianGroup
-    functions: tuple[tuple[int, ...], ...]
-    labels: tuple[int, ...]
+    functions: np.ndarray
+    labels: np.ndarray
     prior: tuple[Fraction, ...]
-    name: str = field(default="problem", compare=False)
+    name: str = "problem"
+    weights: tuple[int, ...] = field(init=False, repr=False)
+    scale: int = field(init=False, repr=False)
+    float_prior: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        functions = tuple(tuple(int(v) for v in f) for f in self.functions)
-        labels = tuple(int(j) for j in self.labels)
-        prior = tuple(Fraction(w) for w in self.prior)
         if self.domain_size < 1:
             raise ValueError("domain_size must be >= 1")
-        if not functions:
+        if not len(self.functions):
             raise ValueError("the function class must be non-empty")
-        if len(labels) != len(functions) or len(prior) != len(functions):
+        cells = len(self.functions) * self.domain_size
+        if cells > MAX_CLASS_CELLS:
+            raise CapacityError(f"{cells} table cells exceed MAX_CLASS_CELLS={MAX_CLASS_CELLS}")
+        bad = next((f for f in self.functions if np.shape(f) != (self.domain_size,)), None)
+        if bad is not None:
+            raise ValueError(f"function table {bad} does not cover the domain")
+        functions, labels = np.array(self.functions), np.array(self.labels)  # copies
+        if functions.dtype.kind not in "biuO" or labels.dtype.kind not in "biuO":
+            raise ValueError("function table values and labels must be integers")
+        prior = tuple(Fraction(w) for w in self.prior)
+        if labels.shape != (len(functions),) or len(prior) != len(functions):
             raise ValueError("functions, labels and prior must have equal length")
         order = self.group.order
-        for f in functions:
-            if len(f) != self.domain_size:
-                raise ValueError(f"function table {f} does not cover the domain")
-            if any(not 0 <= v < order for v in f):
-                raise ValueError(f"function table {f} has values outside [0, {order})")
-        if len(set(functions)) != len(functions):
+        outside = ((functions < 0) | (functions >= order)).any(axis=1)
+        if outside.any():
+            bad = tuple(functions[outside.argmax()].tolist())
+            raise ValueError(f"function table {bad} has values outside [0, {order})")
+        functions = functions.astype(np.min_scalar_type(order - 1))
+        if len(set(map(tuple, functions.tolist()))) != len(functions):
             raise ValueError("duplicate function tables in the class")
         if any(w < 0 for w in prior):
             raise ValueError("prior weights must be non-negative")
-        if sum(prior) != 1:
+        scale = math.lcm(*(w.denominator for w in prior))
+        weights = tuple(w.numerator * (scale // w.denominator) for w in prior)
+        if sum(weights) != scale:
             raise ValueError(f"prior sums to {sum(prior)}, expected exactly 1")
+        float_prior = np.array([w / scale for w in weights])  # rounded as float(Fraction) is
+        for array in (functions, labels, float_prior):
+            array.flags.writeable = False
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "float_prior", float_prior)
 
     @property
     def size(self) -> int:
         return len(self.functions)
 
     def part_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.labels)))
+        return tuple(sorted(set(self.labels.tolist())))
 
     def part_prior(self) -> dict[int, Fraction]:
-        out = {j: Fraction(0) for j in self.part_labels()}
-        for j, w in zip(self.labels, self.prior):
-            out[j] += w
-        return out
+        masses = dict.fromkeys(self.part_labels(), 0)
+        for j, w in zip(self.labels.tolist(), self.weights):
+            masses[j] += w
+        return {j: Fraction(m, self.scale) for j, m in masses.items()}
 
 
-def _event_constraints(problem: LearningProblem, transcript: Transcript) -> dict[int, int] | None:
-    """Collapse a transcript to one constraint per point; None if inconsistent.
+def event_indices(problem: LearningProblem, transcript: Transcript) -> tuple[int, ...]:
+    """Indices of the functions consistent with every pair in the transcript.
 
     A repeated point with two different responses makes the event empty.
     """
@@ -105,19 +136,9 @@ def _event_constraints(problem: LearningProblem, transcript: Transcript) -> dict
         if not 0 <= y < problem.group.order:
             raise ValueError(f"response {y} outside [0, {problem.group.order})")
         if constraints.setdefault(x, y) != y:
-            return None
-    return constraints
-
-
-def event_indices(problem: LearningProblem, transcript: Transcript) -> tuple[int, ...]:
-    """Indices of the functions consistent with every pair in the transcript."""
-    constraints = _event_constraints(problem, transcript)
-    if constraints is None:
-        return ()
-    items = tuple(constraints.items())
-    return tuple(
-        i for i, f in enumerate(problem.functions) if all(f[x] == y for x, y in items)
-    )
+            return ()
+    cut = problem.functions[:, list(constraints)]
+    return tuple(np.flatnonzero((cut == list(constraints.values())).all(axis=1)).tolist())
 
 
 def posterior_classical(
@@ -129,32 +150,36 @@ def posterior_classical(
     Returns ``None`` when the event has probability zero: the posterior is
     undefined there, which is distinct from any arithmetic failure.
     """
-    indices = event_indices(problem, transcript)
-    total = sum((problem.prior[i] for i in indices), Fraction(0))
+    masses = dict.fromkeys(problem.part_labels(), 0)
+    for i in event_indices(problem, transcript):
+        masses[int(problem.labels[i])] += problem.weights[i]
+    total = sum(masses.values())
     if total == 0:
         return None
-    weights = {j: Fraction(0) for j in problem.part_labels()}
-    for i in indices:
-        weights[problem.labels[i]] += problem.prior[i]
-    return {j: w / total for j, w in weights.items()}
+    return {j: Fraction(m, total) for j, m in masses.items()}
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 
+def _digits(base: int, width: int) -> np.ndarray:
+    """``product(range(base), repeat=width)``: row t is t's digits, most significant first."""
+    places = base ** np.arange(width - 1, -1, -1)
+    return np.arange(base**width)[:, None] // places % base
+
+
 def make_parity(n: int) -> LearningProblem:
     """All functions {1..N} -> Z2, uniform prior, labeled by the mod-2 sum."""
     if not 1 <= n <= MAX_PARITY_N:
         raise CapacityError(f"parity needs 1 <= N <= {MAX_PARITY_N}, got {n}")
-    functions = tuple(product(range(2), repeat=n))
-    weight = Fraction(1, len(functions))
+    functions = _digits(2, n)
     return LearningProblem(
         domain_size=n,
         group=cyclic(2),
         functions=functions,
-        labels=tuple(sum(f) % 2 for f in functions),
-        prior=(weight,) * len(functions),
+        labels=functions.sum(axis=1) % 2,
+        prior=(Fraction(1, 2**n),) * 2**n,
         name=f"parity-{n}",
     )
 
@@ -166,14 +191,13 @@ def make_image_parity() -> LearningProblem:
     the even part is 2/3: of the 27 tables, 18 have image size two against
     3 constants and 6 bijections.
     """
-    functions = tuple(product(range(3), repeat=3))
-    weight = Fraction(1, len(functions))
+    functions = _digits(3, 3)
     return LearningProblem(
         domain_size=3,
         group=cyclic(3),
         functions=functions,
-        labels=tuple(0 if len(set(f)) % 2 == 0 else 1 for f in functions),
-        prior=(weight,) * len(functions),
+        labels=sum((functions == y).any(axis=1) for y in range(3)) % 2,
+        prior=(Fraction(1, 27),) * 27,
         name="image-parity",
     )
 
@@ -199,13 +223,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_eval_mod(coeffs: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for a in reversed(coeffs):
-        acc = (acc * x + a) % p
-    return acc
-
-
 def make_shamir(p: int, k: int) -> LearningProblem:
     """Degree-<=k polynomials over Z_p evaluated on {1..p-1}, secret f(0).
 
@@ -218,22 +235,19 @@ def make_shamir(p: int, k: int) -> LearningProblem:
     if k + 1 >= p:
         raise ValueError(f"need k + 1 < p, got k={k}, p={p}")
     # before trial division; as p >= 3, k + 1 >= the ceiling's bit length overflows it
-    if k + 1 >= MAX_SHAMIR_CLASS.bit_length() or p ** (k + 1) > MAX_SHAMIR_CLASS:
-        raise CapacityError(f"class size {p}^{k + 1} exceeds {MAX_SHAMIR_CLASS}")
+    if k + 1 >= MAX_CLASS_CELLS.bit_length() or p ** (k + 1) * (p - 1) > MAX_CLASS_CELLS:
+        raise CapacityError(f"{p}^{k + 1} * {p - 1} cells exceed MAX_CLASS_CELLS={MAX_CLASS_CELLS}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    functions = []
-    labels = []
-    for coeffs in product(range(p), repeat=k + 1):
-        functions.append(tuple(_poly_eval_mod(coeffs, x, p) for x in range(1, p)))
-        labels.append(coeffs[0])
-    weight = Fraction(1, len(functions))
+    coeffs = _digits(p, k + 1)
+    # the ceiling keeps p below 2^8, so these int64 products are exact
+    vandermonde = np.array([[pow(x, i, p) for x in range(1, p)] for i in range(k + 1)])
     return LearningProblem(
         domain_size=p - 1,
         group=cyclic(p),
-        functions=tuple(functions),
-        labels=tuple(labels),
-        prior=(weight,) * len(functions),
+        functions=coeffs @ vandermonde % p,
+        labels=coeffs[:, 0],
+        prior=(Fraction(1, len(coeffs)),) * len(coeffs),
         name=f"shamir-{p}-{k}",
     )
 
@@ -278,8 +292,8 @@ def problem_to_json(problem: LearningProblem) -> dict:
     return {
         "domain_size": problem.domain_size,
         "group": group_to_json(problem.group),
-        "functions": [list(f) for f in problem.functions],
-        "labels": list(problem.labels),
+        "functions": problem.functions.tolist(),
+        "labels": problem.labels.tolist(),
         "prior": [[w.numerator, w.denominator] for w in problem.prior],
     }
 

@@ -9,17 +9,19 @@ it: criteria 2 and 4 read the 50 labelled 1-query parity-4 algorithms and
 criterion 9 the first 20 of them; criteria 7 and 8 read the 40
 Boolean-oracle algorithms with their acceptance polynomials. Criterion 10
 reruns criteria 1, 2 and 9 on a fresh run of the same seed, so the rerun
-draws again.
+draws again; rows 2 and 9 carry a digest of the algorithms they read, so
+a change of draws shows there even when the printed deviations agree.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
@@ -55,6 +57,9 @@ class BundleRun:
     rows: dict[int, dict] = field(default_factory=dict)
     _parity4: list[QuantumAlgorithm] = field(default_factory=list, init=False, repr=False)
 
+    def __post_init__(self):
+        trial_seeds(self.seed, 0)  # refuses a negative seed before any criterion runs
+
     def parity4_algorithms(self, count: int) -> list[QuantumAlgorithm]:
         """The first ``count`` labelled 1-query parity-4 algorithms.
 
@@ -85,6 +90,16 @@ class BundleRun:
 
 def _accept_set(alg) -> list[int]:
     return [s for s in range(alg.n_outcomes) if s % 2 == 0]
+
+
+def _draws_sha256(algorithms: Sequence[QuantumAlgorithm]) -> str:
+    """Short SHA-256 of the algorithms' factor arrays, in draw order: the
+    state's weights and vectors, the unitaries and the POVM factors."""
+    digest = hashlib.sha256()
+    for alg in algorithms:
+        for array in (*alg.state, *alg.unitaries, *alg.povm):
+            digest.update(array.tobytes())  # C order, whatever the strides
+    return digest.hexdigest()[:16]
 
 
 def _row(cid: int, tag: str, claim: str, expected: str, observed: str, ok: bool) -> dict:
@@ -127,7 +142,7 @@ def _parity_quantum(bundle: BundleRun) -> dict:
         and report.max_deviation < 1e-8
         and lemma_max < 1e-9
     )
-    return _row(
+    row = _row(
         2,
         "parity-quantum",
         "parity of 4 bits: one quantum query shifts no posterior",
@@ -135,6 +150,8 @@ def _parity_quantum(bundle: BundleRun) -> dict:
         f"posterior dev {report.max_deviation:.3e}, mixture dev {lemma_max:.3e}",
         ok,
     )
+    row["draws_sha256"] = _draws_sha256(algorithms)
+    return row
 
 
 def _parity_upper(bundle: BundleRun) -> dict:
@@ -204,8 +221,7 @@ def _shamir(bundle: BundleRun) -> dict:
         bound = quantum_useless_up_to(m) + 1
         recon_ok = True
         points = range(1, p)
-        for coeffs_index, f in enumerate(problem.functions):
-            secret = problem.labels[coeffs_index]
+        for f, secret in zip(problem.functions.tolist(), problem.labels.tolist()):
             for xs in combinations(points, k + 1):
                 shares = [(x, f[x - 1]) for x in xs]
                 if shamir_reconstruct(p, k, shares) != secret:
@@ -266,8 +282,9 @@ def _bias_identity(bundle: BundleRun) -> dict:
 
 def _ratio_audit(bundle: BundleRun) -> dict:
     problem = make_parity(4)
+    algorithms = bundle.parity4_algorithms(COMPILE_TRIALS)
     worst = 0.0
-    for alg in bundle.parity4_algorithms(COMPILE_TRIALS):
+    for alg in algorithms:
         report = corollary5_audit(problem, alg, _accept_set(alg), check_classical=False)
         # an undefined ratio certifies nothing, so it fails the row
         worst = max(worst, report.deviation if report.defined else float("inf"))
@@ -277,7 +294,7 @@ def _ratio_audit(bundle: BundleRun) -> dict:
         and not deutsch_report.identity_holds
         and deutsch_report.classical_useless_2k is False
     )
-    return _row(
+    row = _row(
         9,
         "ratio-audit",
         "accept-mass ratio equals the part prior when twice the query count "
@@ -288,6 +305,8 @@ def _ratio_audit(bundle: BundleRun) -> dict:
         f"{deutsch_report.lhs:.3f} vs rhs {deutsch_report.rhs:.3f}",
         ok,
     )
+    row["draws_sha256"] = _draws_sha256(algorithms)
+    return row
 
 
 def _determinism(bundle: BundleRun) -> dict:

@@ -86,14 +86,9 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list, int] |
     """
     if width == 0:
         return None  # the only event is the sure one, whose posterior is the prior
-    scale = math.lcm(*(w.denominator for w in problem.prior))
-    rows = [
-        (f, j, w.numerator * (scale // w.denominator))
-        for f, j, w in zip(problem.functions, problem.labels, problem.prior)
-    ]
-    part_weights = dict.fromkeys(problem.part_labels(), 0)
-    for _, j, w in rows:
-        part_weights[j] += w
+    scale = problem.scale
+    rows = list(zip(problem.functions.tolist(), problem.labels.tolist(), problem.weights))
+    part_weights = {j: int(w * scale) for j, w in problem.part_prior().items()}
     for points in combinations(range(problem.domain_size), width):
         cut = itemgetter(*points)  # a bare response when width is 1
         totals, masses = defaultdict(int), defaultdict(int)
@@ -194,7 +189,7 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
     """
     _check_match(alg, problem)
     result = run(alg, problem.functions)
-    mu = np.array([float(w) for w in problem.prior])
+    mu = problem.float_prior
 
     def weighted_sum(rows) -> np.ndarray:
         """sum of mu(f) rho_f over ``rows``: A diag(mu(f) w_r) A^H, A their columns."""
@@ -202,9 +197,8 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
         return (vectors * np.outer(mu[rows], result.weights).ravel()) @ vectors.conj().T
 
     mixture = weighted_sum(slice(None))
-    labels = np.array(problem.labels)
     prior = problem.part_prior().items()
-    return max(max_abs(weighted_sum(labels == j) - float(w) * mixture) for j, w in prior)
+    return max(max_abs(weighted_sum(problem.labels == j) - float(w) * mixture) for j, w in prior)
 
 
 def quantum_useless_falsify(

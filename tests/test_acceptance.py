@@ -274,6 +274,25 @@ def test_criterion_10_rerun_draws_its_own_algorithms(monkeypatch, only):
     assert row["id"] == 10 and row["observed"] == "divergent"
 
 
+@pytest.mark.parametrize("only", [None, "determinism"])
+def test_criterion_10_sees_a_change_of_draws(monkeypatch, only):
+    # every draw from the 51st on comes from a shifted seed, so the rerun's
+    # algorithms all differ from the bundle's while their printed deviations
+    # stay at roundoff; the digests in rows 2 and 9 show the change
+    calls = count()
+    draw = reproduce.random_algorithm
+
+    def shifted(x_dim, group, z_dim, queries, seed, **kwargs):
+        return draw(x_dim, group, z_dim, queries, seed + next(calls) // 50, **kwargs)
+
+    monkeypatch.setattr(reproduce, "random_algorithm", shifted)
+    payload = run_all(seed=SEED, only=only)
+    digested = [row["id"] for row in payload["criteria"] if "draws_sha256" in row]
+    assert digested == ([2, 9] if only is None else [])
+    row = payload["criteria"][-1]
+    assert row["id"] == 10 and row["observed"] == "divergent" and not payload["all_pass"]
+
+
 _COUNTED = {
     "random_algorithm": qsim,
     "run": qsim,

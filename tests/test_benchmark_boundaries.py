@@ -10,6 +10,8 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -99,3 +101,25 @@ def test_traced_run_all_spans_each_criterion_once():
     tags = tracing.CRITERION_TAGS
     spans = {tag: stats.get(f"reproduce.criterion.{tag}", (0,))[0] for tag in tags}
     assert spans == dict.fromkeys(tags, 1)
+
+
+def test_one_pass_of_each_benchmark_workload_meets_its_truths(tmp_path, monkeypatch):
+    # the benchmark checks every output against a truth known without the
+    # program; a slip there would otherwise show only as a failed benchmark
+    spec = importlib.util.spec_from_file_location("workloads", TRACING.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # workloads imports tracing by that name, and its dataclasses look it up
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    lab = types.SimpleNamespace(
+        **{short: importlib.import_module(f"oraclelab.{short}") for short in tracing.MODULES}
+    )
+    failed = []
+    for name, workload in workloads.WORKLOADS.items():
+        scratch = tmp_path / name
+        scratch.mkdir()
+        ops = workload.build(lab, 1, str(scratch))
+        assert ops, name
+        failed += [(name, op.name) for op in ops if not op.check(op.run())]
+    assert failed == []

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +74,28 @@ def test_check_classical_violation_exit_one(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["problem", "k", "verdict", "deviation", "witness"]
     assert rows[1][2] == "not_useless"
+
+
+def test_huge_group_problem_file_keeps_its_witness(tmp_path):
+    # no fixed-width dtype holds a group of order 10^30, so the table holds
+    # Python ints; the check still runs and its witness is plain JSON
+    big = 10**30 - 1
+    data = {"domain_size": 1, "group": [10**30], "functions": [[0], [big]],
+            "labels": [0, 1], "prior": [[1, 2], [1, 2]]}
+    path, out = tmp_path / "huge.json", tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    argv = ["check-classical", "--problem", str(path), "--k", "1", "--out", str(out)]
+    assert main(argv) == EXIT_FALSIFIED
+    witness = _read_report(out)["result"]["witness"]
+    assert witness == {"transcript": [[0, 0]], "part": 0, "posterior": [1, 1], "prior": [1, 2]}
+
+
+def test_shamir_over_the_cells_ceiling_exits_two_fast(capsys):
+    # 997^2 tables of 996 cells; the ceiling is checked before anything is built
+    start = time.perf_counter()
+    assert main(["problem", "--gen", "shamir", "--p", "997", "--degree", "1"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1
+    assert "MAX_CLASS_CELLS" in capsys.readouterr().err
 
 
 def test_check_classical_loads_problem_file(tmp_path):
@@ -350,6 +373,10 @@ def test_check_quantum_report(tmp_path):
     [
         ["reproduce", "--seed", "-1"],
         ["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--seed", "-3"],
+        # criteria that draw nothing, or draw from seed + n, refuse it too
+        ["reproduce", "--only", "degree-bound", "--seed", "-2"],
+        ["reproduce", "--only", "shamir", "--seed", "-2"],
+        ["reproduce", "--only", "parity-classical", "--seed", "-2"],
     ],
 )
 def test_negative_seed_is_named(argv, capsys):

@@ -1,13 +1,17 @@
+import json
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
+import numpy as np
 import pytest
 
 from oraclelab import problems
+from oraclelab.algebra import cyclic
 from oraclelab.errors import CapacityError
 from oraclelab.problems import (
     LearningProblem,
+    event_indices,
     is_prime,
     make_image_parity,
     make_parity,
@@ -17,6 +21,7 @@ from oraclelab.problems import (
     problem_to_json,
     shamir_reconstruct,
 )
+from oraclelab.useless import classical_useless
 
 from reference import (
     naive_posterior,
@@ -80,13 +85,22 @@ def test_shamir_evaluation_matches_brute_force():
     p52 = make_shamir(5, 2)
     # tables are produced in lexicographic coefficient order
     for index, coeffs in enumerate(product(range(5), repeat=3)):
-        expected = tuple(poly_eval_mod(coeffs, x, 5) for x in range(1, 5))
-        assert p52.functions[index] == expected
+        expected = [poly_eval_mod(coeffs, x, 5) for x in range(1, 5)]
+        assert p52.functions[index].tolist() == expected
         assert p52.labels[index] == coeffs[0]
     # the worked example f = (2, 1, 3): f(1) = 1
     assert poly_eval_mod((2, 1, 3), 1, 5) == 1
-    idx = p52.functions.index(tuple(poly_eval_mod((2, 1, 3), x, 5) for x in range(1, 5)))
-    assert p52.functions[idx][0] == 1
+    rows = p52.functions.tolist()
+    idx = rows.index([poly_eval_mod((2, 1, 3), x, 5) for x in range(1, 5)])
+    assert p52.functions[idx, 0] == 1
+
+
+def test_generators_keep_product_row_order():
+    # witnesses and problem JSON depend on the row order of itertools.product
+    for problem, base in ((make_parity(5), 2), (make_image_parity(), 3)):
+        rows = list(product(range(base), repeat=problem.domain_size))
+        assert problem.functions.tolist() == [list(f) for f in rows]
+    assert make_parity(5).labels.tolist() == [sum(f) % 2 for f in product(range(2), repeat=5)]
 
 
 def test_shamir_preconditions():
@@ -101,11 +115,30 @@ def test_shamir_preconditions():
 
 
 def test_shamir_class_ceiling_boundary(monkeypatch):
-    monkeypatch.setattr(problems, "MAX_SHAMIR_CLASS", 5**3)
+    # shamir-5-2 holds 5^3 tables of 4 cells
+    monkeypatch.setattr(problems, "MAX_CLASS_CELLS", 5**3 * 4)
     assert make_shamir(5, 2).size == 5**3
-    monkeypatch.setattr(problems, "MAX_SHAMIR_CLASS", 5**3 - 1)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(problems, "MAX_CLASS_CELLS", 5**3 * 4 - 1)
+    with pytest.raises(CapacityError, match="MAX_CLASS_CELLS"):
         make_shamir(5, 2)
+
+
+def test_class_cells_ceiling_boundary(monkeypatch):
+    # the constructor, and so problem_from_json, checks |C| * |X| before
+    # it builds the table
+    data = problem_to_json(make_parity(3))
+    monkeypatch.setattr(problems, "MAX_CLASS_CELLS", 8 * 3)
+    assert problem_from_json(data).size == 8
+    monkeypatch.setattr(problems, "MAX_CLASS_CELLS", 8 * 3 - 1)
+    with pytest.raises(CapacityError, match="MAX_CLASS_CELLS"):
+        problem_from_json(data)
+
+
+def test_class_cells_ceiling_fits_the_exact_check():
+    # at any k >= 1 the cheapest exact check reads |C| * |X| cells
+    from oraclelab.useless import MAX_TABLE_CELLS
+
+    assert problems.MAX_CLASS_CELLS <= MAX_TABLE_CELLS
 
 
 def test_shamir_ceiling_precedes_trial_division():
@@ -240,19 +273,74 @@ def test_shamir_reconstruct_over_a_large_prime_is_fast():
 
 
 def test_learning_problem_validation():
-    from oraclelab.algebra import cyclic
-
-    with pytest.raises(ValueError):  # duplicate tables
-        LearningProblem(1, cyclic(2), ((0,), (0,)), (0, 1), (Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError):  # prior does not sum to 1
+    half = (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="duplicate"):
+        LearningProblem(1, cyclic(2), ((0,), (0,)), (0, 1), half)
+    with pytest.raises(ValueError, match="prior sums to 5/6"):
         LearningProblem(1, cyclic(2), ((0,), (1,)), (0, 1), (Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):  # value outside the group
+    with pytest.raises(ValueError, match=r"function table \(2,\) has values outside \[0, 2\)"):
         LearningProblem(1, cyclic(2), ((2,),), (0,), (Fraction(1),))
+    # the bad row is named, whether the rows are ragged or all too short
+    with pytest.raises(ValueError, match=r"function table \(1,\) does not cover the domain"):
+        LearningProblem(2, cyclic(2), ((0, 1), (1,)), (0, 1), half)
+    with pytest.raises(ValueError, match=r"function table \(0,\) does not cover the domain"):
+        LearningProblem(2, cyclic(2), ((0,), (1,)), (0, 1), half)
+    with pytest.raises(ValueError, match="must be integers"):
+        LearningProblem(1, cyclic(2), ((0.5,), (1,)), (0, 1), half)
+
+
+def test_class_table_is_one_read_only_array():
+    problem = make_shamir(5, 2)
+    assert problem.functions.shape == (125, 4) and problem.functions.dtype == np.uint8
+    assert problem.labels.shape == (125,)
+    with pytest.raises(ValueError):
+        problem.functions[0, 0] = 1
+    with pytest.raises(ValueError):
+        problem.labels[0] = 1
+    # the constructor copies, so the caller's array stays writable
+    table = np.array([[0], [1]])
+    LearningProblem(1, cyclic(2), table, [0, 1], (Fraction(1, 2),) * 2)
+    table[0, 0] = 1
+
+
+def test_prior_is_stored_once_in_each_form():
+    prior = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    problem = LearningProblem(1, cyclic(3), ((0,), (1,), (2,)), (4, 4, 9), prior)
+    assert problem.scale == 6 and problem.weights == (1, 2, 3)
+    assert problem.float_prior.tolist() == [float(w) for w in prior]
+    assert problem.part_labels() == (4, 9)
+    assert problem.part_prior() == {4: Fraction(1, 2), 9: Fraction(1, 2)}
 
 
 def test_problem_json_round_trip():
     for problem in (make_parity(3), make_image_parity(), make_shamir(3, 1)):
         data = problem_to_json(problem)
         again = problem_from_json(data, name=problem.name)
-        assert again == problem
+        assert json.dumps(problem_to_json(again)) == json.dumps(data)
+        values = [*chain.from_iterable(data["functions"]), *data["labels"]]
+        assert {type(v) for v in values} == {int}
+
+
+def test_huge_group_table_is_python_ints():
+    # a group of order 10^30 has no fixed-width dtype: the table holds
+    # Python ints, and every check runs on it
+    big, half = 10**30 - 1, (Fraction(1, 2),) * 2
+    problem = LearningProblem(2, cyclic(10**30), ((0, big), (big, 0)), (0, 1), half)
+    assert problem.functions.dtype == object
+    assert posterior_classical(problem, [(0, big)]) == {0: Fraction(0), 1: Fraction(1)}
+    with pytest.raises(ValueError, match="duplicate"):
+        LearningProblem(1, cyclic(10**30), ((big,), (big,)), (0, 1), half)
+
+
+def test_reported_entries_are_python_ints():
+    # json.dumps refuses numpy scalars, so nothing read off the table may leak one
+    big = 10**30 - 1
+    huge = LearningProblem(1, cyclic(10**30), ((0,), (big,)), (0, 1), (Fraction(1, 2),) * 2)
+    for problem, k in ((make_parity(4), 4), (make_shamir(5, 2), 3), (huge, 1)):
+        witness = classical_useless(problem, k).witness
+        entries = [*chain.from_iterable(witness["transcript"]), witness["part"]]
+        assert {type(v) for v in entries} == {int}
+        indices = event_indices(problem, witness["transcript"])
+        assert indices and {type(i) for i in indices} == {int}
+        assert {type(j) for j in problem.part_labels()} == {int}
 
