@@ -56,7 +56,9 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 @dataclass(frozen=True, eq=False)
 class LearningProblem:
     """A function class with a disjoint part labeling and an exact prior,
-    also held as Python-int ``weights`` over ``scale`` and as floats."""
+    also held as Python-int ``weights`` over ``scale`` and as floats. Row i
+    is in part r = ``part_index[i]``, of label ``part_labels()[r]`` and
+    Python-int mass ``part_masses[r]`` over ``scale``."""
 
     domain_size: int
     group: FiniteAbelianGroup
@@ -67,15 +69,16 @@ class LearningProblem:
     weights: tuple[int, ...] = field(init=False, repr=False)
     scale: int = field(init=False, repr=False)
     float_prior: np.ndarray = field(init=False, repr=False)
+    part_index: np.ndarray = field(init=False, repr=False)
+    part_masses: np.ndarray = field(init=False, repr=False)
+    _part_labels: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
             raise ValueError("domain_size must be >= 1")
         if not len(self.functions):
             raise ValueError("the function class must be non-empty")
-        cells = len(self.functions) * self.domain_size
-        if cells > MAX_CLASS_CELLS:
-            raise CapacityError(f"{cells} table cells exceed MAX_CLASS_CELLS={MAX_CLASS_CELLS}")
+        _check_cells(len(self.functions), self.domain_size)
         bad = next((f for f in self.functions if np.shape(f) != (self.domain_size,)), None)
         if bad is not None:
             raise ValueError(f"function table {bad} does not cover the domain")
@@ -91,7 +94,7 @@ class LearningProblem:
             bad = tuple(functions[outside.argmax()].tolist())
             raise ValueError(f"function table {bad} has values outside [0, {order})")
         functions = functions.astype(np.min_scalar_type(order - 1))
-        if len(set(map(tuple, functions.tolist()))) != len(functions):
+        if len(_group_rows(functions)[1]) != len(functions):
             raise ValueError("duplicate function tables in the class")
         if any(w < 0 for w in prior):
             raise ValueError("prior weights must be non-negative")
@@ -100,7 +103,10 @@ class LearningProblem:
         if sum(weights) != scale:
             raise ValueError(f"prior sums to {sum(prior)}, expected exactly 1")
         float_prior = np.array([w / scale for w in weights])  # rounded as float(Fraction) is
-        for array in (functions, labels, float_prior):
+        parts, part_index = np.unique(labels, return_inverse=True)
+        part_masses = np.zeros(len(parts), dtype=object)
+        np.add.at(part_masses, part_index, np.array(weights, dtype=object))
+        for array in (functions, labels, float_prior, part_index, part_masses):
             array.flags.writeable = False
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "labels", labels)
@@ -108,19 +114,35 @@ class LearningProblem:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "float_prior", float_prior)
+        object.__setattr__(self, "part_index", part_index)
+        object.__setattr__(self, "part_masses", part_masses)
+        object.__setattr__(self, "_part_labels", tuple(parts.tolist()))
 
     @property
     def size(self) -> int:
         return len(self.functions)
 
     def part_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.labels.tolist())))
+        return self._part_labels
 
     def part_prior(self) -> dict[int, Fraction]:
-        masses = dict.fromkeys(self.part_labels(), 0)
-        for j, w in zip(self.labels.tolist(), self.weights):
-            masses[j] += w
-        return {j: Fraction(m, self.scale) for j, m in masses.items()}
+        return {j: Fraction(m, self.scale) for j, m in zip(self._part_labels, self.part_masses)}
+
+
+def _check_cells(rows: int, domain_size: int) -> None:
+    """Refuse a class of more than ``MAX_CLASS_CELLS`` cells before it is built or read."""
+    cells = rows * domain_size
+    if cells > MAX_CLASS_CELLS:
+        raise CapacityError(f"{cells} table cells exceed MAX_CLASS_CELLS={MAX_CLASS_CELLS}")
+
+
+def _group_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable sorted row order of a uint or object
+    table, and where each run of equal rows begins in it."""
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    changed = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(np.concatenate(([True], changed)))
 
 
 def event_indices(problem: LearningProblem, transcript: Transcript) -> tuple[int, ...]:
@@ -150,13 +172,14 @@ def posterior_classical(
     Returns ``None`` when the event has probability zero: the posterior is
     undefined there, which is distinct from any arithmetic failure.
     """
-    masses = dict.fromkeys(problem.part_labels(), 0)
-    for i in event_indices(problem, transcript):
-        masses[int(problem.labels[i])] += problem.weights[i]
-    total = sum(masses.values())
+    rows = list(event_indices(problem, transcript))
+    weights = np.array([problem.weights[i] for i in rows], dtype=object)  # never float64
+    masses = np.zeros(len(problem.part_masses), dtype=object)
+    np.add.at(masses, problem.part_index[rows], weights)
+    total = masses.sum()
     if total == 0:
         return None
-    return {j: Fraction(m, total) for j, m in masses.items()}
+    return {j: Fraction(m, total) for j, m in zip(problem.part_labels(), masses.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +322,10 @@ def problem_to_json(problem: LearningProblem) -> dict:
 
 
 def problem_from_json(data: Mapping, name: str = "problem") -> LearningProblem:
+    domain_size = int_from_json(data["domain_size"])
+    _check_cells(len(data["functions"]), domain_size)  # before any cell is converted
     return LearningProblem(
-        domain_size=int_from_json(data["domain_size"]),
+        domain_size=domain_size,
         group=group_from_json(data["group"]),
         functions=tuple(tuple(int_from_json(v) for v in f) for f in data["functions"]),
         labels=tuple(int_from_json(j) for j in data["labels"]),

@@ -235,7 +235,7 @@ def joint_distribution(alg: QuantumAlgorithm, problem: LearningProblem) -> np.nd
     table; no other code sums a class's outcome table by part.
     """
     _check_match(alg, problem)
-    in_part = np.equal.outer(problem.part_labels(), problem.labels)  # (J, |C|)
+    in_part = np.arange(len(problem.part_masses))[:, None] == problem.part_index  # (J, |C|)
     table = (in_part * problem.float_prior) @ run(alg, problem.functions).outcome_probs
     if abs(table.sum() - 1.0) > TOL_NUM:
         raise ArithmeticError(f"joint distribution sums to {table.sum()}, not 1")

@@ -1,8 +1,10 @@
 """Uselessness certification and query lower bounds.
 
 Classical verdicts are exact: on each point-set of the query budget's
-size the checker groups the class by its restricted table and compares
-each part's share of every group with its prior in integer arithmetic.
+size the checker sorts the class rows once by (restricted table, part),
+sums the Python-int prior weights of each run of equal rows with
+``np.add.reduceat``, and compares each part's share of every group with
+its prior by integer cross-multiplication.
 Quantum verdicts from sampling are one-sided: a deviation is a proof that
 queries leak information, while the absence of one across random trials is
 evidence only. The proof route for quantum uselessness is the classical
@@ -12,17 +14,15 @@ certificate: if 2q classical queries are useless, q quantum queries are.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import max_abs
 from .errors import CapacityError
-from .problems import LearningProblem, posterior_classical
+from .problems import LearningProblem, _group_rows, posterior_classical
 from .qsim import (
     QuantumAlgorithm,
     _check_match,
@@ -77,31 +77,29 @@ class UselessnessReport:
 CSV_HEADER = ["problem", "k", "verdict", "deviation", "witness"]
 
 
-def _first_violation(problem: LearningProblem, width: int) -> tuple[list, int] | None:
-    """(pairs, part) of the first event on ``width`` points moving a part, or None.
-
-    Weights are Python ints over the prior's common denominator D, so an
-    event of mass m passes when each part's mass times D equals its prior
-    weight times m; an event of mass zero passes as 0 == 0.
-    """
-    if width == 0:
-        return None  # the only event is the sure one, whose posterior is the prior
-    scale = problem.scale
-    rows = list(zip(problem.functions.tolist(), problem.labels.tolist(), problem.weights))
-    part_weights = {j: int(w * scale) for j, w in problem.part_prior().items()}
-    for points in combinations(range(problem.domain_size), width):
-        cut = itemgetter(*points)  # a bare response when width is 1
-        totals, masses = defaultdict(int), defaultdict(int)
-        for f, j, w in rows:
-            key = cut(f)
-            totals[key] += w
-            masses[key, j] += w
-        for key, total in totals.items():
-            for j, part_weight in part_weights.items():
-                if masses.get((key, j), 0) * scale != part_weight * total:
-                    responses = key if width > 1 else (key,)
-                    return list(zip(points, responses)), j
-    return None
+def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
+    """(pairs of the first event on ``width`` points moving a part, or None;
+    the point-sets read). Each point-set sorts the rows once by (restricted
+    table, part). With Python-int weights over the prior's denominator D, a
+    group of mass m passes when each part in it has mass times D equal to
+    its prior weight times m; those masses sum to m, so a part absent from
+    it has prior weight 0. The witness is the failing group whose first row
+    comes earliest."""
+    scale, part_index, part_masses = problem.scale, problem.part_index, problem.part_masses
+    weights = np.array(problem.weights, dtype=object)
+    for point_sets, points in enumerate(combinations(range(problem.domain_size), width), 1):
+        table = np.column_stack((problem.functions[:, points], part_index))
+        order, starts = _group_rows(table)
+        first_rows = order[starts]  # of each segment, as the sort is stable
+        keys, mass = table[first_rows], np.add.reduceat(weights[order], starts)
+        new_group = np.concatenate(([True], (keys[1:, :-1] != keys[:-1, :-1]).any(axis=1)))
+        firsts, group = np.flatnonzero(new_group), np.cumsum(new_group) - 1
+        total = np.add.reduceat(mass, firsts)
+        failing = group[mass * scale != part_masses[part_index[first_rows]] * total[group]]
+        if len(failing):
+            g = failing[np.argmin(np.minimum.reduceat(first_rows, firsts)[failing])]
+            return list(zip(points, keys[firsts[g], :-1].tolist())), point_sets
+    return None, math.comb(problem.domain_size, width)
 
 
 def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
@@ -113,7 +111,8 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     k' * C(|X|, k') * |C| table cells (capped by ``MAX_TABLE_CELLS``). A
     witness is the violating event's k' pairs, unpadded (repeating a query
     adds nothing), with its posterior replayed by
-    :func:`posterior_classical`.
+    :func:`posterior_classical` and the first part it moves. ``detail``
+    counts the point-sets and table cells read, up to the witness's own.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -124,17 +123,16 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
             f"classical check reads {cost} table cells, over the ceiling "
             f"MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
         )
-    violation = _first_violation(problem, width)
+    pairs, point_sets = _first_violation(problem, width)
     witness = None
-    if violation is not None:
-        pairs, j = violation
-        posterior = posterior_classical(problem, pairs)[j]
-        prior = problem.part_prior()[j]
+    if pairs is not None:
+        posterior, prior = posterior_classical(problem, pairs), problem.part_prior()
+        j = next(j for j in prior if posterior[j] != prior[j])  # in label order
         witness = {
             "transcript": [[x, y] for x, y in pairs],
             "part": j,
-            "posterior": [posterior.numerator, posterior.denominator],
-            "prior": [prior.numerator, prior.denominator],
+            "posterior": [posterior[j].numerator, posterior[j].denominator],
+            "prior": [prior[j].numerator, prior[j].denominator],
         }
     return UselessnessReport(
         problem=problem.name,
@@ -143,6 +141,7 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
         verdict=VERDICT_USELESS if witness is None else VERDICT_NOT_USELESS,
         evidence="exact-enumeration",
         witness=witness,
+        detail={"point_sets": point_sets, "cells_read": width * point_sets * problem.size},
     )
 
 
@@ -197,8 +196,8 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
         return (vectors * np.outer(mu[rows], result.weights).ravel()) @ vectors.conj().T
 
     mixture = weighted_sum(slice(None))
-    prior = problem.part_prior().items()
-    return max(max_abs(weighted_sum(problem.labels == j) - float(w) * mixture) for j, w in prior)
+    shares = enumerate(m / problem.scale for m in problem.part_masses)  # as float(Fraction) rounds
+    return max(max_abs(weighted_sum(problem.part_index == r) - w * mixture) for r, w in shares)
 
 
 def quantum_useless_falsify(
@@ -231,7 +230,7 @@ def quantum_useless_falsify(
     if dim > MAX_DIM:
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")
     parts = problem.part_labels()
-    prior = np.array([float(w) for w in problem.part_prior().values()])  # in ``parts`` order
+    prior = np.array([m / problem.scale for m in problem.part_masses])  # in ``parts`` order
     # built one at a time: at MAX_DIM each random algorithm holds ~50 MB
     algorithms = chain(
         ((f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)),

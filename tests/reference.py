@@ -5,8 +5,10 @@ full transcript enumeration, explicit subset sums, direct character sums.
 These must stay independent of the library code paths they check.
 """
 
+from collections import defaultdict
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,6 +45,35 @@ def naive_classical_useless(problem, k):
                 if posterior[j] != prior[j]:
                     return False, transcript
     return True, None
+
+
+def dict_loop_first_violation(problem, width):
+    """(pairs, part) of the first event on ``width`` points moving a part, or None.
+
+    One dict of group totals and one of (group, part) masses per point-set,
+    filled row by row in Python ints over the prior's common denominator D;
+    groups are visited in order of their first row, parts in label order.
+    """
+    if width == 0:
+        return None  # the only event is the sure one, whose posterior is the prior
+    scale = problem.scale
+    rows = list(zip(problem.functions.tolist(), problem.labels.tolist(), problem.weights))
+    part_weights = defaultdict(int)
+    for _, j, w in rows:
+        part_weights[j] += w
+    for points in combinations(range(problem.domain_size), width):
+        cut = itemgetter(*points)  # a bare response when width is 1
+        totals, masses = defaultdict(int), defaultdict(int)
+        for f, j, w in rows:
+            key = cut(f)
+            totals[key] += w
+            masses[key, j] += w
+        for key, total in totals.items():
+            for j in sorted(part_weights):
+                if masses.get((key, j), 0) * scale != part_weights[j] * total:
+                    responses = key if width > 1 else (key,)
+                    return list(zip(points, responses)), j
+    return None
 
 
 def brute_interp_coeffs(values):

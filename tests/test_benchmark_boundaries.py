@@ -105,21 +105,29 @@ def test_traced_run_all_spans_each_criterion_once():
 
 def test_one_pass_of_each_benchmark_workload_meets_its_truths(tmp_path, monkeypatch):
     # the benchmark checks every output against a truth known without the
-    # program; a slip there would otherwise show only as a failed benchmark
+    # program, and its traced run needs every boundary a workload expects to
+    # fire; a slip in either would otherwise show only in a benchmark run
     spec = importlib.util.spec_from_file_location("workloads", TRACING.parent / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # workloads imports tracing by that name, and its dataclasses look it up
     monkeypatch.setitem(sys.modules, "tracing", tracing)
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spec.loader.exec_module(workloads)
-    lab = types.SimpleNamespace(
-        **{short: importlib.import_module(f"oraclelab.{short}") for short in tracing.MODULES}
-    )
-    failed = []
-    for name, workload in workloads.WORKLOADS.items():
-        scratch = tmp_path / name
-        scratch.mkdir()
-        ops = workload.build(lab, 1, str(scratch))
-        assert ops, name
-        failed += [(name, op.name) for op in ops if not op.check(op.run())]
+    modules = {short: importlib.import_module(f"oraclelab.{short}") for short in tracing.MODULES}
+    lab = types.SimpleNamespace(**modules)
+    tracer = tracing.Tracer()
+    tracer.install(oraclelab, modules)
+    failed, silent = [], {}
+    try:
+        for name, workload in workloads.WORKLOADS.items():
+            scratch = tmp_path / name
+            scratch.mkdir()
+            ops = workload.build(lab, 1, str(scratch))
+            assert ops, name
+            failed += [(name, op.name) for op in ops if not op.check(op.run())]
+            stats, _ = tracer.take()
+            silent[name] = sorted(set(workload.expected) - set(stats))
+    finally:
+        tracer.enable(False)
     assert failed == []
+    assert silent == dict.fromkeys(workloads.WORKLOADS, [])

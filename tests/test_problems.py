@@ -134,6 +134,19 @@ def test_class_cells_ceiling_boundary(monkeypatch):
         problem_from_json(data)
 
 
+def test_problem_file_over_the_ceiling_is_refused_before_its_cells_are_read(monkeypatch):
+    # a file one cell over the ceiling is refused for its size, even when a
+    # cell is malformed: no cell is converted before the ceiling is checked
+    data = problem_to_json(make_parity(3))
+    data["functions"][-1][-1] = 2.5
+    monkeypatch.setattr(problems, "MAX_CLASS_CELLS", 8 * 3 - 1)
+    with pytest.raises(CapacityError, match="MAX_CLASS_CELLS"):
+        problem_from_json(data)
+    monkeypatch.setattr(problems, "MAX_CLASS_CELLS", 8 * 3)
+    with pytest.raises(ValueError, match="2.5"):
+        problem_from_json(data)
+
+
 def test_class_cells_ceiling_fits_the_exact_check():
     # at any k >= 1 the cheapest exact check reads |C| * |X| cells
     from oraclelab.useless import MAX_TABLE_CELLS
@@ -330,6 +343,14 @@ def test_huge_group_table_is_python_ints():
     assert posterior_classical(problem, [(0, big)]) == {0: Fraction(0), 1: Fraction(1)}
     with pytest.raises(ValueError, match="duplicate"):
         LearningProblem(1, cyclic(10**30), ((big,), (big,)), (0, 1), half)
+
+
+def test_posterior_sums_weights_past_int64_as_python_ints():
+    # numpy reads the list [0, 2^63 + 1, 1] as float64, which would round the masses
+    big = 2**63 + 1
+    prior = (Fraction(0), Fraction(big, big + 1), Fraction(1, big + 1))
+    problem = LearningProblem(1, cyclic(3), ((0,), (1,), (2,)), (0, 0, 1), prior)
+    assert posterior_classical(problem, []) == {0: prior[1], 1: prior[2]}
 
 
 def test_reported_entries_are_python_ints():

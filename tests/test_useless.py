@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oraclelab import useless
@@ -36,7 +36,7 @@ from oraclelab.useless import (
     quantum_useless_falsify,
 )
 
-from reference import dense_run, naive_classical_useless
+from reference import dense_run, dict_loop_first_violation, naive_classical_useless
 
 
 def test_classical_useless_parity_examples():
@@ -99,15 +99,19 @@ def test_classical_useless_monotone():
 
 
 @st.composite
-def small_problems(draw):
-    group = FiniteAbelianGroup(draw(st.sampled_from([(2,), (3,), (2, 2)])))
-    n = draw(st.integers(1, 3 if group.order <= 3 else 2))
-    tables = list(product(range(group.order), repeat=n))
+def small_problems(draw, groups=st.sampled_from([(2,), (3,), (2, 2)])):
+    group = FiniteAbelianGroup(draw(groups))
+    # tables take q values; a group of order above 4 spreads 3 of them over
+    # its range, and its labels with them
+    q = group.order if group.order <= 4 else 3
+    spread = group.order // q
+    n = draw(st.integers(1, 3 if q <= 3 else 2))
+    tables = list(product(range(q), repeat=n))
     if draw(st.booleans()):
         # the full class labeled by the table's value sum, weighted per part:
         # often useless below |X| queries
-        labels = [sum(f) % group.order for f in tables]
-        part_weight = draw(st.lists(st.integers(0, 3), min_size=group.order, max_size=group.order))
+        labels = [sum(f) % q for f in tables]
+        part_weight = draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))
         raw = [part_weight[j] for j in labels]
     else:
         tables = draw(st.lists(st.sampled_from(tables), min_size=1, max_size=8, unique=True))
@@ -118,11 +122,51 @@ def small_problems(draw):
     return LearningProblem(
         domain_size=n,
         group=group,
-        functions=tuple(tables),
-        labels=tuple(labels),
+        functions=tuple(tuple(v * spread for v in f) for f in tables),
+        labels=tuple(j * spread for j in labels),
         prior=tuple(Fraction(w, sum(raw)) for w in raw),
         name="random",
     )
+
+
+def _witnesses_match_the_dict_loop_scan(problem):
+    for width in range(problem.domain_size + 1):
+        witness = classical_useless(problem, width).witness
+        if witness is not None:
+            witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
+        assert witness == dict_loop_first_violation(problem, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems())
+def test_kernel_witness_matches_the_dict_loop_scan(problem):
+    _witnesses_match_the_dict_loop_scan(problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems())
+def test_kernel_witness_matches_the_dict_loop_scan_above_a_scale_of_2_64(problem):
+    # part j's weights times 2^65 + j keeps each part's weights equal, so a
+    # useless class stays useless, while the scale, and scale^2 with it,
+    # passes int64: every mass and product stays a Python int
+    weights = [w * (2**65 + j) for w, j in zip(problem.weights, problem.labels.tolist())]
+    problem = LearningProblem(
+        problem.domain_size,
+        problem.group,
+        problem.functions,
+        problem.labels,
+        tuple(Fraction(w, sum(weights)) for w in weights),
+    )
+    assume(problem.scale > 2**64)
+    _witnesses_match_the_dict_loop_scan(problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems(groups=st.just((10**30,))))
+def test_kernel_witness_matches_the_dict_loop_scan_on_a_group_of_order_10_30(problem):
+    # the table and the labels are object arrays of Python ints
+    assert problem.functions.dtype == object
+    _witnesses_match_the_dict_loop_scan(problem)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,6 +198,29 @@ def test_classical_useless_ceiling_is_cells_read(monkeypatch):
     monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost - 1)
     with pytest.raises(CapacityError):
         classical_useless(problem, 3)
+
+
+@pytest.mark.parametrize("problem,k", [(make_parity(6), 5), (make_shamir(7, 2), 2)])
+def test_useless_verdict_reads_every_point_set(problem, k):
+    report = classical_useless(problem, k)
+    assert report.verdict == VERDICT_USELESS
+    sets = math.comb(problem.domain_size, k)
+    assert report.detail == {"point_sets": sets, "cells_read": k * sets * problem.size}
+
+
+def test_witness_reads_the_point_sets_up_to_its_own():
+    # the label is f(1), so the second of the four one-point sets moves a part
+    tables = tuple(product(range(2), repeat=4))
+    problem = LearningProblem(4, cyclic(2), tables, [f[1] for f in tables], (Fraction(1, 16),) * 16)
+    report = classical_useless(problem, 1)
+    assert report.witness["transcript"] == [[1, 0]]
+    assert report.detail == {"point_sets": 2, "cells_read": 1 * 2 * 16}
+    for problem, k in ((make_parity(6), 6), (make_shamir(7, 2), 3)):
+        report = classical_useless(problem, k)
+        assert report.verdict == VERDICT_NOT_USELESS
+        sets = report.detail["point_sets"]
+        assert 1 <= sets <= math.comb(problem.domain_size, k)
+        assert report.detail["cells_read"] == k * sets * problem.size
 
 
 def test_classical_witness_beyond_domain_is_padded():
