@@ -326,7 +326,7 @@ def corollary5_audit(
     part_mass = joint_distribution(alg, problem)[:, accept].sum(axis=1)
     first = parts[0]
     lhs_mass, total_mass = float(part_mass[0]), float(part_mass.sum())
-    rhs = problem.part_masses[0] / problem.scale
+    rhs = problem.part_shares()[0]
     defined = total_mass > EPS_COND
     lhs = lhs_mass / total_mass if defined else float("nan")
     deviation = abs(lhs - rhs) if defined else float("nan")

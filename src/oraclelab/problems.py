@@ -58,7 +58,9 @@ class LearningProblem:
     """A function class with a disjoint part labeling and an exact prior,
     also held as Python-int ``weights`` over ``scale`` and as floats. Row i
     is in part r = ``part_index[i]``, of label ``part_labels()[r]`` and
-    Python-int mass ``part_masses[r]`` over ``scale``."""
+    Python-int mass ``part_masses[r]`` over ``scale``. ``weights`` and
+    ``part_masses`` are object arrays of Python ints; ``part_index`` is
+    unsigned, so it stacks beside the table without a float promotion."""
 
     domain_size: int
     group: FiniteAbelianGroup
@@ -66,7 +68,7 @@ class LearningProblem:
     labels: np.ndarray
     prior: tuple[Fraction, ...]
     name: str = "problem"
-    weights: tuple[int, ...] = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
     scale: int = field(init=False, repr=False)
     float_prior: np.ndarray = field(init=False, repr=False)
     part_index: np.ndarray = field(init=False, repr=False)
@@ -99,14 +101,15 @@ class LearningProblem:
         if any(w < 0 for w in prior):
             raise ValueError("prior weights must be non-negative")
         scale = math.lcm(*(w.denominator for w in prior))
-        weights = tuple(w.numerator * (scale // w.denominator) for w in prior)
-        if sum(weights) != scale:
+        weights = np.array([w.numerator * (scale // w.denominator) for w in prior], dtype=object)
+        if weights.sum() != scale:
             raise ValueError(f"prior sums to {sum(prior)}, expected exactly 1")
         float_prior = np.array([w / scale for w in weights])  # rounded as float(Fraction) is
         parts, part_index = np.unique(labels, return_inverse=True)
+        part_index = part_index.astype(np.min_scalar_type(len(parts) - 1))
         part_masses = np.zeros(len(parts), dtype=object)
-        np.add.at(part_masses, part_index, np.array(weights, dtype=object))
-        for array in (functions, labels, float_prior, part_index, part_masses):
+        np.add.at(part_masses, part_index, weights)
+        for array in (functions, labels, weights, float_prior, part_index, part_masses):
             array.flags.writeable = False
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "labels", labels)
@@ -127,6 +130,10 @@ class LearningProblem:
 
     def part_prior(self) -> dict[int, Fraction]:
         return {j: Fraction(m, self.scale) for j, m in zip(self._part_labels, self.part_masses)}
+
+    def part_shares(self) -> list[float]:
+        """Each part's prior as a float, rounded exactly as ``float(Fraction)`` is."""
+        return [m / self.scale for m in self.part_masses]
 
 
 def _check_cells(rows: int, domain_size: int) -> None:
@@ -173,9 +180,8 @@ def posterior_classical(
     undefined there, which is distinct from any arithmetic failure.
     """
     rows = list(event_indices(problem, transcript))
-    weights = np.array([problem.weights[i] for i in rows], dtype=object)  # never float64
     masses = np.zeros(len(problem.part_masses), dtype=object)
-    np.add.at(masses, problem.part_index[rows], weights)
+    np.add.at(masses, problem.part_index[rows], problem.weights[rows])
     total = masses.sum()
     if total == 0:
         return None

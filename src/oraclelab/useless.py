@@ -85,8 +85,8 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     its prior weight times m; those masses sum to m, so a part absent from
     it has prior weight 0. The witness is the failing group whose first row
     comes earliest."""
-    scale, part_index, part_masses = problem.scale, problem.part_index, problem.part_masses
-    weights = np.array(problem.weights, dtype=object)
+    scale, weights, part_index = problem.scale, problem.weights, problem.part_index
+    part_masses = problem.part_masses
     for point_sets, points in enumerate(combinations(range(problem.domain_size), width), 1):
         table = np.column_stack((problem.functions[:, points], part_index))
         order, starts = _group_rows(table)
@@ -196,7 +196,7 @@ def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
         return (vectors * np.outer(mu[rows], result.weights).ravel()) @ vectors.conj().T
 
     mixture = weighted_sum(slice(None))
-    shares = enumerate(m / problem.scale for m in problem.part_masses)  # as float(Fraction) rounds
+    shares = enumerate(problem.part_shares())
     return max(max_abs(weighted_sum(problem.part_index == r) - w * mixture) for r, w in shares)
 
 
@@ -230,7 +230,7 @@ def quantum_useless_falsify(
     if dim > MAX_DIM:
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")
     parts = problem.part_labels()
-    prior = np.array([m / problem.scale for m in problem.part_masses])  # in ``parts`` order
+    prior = np.array(problem.part_shares())  # in ``parts`` order
     # built one at a time: at MAX_DIM each random algorithm holds ~50 MB
     algorithms = chain(
         ((f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)),

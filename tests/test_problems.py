@@ -319,7 +319,7 @@ def test_class_table_is_one_read_only_array():
 def test_prior_is_stored_once_in_each_form():
     prior = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
     problem = LearningProblem(1, cyclic(3), ((0,), (1,), (2,)), (4, 4, 9), prior)
-    assert problem.scale == 6 and problem.weights == (1, 2, 3)
+    assert problem.scale == 6 and problem.weights.tolist() == [1, 2, 3]
     assert problem.float_prior.tolist() == [float(w) for w in prior]
     assert problem.part_labels() == (4, 9)
     assert problem.part_prior() == {4: Fraction(1, 2), 9: Fraction(1, 2)}

@@ -133,6 +133,7 @@ def _witnesses_match_the_dict_loop_scan(problem):
     for width in range(problem.domain_size + 1):
         witness = classical_useless(problem, width).witness
         if witness is not None:
+            assert all(type(v) is int for pair in witness["transcript"] for v in pair)
             witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
         assert witness == dict_loop_first_violation(problem, width)
 
@@ -167,6 +168,25 @@ def test_kernel_witness_matches_the_dict_loop_scan_on_a_group_of_order_10_30(pro
     # the table and the labels are object arrays of Python ints
     assert problem.functions.dtype == object
     _witnesses_match_the_dict_loop_scan(problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems(groups=st.just((2**60,))))
+def test_kernel_witness_matches_the_dict_loop_scan_on_a_group_of_order_2_60(problem):
+    # a uint64 table, whose int64 neighbours would promote it to float64
+    assert problem.functions.dtype == np.uint64
+    _witnesses_match_the_dict_loop_scan(problem)
+
+
+@pytest.mark.parametrize("order, responses", [(2**60, (2**60 - 1, 2**60 - 2)), (2**40, (0, 1))])
+def test_uint64_responses_stay_exact_python_ints(order, responses):
+    # as float64, 2^60 - 1 and 2^60 - 2 both round to 2^60 and the query would look useless
+    tables = tuple((y,) for y in responses)
+    problem = LearningProblem(1, cyclic(order), tables, (0, 1), (Fraction(1, 2),) * 2)
+    report = classical_useless(problem, 1)
+    assert report.verdict == VERDICT_NOT_USELESS
+    assert report.witness["transcript"] == [[0, responses[0]]]
+    assert type(report.witness["transcript"][0][1]) is int
 
 
 @settings(max_examples=40, deadline=None)
