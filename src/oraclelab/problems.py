@@ -21,6 +21,7 @@ field points {1..p-1}) document the shift; transcripts handed to
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -40,9 +41,9 @@ from .errors import CapacityError
 Transcript = Sequence[tuple[int, int]]
 
 # The largest parity class whose every exact check fits the cells-read
-# ceiling (useless.MAX_TABLE_CELLS = 10^7): parity-11 reads at most
-# 6 * C(11, 6) * 2^11 = 5,677,056 cells, parity-12 needs 16,220,160 at k = 5.
-MAX_PARITY_N = 11
+# ceiling (useless.MAX_TABLE_CELLS = 10^8): parity-13 reads at most
+# 7 * C(13, 7) * 2^13 = 98,402,304 cells, parity-14 needs 393,609,216 at k = 7.
+MAX_PARITY_N = 13
 # Cells |C| * |X| of a class; `problem --out` of shamir-157-1 (3.8 * 10^6 cells) takes about 4 s.
 # At most MAX_TABLE_CELLS, as the cheapest exact check at any k >= 1 reads |C| * |X| cells.
 MAX_CLASS_CELLS = 2**22
@@ -84,10 +85,10 @@ class LearningProblem:
         bad = next((f for f in self.functions if np.shape(f) != (self.domain_size,)), None)
         if bad is not None:
             raise ValueError(f"function table {bad} does not cover the domain")
-        functions, labels = np.array(self.functions), np.array(self.labels)  # copies
-        if functions.dtype.kind not in "biuO" or labels.dtype.kind not in "biuO":
-            raise ValueError("function table values and labels must be integers")
-        prior = tuple(Fraction(w) for w in self.prior)
+        functions, labels = _integer_array(self.functions), _integer_array(self.labels)  # copies
+        prior = tuple(self.prior)
+        if not all(type(w) is Fraction for w in prior):
+            prior = tuple(map(Fraction, prior))
         if labels.shape != (len(functions),) or len(prior) != len(functions):
             raise ValueError("functions, labels and prior must have equal length")
         order = self.group.order
@@ -96,12 +97,14 @@ class LearningProblem:
             bad = tuple(functions[outside.argmax()].tolist())
             raise ValueError(f"function table {bad} has values outside [0, {order})")
         functions = functions.astype(np.min_scalar_type(order - 1))
-        if len(_group_rows(functions)[1]) != len(functions):
+        if len(_group_rows(np.ascontiguousarray(functions.T))[1]) != len(functions):
             raise ValueError("duplicate function tables in the class")
-        if any(w < 0 for w in prior):
+        numerators = [w.numerator for w in prior]
+        if min(numerators) < 0:
             raise ValueError("prior weights must be non-negative")
-        scale = math.lcm(*(w.denominator for w in prior))
-        weights = np.array([w.numerator * (scale // w.denominator) for w in prior], dtype=object)
+        denominators = [w.denominator for w in prior]
+        scale = math.lcm(*denominators)
+        weights = np.array([n * (scale // d) for n, d in zip(numerators, denominators)], dtype=object)
         if weights.sum() != scale:
             raise ValueError(f"prior sums to {sum(prior)}, expected exactly 1")
         float_prior = np.array([w / scale for w in weights])  # rounded as float(Fraction) is
@@ -143,12 +146,27 @@ def _check_cells(rows: int, domain_size: int) -> None:
         raise CapacityError(f"{cells} table cells exceed MAX_CLASS_CELLS={MAX_CLASS_CELLS}")
 
 
-def _group_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _integer_array(values) -> np.ndarray:
+    """``values`` as a new integer array. Where numpy would pick float64, as
+    for ints past int64 beside smaller ones, it holds Python ints instead."""
+    array = np.array(values)
+    if array.dtype.kind == "f":
+        objects = np.array(values, dtype=object)
+        if all(isinstance(v, numbers.Integral) for v in objects.flat):
+            array = objects
+    if array.dtype.kind not in "biuO":
+        raise ValueError("function table values and labels must be integers")
+    return array
+
+
+def _group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts): the stable sorted row order of a uint or object
-    table, and where each run of equal rows begins in it."""
-    order = np.lexsort(table.T[::-1])
-    ordered = table[order]
-    changed = (ordered[1:] != ordered[:-1]).any(axis=1)
+    table, and where each run of equal rows begins in it. The table comes
+    as its C-contiguous (columns, rows) transpose, so that every gather and
+    compare runs along a contiguous key."""
+    order = np.lexsort(columns[::-1])
+    ordered = np.take(columns, order, axis=1)
+    changed = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
     return order, np.flatnonzero(np.concatenate(([True], changed)))
 
 

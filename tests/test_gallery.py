@@ -65,7 +65,7 @@ def test_pairwise_parity_rejects_bad_n():
     with pytest.raises(ValueError):
         pairwise_parity(0)
     with pytest.raises(CapacityError):
-        pairwise_parity(14)
+        pairwise_parity((MAX_PARITY_N + 3) // 2 * 2)  # the first even n past MAX_PARITY_N + 1
 
 
 def test_parity_with_padding_at_the_parity_ceiling():

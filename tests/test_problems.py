@@ -54,10 +54,11 @@ def test_make_parity_two_is_deutsch_problem():
 
 
 def test_make_parity_capacity():
+    assert make_parity(problems.MAX_PARITY_N).size == 2**problems.MAX_PARITY_N
     with pytest.raises(CapacityError):
-        make_parity(12)
+        make_parity(problems.MAX_PARITY_N + 1)
     with pytest.raises(CapacityError):
-        make_parity(13)
+        make_parity(problems.MAX_PARITY_N + 2)
     with pytest.raises(CapacityError):
         make_parity(0)
 
@@ -365,3 +366,35 @@ def test_reported_entries_are_python_ints():
         assert indices and {type(i) for i in indices} == {int}
         assert {type(j) for j in problem.part_labels()} == {int}
 
+
+
+@pytest.mark.parametrize(
+    "functions, labels", [(((0,), (2**63 + 1,)), (0, 1)), (((0,), (1,)), (0, 2**63 + 1))]
+)
+def test_ints_past_int64_beside_small_ones_are_integers(functions, labels):
+    # numpy reads the list [0, 2^63 + 1] as float64, which is no integer dtype
+    problem = LearningProblem(1, cyclic(2**64), functions, labels, (Fraction(1, 2),) * 2)
+    assert problem.functions.tolist() == [list(f) for f in functions]
+    assert problem.labels.tolist() == list(labels)
+    assert problem.part_labels() == labels
+    report = classical_useless(problem, 1)
+    assert report.witness["transcript"] == [[0, 0]] and report.witness["part"] == 0
+    # a real non-integer beside them is still refused
+    with pytest.raises(ValueError, match="must be integers"):
+        LearningProblem(1, cyclic(2**64), ((2.5,), (2**63,)), (0, 1), (Fraction(1, 2),) * 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        LearningProblem(1, cyclic(2**64), ((0,), (1,)), (2.5, 2**63), (Fraction(1, 2),) * 2)
+
+
+def test_prior_accepts_what_fraction_accepts_and_refuses_negative_weights():
+    tables, labels = ((0,), (1,), (2,)), (0, 1, 1)
+    prior = (Fraction(1, 2), 0.25, "1/4")
+    problem = LearningProblem(1, cyclic(3), tables, labels, prior)
+    assert problem.prior == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    assert {type(w) for w in problem.prior} == {Fraction}
+    assert problem.scale == 4 and problem.weights.tolist() == [2, 1, 1]
+    negative = (Fraction(3, 4), Fraction(-1, 4), Fraction(1, 2))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        LearningProblem(1, cyclic(3), tables, labels, negative)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        LearningProblem(1, cyclic(3), tables, labels, (1, -1, 1))

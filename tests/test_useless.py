@@ -4,7 +4,7 @@ import time
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from oraclelab.gallery import deutsch, pairwise_parity
 from oraclelab.problems import (
     MAX_PARITY_N,
     LearningProblem,
+    _group_rows,
     make_image_parity,
     make_parity,
     make_shamir,
@@ -36,7 +37,12 @@ from oraclelab.useless import (
     quantum_useless_falsify,
 )
 
-from reference import dense_run, dict_loop_first_violation, naive_classical_useless
+from reference import (
+    dense_run,
+    dict_loop_first_violation,
+    naive_classical_useless,
+    naive_posterior,
+)
 
 
 def test_classical_useless_parity_examples():
@@ -130,12 +136,19 @@ def small_problems(draw, groups=st.sampled_from([(2,), (3,), (2, 2)])):
 
 
 def _witnesses_match_the_dict_loop_scan(problem):
+    # the witness is the dict loop's, and ``detail`` counts the point-sets in
+    # ``combinations`` order up to the witness's own, or all of them
     for width in range(problem.domain_size + 1):
-        witness = classical_useless(problem, width).witness
+        report = classical_useless(problem, width)
+        witness = report.witness
+        point_sets = list(combinations(range(problem.domain_size), width))
+        read = len(point_sets)
         if witness is not None:
             assert all(type(v) is int for pair in witness["transcript"] for v in pair)
             witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
+            read = point_sets.index(tuple(x for x, _ in witness[0])) + 1
         assert witness == dict_loop_first_violation(problem, width)
+        assert report.detail == {"point_sets": read, "cells_read": width * read * problem.size}
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,6 +200,108 @@ def test_uint64_responses_stay_exact_python_ints(order, responses):
     assert report.verdict == VERDICT_NOT_USELESS
     assert report.witness["transcript"] == [[0, responses[0]]]
     assert type(report.witness["transcript"][0][1]) is int
+
+
+def _product_class(us, vs):
+    """The four tables on two Boolean points, labeled by f(1), with weight
+    us[a] * vs[b] on (a, b) over sum(us) * sum(vs): the first point leaves
+    the prior in place, the second reveals the label."""
+    tables = tuple(product(range(2), repeat=2))
+    scale = sum(us) * sum(vs)
+    prior = tuple(Fraction(us[a] * vs[b], scale) for a, b in tables)
+    return LearningProblem(2, cyclic(2), tables, [b for _, b in tables], prior)
+
+
+# the largest scale whose square is below 2^63, 13 * 233615423, and the
+# next one, 20 * 151850025, as the scales of two product classes
+INT64_BOUND_CLASSES = {3037000499: ((5, 8), (1, 233615422)), 3037000500: ((7, 13), (1, 151850024))}
+INT64_SCALES = tuple(INT64_BOUND_CLASSES)
+
+
+@pytest.mark.parametrize("scale", INT64_SCALES)
+def test_scales_beside_the_int64_bound_match_the_dict_loop_scan(scale):
+    assert (scale * scale < 2**63) == (scale == INT64_SCALES[0])
+    problem = _product_class(*INT64_BOUND_CLASSES[scale])
+    assert problem.scale == scale
+    _witnesses_match_the_dict_loop_scan(problem)
+    report = classical_useless(problem, 1)
+    assert report.witness["transcript"] == [[1, 0]]
+    assert report.detail == {"point_sets": 2, "cells_read": 2 * 4}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems(), st.sampled_from(INT64_SCALES))
+def test_kernel_witness_matches_the_dict_loop_scan_beside_the_int64_bound(problem, scale):
+    # each weight stretched to the new scale, the first positive one taking the rest
+    stretch = scale // problem.scale
+    weights = [w * stretch for w in problem.weights.tolist()]
+    first = next(i for i, w in enumerate(weights) if w)
+    weights[first] += scale - sum(weights)
+    prior = tuple(Fraction(w, scale) for w in weights)
+    problem = LearningProblem(
+        problem.domain_size, problem.group, problem.functions, problem.labels, prior
+    )
+    assume(problem.scale == scale)
+    _witnesses_match_the_dict_loop_scan(problem)
+
+
+def _parity_of(points, n):
+    """All tables on n Boolean points, uniform, labeled by the parity of ``points``."""
+    tables = tuple(product(range(2), repeat=n))
+    labels = [sum(f[x] for x in points) % 2 for f in tables]
+    return LearningProblem(n, cyclic(2), tables, labels, (Fraction(1, 2**n),) * 2**n)
+
+
+# With 512 rows the batches hold 1, 8, 64, ... point-sets, so the first
+# three batches of the 3-point sets of 9 points start at 0, 1, 9 and end
+# at 0, 8, 72 in ``combinations`` order.
+@pytest.mark.parametrize("position", [0, 1, 8, 9, 72])
+def test_the_only_informative_point_set_at_a_batch_edge(position):
+    points = list(combinations(range(9), 3))[position]
+    problem = _parity_of(points, 9)
+    assert problem.size * 64 <= useless.BATCH_ROW_BUDGET
+    assert classical_useless(problem, 2).verdict == VERDICT_USELESS
+    report = classical_useless(problem, 3)
+    transcript = [tuple(pair) for pair in report.witness["transcript"]]
+    assert [x for x, _ in transcript] == list(points)
+    assert (transcript, report.witness["part"]) == dict_loop_first_violation(problem, 3)
+    assert report.detail == {"point_sets": position + 1, "cells_read": 3 * (position + 1) * 512}
+
+
+def test_each_batch_sorts_once(monkeypatch):
+    # 84 point-sets of 512 rows: batches of 1, 8, 64 and the last 11
+    calls = []
+
+    def counted(table):
+        calls.append(table.shape[1])
+        return _group_rows(table)
+
+    monkeypatch.setattr(useless, "_group_rows", counted)
+    assert classical_useless(make_parity(9), 3).verdict == VERDICT_USELESS
+    assert calls == [512 * b for b in (1, 8, 64, 11)]
+
+
+@pytest.mark.parametrize("budget", ["size", 1])
+def test_one_point_set_per_batch_gives_the_same_reports(monkeypatch, budget):
+    # a budget of |C| rows or fewer still takes one point-set a batch
+    big = LearningProblem(
+        2, cyclic(2**70), ((0, 2**69), (2**69, 0), (1, 1)), (0, 1, 1), (Fraction(1, 3),) * 3
+    )
+    cases = [make_parity(n) for n in range(1, 7)] + [
+        make_image_parity(),
+        make_shamir(5, 1),
+        make_shamir(5, 2),
+        make_shamir(7, 2),
+        _parity_of((1, 4, 6), 9),
+        _product_class(*INT64_BOUND_CLASSES[INT64_SCALES[1]]),
+        big,
+    ]
+    for problem in cases:
+        ks = range(problem.domain_size + 2)
+        expected = [asdict(classical_useless(problem, k)) for k in ks]
+        monkeypatch.setattr(useless, "BATCH_ROW_BUDGET", problem.size if budget == "size" else 1)
+        assert [asdict(classical_useless(problem, k)) for k in ks] == expected
+        monkeypatch.undo()
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +395,24 @@ def test_parity_ceiling_fits_the_cells_read_ceiling(monkeypatch):
             classical_useless(problem, k)
     assert max(costs) <= MAX_TABLE_CELLS
     n = MAX_PARITY_N + 1
-    assert 5 * math.comb(n, 5) * 2**n > MAX_TABLE_CELLS
+    assert max(k * math.comb(n, k) for k in range(1, n + 1)) * 2**n > MAX_TABLE_CELLS
+
+
+def test_parity_at_the_ceiling_matches_the_reference_scans():
+    # every 12-point event of parity-13 keeps the prior; the one 13-point
+    # set is informative, and its witness replays by the literal filter
+    problem = make_parity(MAX_PARITY_N)
+    n = problem.domain_size
+    report = classical_useless(problem, n - 1)
+    assert report.verdict == VERDICT_USELESS
+    assert dict_loop_first_violation(problem, n - 1) is None
+    assert report.detail == {"point_sets": n, "cells_read": (n - 1) * n * problem.size}
+    report = classical_useless(problem, n)
+    transcript = [tuple(pair) for pair in report.witness["transcript"]]
+    assert (transcript, report.witness["part"]) == dict_loop_first_violation(problem, n)
+    j = report.witness["part"]
+    assert naive_posterior(problem, transcript)[j] == Fraction(*report.witness["posterior"])
+    assert report.detail == {"point_sets": 1, "cells_read": n * problem.size}
 
 
 def test_max_useless_k_values():
