@@ -262,14 +262,9 @@ def random_pure_state(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # JSON interchange
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_json(a: np.ndarray) -> list:
     a = as_complex_matrix(a)
-    return [[complex_to_json(z) for z in row] for row in a]
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:

@@ -90,7 +90,7 @@ def _read_input(path: str, decode):
         raise ValueError(f"{path}: malformed input: expected a JSON object")
     try:
         return decode(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: malformed input: {exc!r}") from exc
 
 

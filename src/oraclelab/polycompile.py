@@ -41,10 +41,6 @@ PROB_SUM_TOL = 1e-10
 AUDIT_TOL = 1e-8
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _popcounts(size: int) -> np.ndarray:
     """Popcount of every mask below ``size``, as signed ints."""
     return np.bitwise_count(np.arange(size)).astype(np.int64)
@@ -184,7 +180,7 @@ class CompiledClassicalAlgorithm:
             for mask, _, sign in self.terms:
                 if sign not in (-1, 1):
                     raise ValueError(f"sign must be +/-1, got {sign}")
-                if _popcount(mask) > 2 * self.queries:
+                if mask.bit_count() > 2 * self.queries:
                     raise ValueError(
                         f"subset {_subset_sorted(mask)} exceeds the query budget "
                         f"{2 * self.queries}"
@@ -198,7 +194,7 @@ class CompiledClassicalAlgorithm:
 
     @property
     def max_queries(self) -> int:
-        return max((_popcount(mask) for mask, _, _ in self.terms), default=0)
+        return max((mask.bit_count() for mask, _, _ in self.terms), default=0)
 
 
 def compile_polynomial(poly: MultilinearPolynomial, queries: int) -> CompiledClassicalAlgorithm:

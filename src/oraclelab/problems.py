@@ -82,9 +82,11 @@ class LearningProblem:
         if not len(self.functions):
             raise ValueError("the function class must be non-empty")
         _check_cells(len(self.functions), self.domain_size)
-        bad = next((f for f in self.functions if np.shape(f) != (self.domain_size,)), None)
-        if bad is not None:
-            raise ValueError(f"function table {bad} does not cover the domain")
+        table = self.functions
+        if not (isinstance(table, np.ndarray) and table.shape[1:] == (self.domain_size,)):
+            bad = next((f for f in table if np.shape(f) != (self.domain_size,)), None)
+            if bad is not None:
+                raise ValueError(f"function table {bad} does not cover the domain")
         functions, labels = _integer_array(self.functions), _integer_array(self.labels)  # copies
         prior = tuple(self.prior)
         if not all(type(w) is Fraction for w in prior):

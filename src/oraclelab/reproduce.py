@@ -23,6 +23,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
     MultilinearPolynomial,
@@ -242,10 +244,8 @@ def _shamir(bundle: BundleRun) -> dict:
 def _degree_bound(bundle: BundleRun) -> dict:
     worst = 0.0
     for n, _, poly in bundle.compile_cubes:
-        qhat = to_fourier(poly)
-        for mask in range(1 << n):
-            if bin(mask).count("1") > 2:
-                worst = max(worst, abs(qhat.coeffs[mask]))
+        stray = to_fourier(poly).coeffs[np.bitwise_count(np.arange(1 << n)) > 2]
+        worst = max(worst, np.abs(stray).max(initial=0.0))
     return _row(
         7,
         "degree-bound",

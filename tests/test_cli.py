@@ -76,6 +76,21 @@ def test_check_classical_violation_exit_one(tmp_path):
     assert rows[1][2] == "not_useless"
 
 
+def test_check_quantum_csv_row_names_the_sampled_witness(tmp_path):
+    out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["check-quantum", "--gen", "shamir", "--p", "5", "--degree", "1", "--queries", "1",
+            "--z-dim", "2", "--trials", "3", "--out", str(out), "--csv", str(csv_path)]
+    assert main(argv) == EXIT_FALSIFIED
+    result = _read_report(out)["result"]
+    with open(csv_path) as fh:
+        header, row, *rest = csv.reader(fh)
+    assert header == ["problem", "k", "verdict", "deviation", "witness"] and not rest
+    assert row[:4] == ["shamir-5-1", "1", "not_useless", repr(result["max_deviation"])]
+    assert row[4].startswith("algorithm=seed-") and row[4].endswith(";trial=2")
+    pairs = dict(item.split("=", 1) for item in row[4].split(";"))
+    assert pairs == {key: str(value) for key, value in result["witness"].items()}
+
+
 def test_huge_group_problem_file_keeps_its_witness(tmp_path):
     # no fixed-width dtype holds a group of order 10^30, so the table holds
     # Python ints; the check still runs and its witness is plain JSON
@@ -162,6 +177,10 @@ def _fractional_label(schema):
     schema["labels"]["0"] = 0.5
 
 
+def _huge_int_in_complex(schema):
+    schema["unitaries"][0][0][0] = [10**400, 0]  # no float holds it
+
+
 EMIT_PROBLEM = ["problem", "--gen", "parity", "--n", "2"]
 CHECK_PROBLEM = ["check-classical", "--k", "1", "--problem"]
 EMIT_ALG = ["gallery", "emit", "--name", "deutsch"]
@@ -183,6 +202,7 @@ COMPILE_ALG = ["compile", "--accept", "0", "--alg"]
         (EMIT_PROBLEM, _fractional_domain_size, CHECK_PROBLEM),
         (EMIT_ALG, _fractional_z_dim, SIMULATE_ALG),
         (EMIT_ALG, _fractional_label, SIMULATE_ALG),
+        (EMIT_ALG, _huge_int_in_complex, SIMULATE_ALG),
     ],
     ids=[
         "zero-denominator",
@@ -196,6 +216,7 @@ COMPILE_ALG = ["compile", "--accept", "0", "--alg"]
         "fractional-domain-size",
         "fractional-z-dim",
         "fractional-label",
+        "huge-int-in-complex",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command):

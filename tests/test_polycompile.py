@@ -1,8 +1,12 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclelab import polycompile
 from oraclelab.algebra import cyclic, random_pure_state
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
@@ -19,7 +23,7 @@ from oraclelab.polycompile import (
     to_fourier,
     walsh_hadamard,
 )
-from oraclelab.problems import make_parity
+from oraclelab.problems import LearningProblem, make_parity
 from oraclelab.qsim import QuantumAlgorithm, random_algorithm, run, trial_seeds
 
 from reference import (
@@ -113,6 +117,19 @@ def test_degree_bound_for_one_query_algorithms():
         for mask in range(1 << n):
             if bin(mask).count("1") > 2:
                 assert abs(qhat.coeffs[mask]) < 1e-8
+
+
+def test_acceptance_polynomial_refuses_a_broken_simulation(monkeypatch):
+    def broken_run(alg, tables):  # permutes the outcomes of the last table only
+        result = run(alg, tables)
+        probs = result.outcome_probs.copy()
+        probs[-1] = np.roll(probs[-1], 1)
+        return dataclasses.replace(result, outcome_probs=probs)
+
+    monkeypatch.setattr(polycompile, "run", broken_run)
+    message = r"coefficient 1.117e-01 on subset \[0, 1, 2\] violates the degree bound 2"
+    with pytest.raises(ArithmeticError, match=message):
+        acceptance_polynomial(random_algorithm(3, cyclic(2), 1, 1, 4), [0])
 
 
 def test_to_fourier_examples():
@@ -262,6 +279,13 @@ def test_corollary5_preconditions():
         corollary5_audit(make_image_parity(), random_algorithm(3, cyclic(3), 1, 1, 0), [0])
     with pytest.raises(ValueError, match="group"):  # algorithm and problem disagree
         corollary5_audit(make_parity(4), random_algorithm(4, cyclic(3), 1, 1, 5), [0])
+    # Boolean problems with one part and with three parts
+    one_part = LearningProblem(1, cyclic(2), ((0,), (1,)), (0, 0), (Fraction(1, 2),) * 2)
+    tables = ((0, 0), (0, 1), (1, 0), (1, 1))
+    three_parts = LearningProblem(2, cyclic(2), tables, (0, 1, 2, 2), (Fraction(1, 4),) * 4)
+    for problem in (one_part, three_parts):
+        with pytest.raises(ValueError, match="exactly two parts"):
+            corollary5_audit(problem, deutsch(), [0])
 
 
 def test_capacity_guard():

@@ -182,6 +182,19 @@ def test_posterior_inconsistent_transcript_is_undefined():
     assert posterior_classical(p, [(0, 0), (0, 1)]) is None
 
 
+@pytest.mark.parametrize(
+    "transcript, message",
+    [
+        ([(0, 0), (3, 0)], r"query point 3 outside \[0, 3\)"),
+        ([(-1, 0)], r"query point -1 outside \[0, 3\)"),
+        ([(0, 0), (1, 2)], r"response 2 outside \[0, 2\)"),
+    ],
+)
+def test_event_indices_rejects_pairs_off_the_table(transcript, message):
+    with pytest.raises(ValueError, match=message):
+        event_indices(make_parity(3), transcript)
+
+
 def test_posterior_duplicate_consistent_queries_collapse():
     p = make_parity(3)
     once = posterior_classical(p, [(1, 0)])
