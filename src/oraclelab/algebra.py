@@ -36,7 +36,7 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(m) for m in self.factors)
+        factors = tuple(int_from_json(m) for m in self.factors)
         if not factors:
             raise ValueError("group needs at least one cyclic factor")
         if any(m < 2 for m in factors):
@@ -65,7 +65,7 @@ class FiniteAbelianGroup:
 
 def cyclic(m: int) -> FiniteAbelianGroup:
     """The cyclic group Z_m."""
-    return FiniteAbelianGroup((int(m),))
+    return FiniteAbelianGroup((m,))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +285,15 @@ def group_to_json(group: FiniteAbelianGroup) -> list[int]:
 
 
 def group_from_json(factors) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(tuple(int_from_json(m) for m in factors))
+    return FiniteAbelianGroup(factors)
 
 
 def int_from_json(value) -> int:
-    """An integer field of a JSON document: 3 and 3.0 pass; 2.7, NaN, "3"
-    and true raise ``ValueError``, where ``int()`` would truncate 2.7 to 2
-    and read a different problem."""
-    if type(value) is int:  # not a bool, which subclasses int
+    """Every integer the library reads, from a file or a caller: 3, 3.0 and
+    ``np.int64(3)`` pass; 2.7, NaN, "3", True and None raise ``ValueError``,
+    where ``int()`` would truncate 2.7 to 2 and read a different problem."""
+    if type(value) is int:  # not a bool, which subclasses int; first, as the common case
         return value
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")

@@ -82,13 +82,13 @@ def _write_csv(path: str, rows: list[list[str]]) -> None:
 
 def _read_input(path: str, decode):
     """Decode a --problem or --alg file, bare or under a CLI report's "result"."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "header" in data and "result" in data:
-        data = data["result"]
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: malformed input: expected a JSON object")
     try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "header" in data and "result" in data:
+            data = data["result"]
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return decode(data)
     except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: malformed input: {exc!r}") from exc
@@ -357,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CapacityError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .algebra import int_from_json
 from .errors import CapacityError
 from .problems import LearningProblem
 from .qsim import EPS_COND, QuantumAlgorithm, joint_distribution, run
@@ -70,7 +71,7 @@ def _subset_sorted(mask: int) -> list[int]:
 
 def _accept_indices(alg: QuantumAlgorithm, accept_outcomes: Iterable[int]) -> list[int]:
     """The accept set as sorted distinct outcome indices of ``alg``."""
-    accept = sorted({int(s) for s in accept_outcomes})
+    accept = sorted({int_from_json(s) for s in accept_outcomes})
     for s in accept:
         if not 0 <= s < alg.n_outcomes:
             raise ValueError(f"accept outcome {s} outside [0, {alg.n_outcomes})")
@@ -233,7 +234,7 @@ def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]
     """Probability that the compiled sampler outputs 0 on oracle table f."""
     if len(f) != compiled.n:
         raise ValueError(f"table has {len(f)} bits, expected {compiled.n}")
-    bits = [int(v) for v in f]
+    bits = [int_from_json(v) for v in f]
     if any(v not in (0, 1) for v in bits):
         raise ValueError(f"table entries must be bits, got {bits}")
     if compiled.degenerate:

@@ -21,7 +21,6 @@ field points {1..p-1}) document the shift; transcripts handed to
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -56,10 +55,12 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 @dataclass(frozen=True, eq=False)
 class LearningProblem:
-    """A function class with a disjoint part labeling and an exact prior,
-    also held as Python-int ``weights`` over ``scale`` and as floats. Row i
-    is in part r = ``part_index[i]``, of label ``part_labels()[r]`` and
-    Python-int mass ``part_masses[r]`` over ``scale``. ``weights`` and
+    """A function class with a disjoint part labeling and an exact prior. Each
+    entry of ``functions`` and ``labels`` is read by ``int_from_json``, so 1.5,
+    None or True is refused, not truncated; an integer ndarray is copied as it
+    is. The prior is also held as Python-int ``weights`` over ``scale`` and as
+    floats. Row i is in part r = ``part_index[i]``, of label ``part_labels()[r]``
+    and Python-int mass ``part_masses[r]`` over ``scale``. ``weights`` and
     ``part_masses`` are object arrays of Python ints; ``part_index`` is
     unsigned, so it stacks beside the table without a float promotion."""
 
@@ -82,12 +83,8 @@ class LearningProblem:
         if not len(self.functions):
             raise ValueError("the function class must be non-empty")
         _check_cells(len(self.functions), self.domain_size)
-        table = self.functions
-        if not (isinstance(table, np.ndarray) and table.shape[1:] == (self.domain_size,)):
-            bad = next((f for f in table if np.shape(f) != (self.domain_size,)), None)
-            if bad is not None:
-                raise ValueError(f"function table {bad} does not cover the domain")
-        functions, labels = _integer_array(self.functions), _integer_array(self.labels)  # copies
+        functions = _integer_array(self.functions, self.domain_size)
+        labels = _integer_array(self.labels)
         prior = tuple(self.prior)
         if not all(type(w) is Fraction for w in prior):
             prior = tuple(map(Fraction, prior))
@@ -148,17 +145,24 @@ def _check_cells(rows: int, domain_size: int) -> None:
         raise CapacityError(f"{cells} table cells exceed MAX_CLASS_CELLS={MAX_CLASS_CELLS}")
 
 
-def _integer_array(values) -> np.ndarray:
-    """``values`` as a new integer array. Where numpy would pick float64, as
-    for ints past int64 beside smaller ones, it holds Python ints instead."""
-    array = np.array(values)
-    if array.dtype.kind == "f":
-        objects = np.array(values, dtype=object)
-        if all(isinstance(v, numbers.Integral) for v in objects.flat):
-            array = objects
-    if array.dtype.kind not in "biuO":
-        raise ValueError("function table values and labels must be integers")
-    return array
+def _integer_array(values, width: int | None = None) -> np.ndarray:
+    """``values`` as a new integer array: an integer ndarray as it is, else each
+    entry read by ``int_from_json``, in int64 where all fit. Given a ``width``,
+    the first row of another length is named before any entry is read."""
+    integer = isinstance(values, np.ndarray) and np.issubdtype(values.dtype, np.integer)
+    array = np.array(values, dtype=None if integer else object)
+    if width is not None and array.shape[1:] != (width,):
+        bad = next(f for f in values if np.shape(f) != (width,))
+        raise ValueError(f"function table {bad} does not cover the domain")
+    if integer:
+        return array
+    try:
+        ints = np.fromiter(map(int_from_json, array.flat), object, array.size).reshape(array.shape)
+        return ints.astype(np.int64)
+    except OverflowError:  # an entry past int64
+        return ints
+    except ValueError as exc:
+        raise ValueError(f"function table values and labels must be integers: {exc}") from None
 
 
 def _group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +183,7 @@ def event_indices(problem: LearningProblem, transcript: Transcript) -> tuple[int
     """
     constraints: dict[int, int] = {}
     for x, y in transcript:
-        x, y = int(x), int(y)
+        x, y = int_from_json(x), int_from_json(y)
         if not 0 <= x < problem.domain_size:
             raise ValueError(f"query point {x} outside [0, {problem.domain_size})")
         if not 0 <= y < problem.group.order:
@@ -311,7 +315,7 @@ def shamir_reconstruct(p: int, k: int, shares: Iterable[tuple[int, int]]) -> int
         raise ValueError(f"p must be prime, got {p}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    shares = [(int(x), int(y)) for x, y in shares]
+    shares = [(int_from_json(x), int_from_json(y)) for x, y in shares]
     if len(shares) != k + 1:
         raise ValueError(f"need exactly k + 1 = {k + 1} shares, got {len(shares)}")
     xs = [x for x, _ in shares]
@@ -353,8 +357,8 @@ def problem_from_json(data: Mapping, name: str = "problem") -> LearningProblem:
     return LearningProblem(
         domain_size=domain_size,
         group=group_from_json(data["group"]),
-        functions=tuple(tuple(int_from_json(v) for v in f) for f in data["functions"]),
-        labels=tuple(int_from_json(j) for j in data["labels"]),
+        functions=data["functions"],
+        labels=data["labels"],
         prior=tuple(
             Fraction(int_from_json(num), int_from_json(den)) for num, den in data["prior"]
         ),

@@ -90,7 +90,7 @@ class QuantumAlgorithm:
             raise ValueError(f"POVM dimension {len(povm[0])} does not match {dim}")
         labels = self.outcome_labels
         if labels is not None:
-            labels = {int(s): int(j) for s, j in labels.items()}
+            labels = {int_from_json(s): int_from_json(j) for s, j in labels.items()}
             bad = [s for s in labels if not 0 <= s < len(povm)]
             if bad:
                 raise ValueError(f"outcome labels reference unknown outcomes {bad}")
@@ -302,8 +302,7 @@ def random_algorithm(
     povm = random_povm(dim, dim, seeds[queries + 1])
     labels = None
     if labels_cycle is not None:
-        cycle = [int(j) for j in labels_cycle]
-        labels = {s: cycle[s % len(cycle)] for s in range(dim)}
+        labels = {s: labels_cycle[s % len(labels_cycle)] for s in range(dim)}
     return QuantumAlgorithm(
         x_dim=x_dim,
         group=group,
@@ -346,7 +345,5 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
         state=factor_hermitian(matrix_from_json(data["rho0"]), "density matrix"),
         unitaries=tuple(matrix_from_json(u) for u in data["unitaries"]),
         povm=povm_from_dense(matrix_from_json(e) for e in data["povm"]),
-        outcome_labels=None
-        if labels is None
-        else {int(s): int_from_json(j) for s, j in labels.items()},
+        outcome_labels=None if labels is None else {int(s): j for s, j in labels.items()},
     )

@@ -1,8 +1,10 @@
 """One-shot verification bundle: every headline claim at its tolerance.
 
 Each criterion is a function of one :class:`BundleRun`, deterministic in
-its seed, returning a result row; the bundle is a deterministic JSON payload plus a printable
-table. The CLI `reproduce` subcommand wraps this module.
+its seed, returning a row {claim, expected, observed, pass}; ``run_all``
+stamps it with the criterion's id and tag from ``CRITERIA``. The bundle is
+a deterministic JSON payload plus a printable table. The CLI `reproduce`
+subcommand wraps this module.
 
 A run draws each random input once, on first use, and its criteria share
 it: criteria 2 and 4 read the 50 labelled 1-query parity-4 algorithms and
@@ -104,32 +106,14 @@ def _draws_sha256(algorithms: Sequence[QuantumAlgorithm]) -> str:
     return digest.hexdigest()[:16]
 
 
-def _row(cid: int, tag: str, claim: str, expected: str, observed: str, ok: bool) -> dict:
-    return {
-        "id": cid,
-        "tag": tag,
-        "claim": claim,
-        "expected": expected,
-        "observed": observed,
-        "pass": bool(ok),
-    }
-
-
 def _parity_classical(bundle: BundleRun) -> dict:
-    observed = {}
-    ok = True
-    for n in (2, 3, 4, 5):
-        m = max_useless_k(make_parity(n))
-        observed[n] = m
-        ok = ok and m == n - 1
-    return _row(
-        1,
-        "parity-classical",
-        "parity of N bits: exactly N-1 classical queries are useless",
-        "max useless k = N-1 for N in 2..5",
-        ", ".join(f"N={n}: {m}" for n, m in observed.items()),
-        ok,
-    )
+    observed = {n: max_useless_k(make_parity(n)) for n in (2, 3, 4, 5)}
+    return {
+        "claim": "parity of N bits: exactly N-1 classical queries are useless",
+        "expected": "max useless k = N-1 for N in 2..5",
+        "observed": ", ".join(f"N={n}: {m}" for n, m in observed.items()),
+        "pass": all(m == n - 1 for n, m in observed.items()),
+    }
 
 
 def _parity_quantum(bundle: BundleRun) -> dict:
@@ -144,16 +128,14 @@ def _parity_quantum(bundle: BundleRun) -> dict:
         and report.max_deviation < 1e-8
         and lemma_max < 1e-9
     )
-    row = _row(
-        2,
-        "parity-quantum",
-        "parity of 4 bits: one quantum query shifts no posterior",
-        "max |posterior - prior| < 1e-8 and state-mixture deviation < 1e-9 over 50 trials",
-        f"posterior dev {report.max_deviation:.3e}, mixture dev {lemma_max:.3e}",
-        ok,
-    )
-    row["draws_sha256"] = _draws_sha256(algorithms)
-    return row
+    return {
+        "claim": "parity of 4 bits: one quantum query shifts no posterior",
+        "expected": "max |posterior - prior| < 1e-8 and state-mixture deviation < 1e-9 "
+        "over 50 trials",
+        "observed": f"posterior dev {report.max_deviation:.3e}, mixture dev {lemma_max:.3e}",
+        "pass": ok,
+        "draws_sha256": _draws_sha256(algorithms),
+    }
 
 
 def _parity_upper(bundle: BundleRun) -> dict:
@@ -167,14 +149,13 @@ def _parity_upper(bundle: BundleRun) -> dict:
     s_deutsch = success_probability(deutsch(), make_parity(2))
     observed.append(f"deutsch: {s_deutsch:.12f}")
     ok = ok and abs(s_deutsch - 1.0) <= 1e-9
-    return _row(
-        3,
-        "parity-upper",
-        "pairwise kickback solves parity exactly with ceil(N/2) queries",
-        "success probability 1 +/- 1e-9 for N in 2..6, odd N padded with a zero point",
-        "; ".join(observed),
-        ok,
-    )
+    return {
+        "claim": "pairwise kickback solves parity exactly with ceil(N/2) queries",
+        "expected": "success probability 1 +/- 1e-9 for N in 2..6, odd N padded with a "
+        "zero point",
+        "observed": "; ".join(observed),
+        "pass": ok,
+    }
 
 
 def _parity_barrier(bundle: BundleRun) -> dict:
@@ -182,14 +163,12 @@ def _parity_barrier(bundle: BundleRun) -> dict:
     worst = 0.0
     for alg in bundle.parity4_algorithms(DEFAULT_TRIALS):
         worst = max(worst, abs(success_probability(alg, problem) - 0.5))
-    return _row(
-        4,
-        "parity-barrier",
-        "parity of 4 bits: every 1-query algorithm succeeds with probability 1/2",
-        "|success - 1/2| < 1e-8 over 50 random algorithms",
-        f"max |success - 1/2| = {worst:.3e}",
-        worst < 1e-8,
-    )
+    return {
+        "claim": "parity of 4 bits: every 1-query algorithm succeeds with probability 1/2",
+        "expected": "|success - 1/2| < 1e-8 over 50 random algorithms",
+        "observed": f"max |success - 1/2| = {worst:.3e}",
+        "pass": worst < 1e-8,
+    }
 
 
 def _image_parity(bundle: BundleRun) -> dict:
@@ -203,15 +182,14 @@ def _image_parity(bundle: BundleRun) -> dict:
         and falsify.verdict == VERDICT_USELESS
         and falsify.max_deviation < 1e-8
     )
-    return _row(
-        5,
-        "image-parity",
-        "image-size parity over ternary tables: prior 2/3, two classical "
+    return {
+        "claim": "image-size parity over ternary tables: prior 2/3, two classical "
         "queries useless, one quantum query useless",
-        "prior exactly 2/3; k=2 useless; quantum dev < 1e-8 over 50 trials",
-        f"prior {prior_even}, k=2 {classical.verdict}, quantum dev {falsify.max_deviation:.3e}",
-        ok,
-    )
+        "expected": "prior exactly 2/3; k=2 useless; quantum dev < 1e-8 over 50 trials",
+        "observed": f"prior {prior_even}, k=2 {classical.verdict}, "
+        f"quantum dev {falsify.max_deviation:.3e}",
+        "pass": ok,
+    }
 
 
 def _shamir(bundle: BundleRun) -> dict:
@@ -230,15 +208,13 @@ def _shamir(bundle: BundleRun) -> dict:
                     recon_ok = False
         observed.append(f"(p={p},k={k}): max useless {m}, bound {bound}, recon {recon_ok}")
         ok = ok and m == k and bound == k // 2 + 1 and recon_ok
-    return _row(
-        6,
-        "shamir",
-        "threshold sharing by polynomials: k queries useless, k+1 shares "
+    return {
+        "claim": "threshold sharing by polynomials: k queries useless, k+1 shares "
         "recover the secret, quantum bound floor(k/2)+1",
-        "max useless = k; all share sets reconstruct; bound = floor(k/2)+1",
-        "; ".join(observed),
-        ok,
-    )
+        "expected": "max useless = k; all share sets reconstruct; bound = floor(k/2)+1",
+        "observed": "; ".join(observed),
+        "pass": ok,
+    }
 
 
 def _degree_bound(bundle: BundleRun) -> dict:
@@ -246,14 +222,12 @@ def _degree_bound(bundle: BundleRun) -> dict:
     for n, _, poly in bundle.compile_cubes:
         stray = to_fourier(poly).coeffs[np.bitwise_count(np.arange(1 << n)) > 2]
         worst = max(worst, np.abs(stray).max(initial=0.0))
-    return _row(
-        7,
-        "degree-bound",
-        "1-query acceptance polynomials have degree at most 2",
-        "every character coefficient on |S| > 2 below 1e-8",
-        f"max stray coefficient {worst:.3e}",
-        worst < 1e-8,
-    )
+    return {
+        "claim": "1-query acceptance polynomials have degree at most 2",
+        "expected": "every character coefficient on |S| > 2 below 1e-8",
+        "observed": f"max stray coefficient {worst:.3e}",
+        "pass": bool(worst < 1e-8),
+    }
 
 
 def _bias_identity(bundle: BundleRun) -> dict:
@@ -268,16 +242,14 @@ def _bias_identity(bundle: BundleRun) -> dict:
         for *_, residual in bias_certificate(compiled, poly):
             worst_bias = max(worst_bias, abs(residual))
     ok = worst_bias < 1e-9 and worst_norm < 1e-10 and max_subset <= 2
-    return _row(
-        8,
-        "bias-identity",
-        "compiled samplers scale the acceptance bias by exactly 1/T",
-        "identity within 1e-9 on every table; probabilities sum to 1 within "
+    return {
+        "claim": "compiled samplers scale the acceptance bias by exactly 1/T",
+        "expected": "identity within 1e-9 on every table; probabilities sum to 1 within "
         "1e-10; subsets of size <= 2",
-        f"bias residual {worst_bias:.3e}, norm residual {worst_norm:.3e}, "
+        "observed": f"bias residual {worst_bias:.3e}, norm residual {worst_norm:.3e}, "
         f"largest subset {max_subset}",
-        ok,
-    )
+        "pass": ok,
+    }
 
 
 def _ratio_audit(bundle: BundleRun) -> dict:
@@ -294,19 +266,16 @@ def _ratio_audit(bundle: BundleRun) -> dict:
         and not deutsch_report.identity_holds
         and deutsch_report.classical_useless_2k is False
     )
-    row = _row(
-        9,
-        "ratio-audit",
-        "accept-mass ratio equals the part prior when twice the query count "
+    return {
+        "claim": "accept-mass ratio equals the part prior when twice the query count "
         "is classically useless, and is violated otherwise",
-        "parity-4 ratio within 1e-8 of 1/2 over 20 algorithms; parity-2 with "
+        "expected": "parity-4 ratio within 1e-8 of 1/2 over 20 algorithms; parity-2 with "
         "the one-query solver violates",
-        f"parity-4 max deviation {worst:.3e}; parity-2 lhs "
+        "observed": f"parity-4 max deviation {worst:.3e}; parity-2 lhs "
         f"{deutsch_report.lhs:.3f} vs rhs {deutsch_report.rhs:.3f}",
-        ok,
-    )
-    row["draws_sha256"] = _draws_sha256(algorithms)
-    return row
+        "pass": ok,
+        "draws_sha256": _draws_sha256(algorithms),
+    }
 
 
 def _determinism(bundle: BundleRun) -> dict:
@@ -318,14 +287,12 @@ def _determinism(bundle: BundleRun) -> dict:
     fresh = BundleRun(bundle.seed)
     first = json.dumps(made, sort_keys=True)
     second = json.dumps([fn(fresh) for fn in reruns.values()], sort_keys=True)
-    return _row(
-        10,
-        "determinism",
-        "identical seed and configuration give identical reports",
-        "two in-process repeats serialize byte-identically",
-        "identical" if first == second else "divergent",
-        first == second,
-    )
+    return {
+        "claim": "identical seed and configuration give identical reports",
+        "expected": "two in-process repeats serialize byte-identically",
+        "observed": "identical" if first == second else "divergent",
+        "pass": first == second,
+    }
 
 
 # The traced benchmark wraps these entries in place, so run_all calls every
@@ -347,10 +314,11 @@ CRITERIA: list[tuple[int, str, Callable[[BundleRun], dict]]] = [
 def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
     """Run the criteria (optionally filtered by tag substring) and bundle rows."""
     bundle = BundleRun(seed)
+    rows = []
     for cid, tag, criterion in CRITERIA:
         if not only or only in tag or only == str(cid):
             bundle.rows[cid] = criterion(bundle)
-    rows = list(bundle.rows.values())
+            rows.append({"id": cid, "tag": tag, **bundle.rows[cid]})
     if not rows:
         tags = ", ".join(tag for _, tag, _ in CRITERIA)
         raise ValueError(f"--only {only!r} matches no criterion id or tag; tags: {tags}")

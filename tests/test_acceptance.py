@@ -225,6 +225,9 @@ def test_criterion_9_fails_when_every_ratio_is_undefined(monkeypatch):
 def test_criterion_10_reproduce_determinism():
     first = run_all(seed=SEED)
     second = run_all(seed=SEED)
+    # run_all stamps each row with its id and tag from CRITERIA
+    assert [(r["id"], r["tag"]) for r in first["criteria"]] == [c[:2] for c in reproduce.CRITERIA]
+    assert {type(r["pass"]) for r in first["criteria"]} == {bool}
     same = json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     ok = same and first["all_pass"]
     _verdict(

@@ -232,6 +232,17 @@ def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command
     assert err[0].startswith("error: ") and str(path) in err[0]
 
 
+@pytest.mark.parametrize("text", ["", '{"x_dim": ', "[1, 2]"], ids=["empty", "cut", "list"])
+@pytest.mark.parametrize("command", [CHECK_PROBLEM, SIMULATE_ALG, COMPILE_ALG])
+def test_input_that_is_no_json_object_exits_two(tmp_path, capsys, text, command):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([*command, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(path) in err[0]
+
+
 # Values a mutated schema may carry: wrong types, non-integral and
 # non-finite numbers, zero, negatives and a size far beyond any ceiling.
 FUZZ_VALUES = st.sampled_from(

@@ -1,0 +1,114 @@
+"""One integer rule, ``algebra.int_from_json``, at every entry point that
+reads an integer: 3, 3.0, numpy integers and ints past int64 pass; bools,
+fractions, None and strings are refused by name, never truncated."""
+
+import dataclasses
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oraclelab.algebra import FiniteAbelianGroup, cyclic, int_from_json
+from oraclelab.gallery import deutsch
+from oraclelab.polycompile import classical_output_prob, compile_classical
+from oraclelab.problems import (
+    LearningProblem,
+    event_indices,
+    is_prime,
+    make_parity,
+    shamir_reconstruct,
+)
+from oraclelab.qsim import random_algorithm
+
+VALUES = [3, 3.0, np.int64(3), 2**65, True, 2.5, None, "3"]
+HALF = (Fraction(1, 2),) * 2
+BIG_PRIME = 2**66 + 9  # share points and values up to 2^65 are in range
+BIG_CLASS = LearningProblem(1, cyclic(2**66), ((3,), (2**65,)), (0, 1), HALF)
+FOUR_OUTCOMES = random_algorithm(2, cyclic(2), 1, 1, 7)  # d = 4, one outcome per dimension
+SAMPLER = compile_classical(FOUR_OUTCOMES, [0, 2])
+
+# Each reads one integer v; where 3 or 2^65 is outside its range it raises
+# a range error, which is not the rule's.
+ENTRY_POINTS = {
+    "cyclic": lambda v: cyclic(v),
+    "group factor": lambda v: FiniteAbelianGroup((2, v)),
+    "table value": lambda v: LearningProblem(
+        1, cyclic(2**66), ((0,), (v,)), (0, 1), HALF
+    ).functions.tolist(),
+    "label": lambda v: LearningProblem(1, cyclic(2), ((0,), (1,)), (0, v), HALF).part_labels(),
+    "query point": lambda v: event_indices(make_parity(4), [(v, 1)]),
+    "response": lambda v: event_indices(BIG_CLASS, [(0, v)]),
+    "share point": lambda v: shamir_reconstruct(BIG_PRIME, 1, [(v, 4), (1, 5)]),
+    "share value": lambda v: shamir_reconstruct(BIG_PRIME, 1, [(1, v), (2, 5)]),
+    "outcome": lambda v: dataclasses.replace(FOUR_OUTCOMES, outcome_labels={v: 0}).outcome_labels,
+    "outcome label": lambda v: dataclasses.replace(deutsch(), outcome_labels={0: v}).outcome_labels,
+    "labels_cycle": lambda v: random_algorithm(
+        1, cyclic(2), 1, 0, 1, labels_cycle=(v, 0)
+    ).outcome_labels,
+    "accept outcome": lambda v: compile_classical(FOUR_OUTCOMES, [v]).terms,
+    "table bit": lambda v: classical_output_prob(SAMPLER, [v, 1]),
+}
+
+
+def _rule_accepts(value) -> bool:
+    try:
+        int_from_json(value)
+    except ValueError:
+        return False
+    return True
+
+
+def test_the_rule():
+    assert is_prime(BIG_PRIME)
+    for value in (3, 3.0, np.int64(3), np.uint64(3), 2**65, -2.0):
+        assert type(int_from_json(value)) is int and int_from_json(value) == value
+    for value in (True, np.bool_(True), 2.5, float("nan"), float("inf"), None, "3", [3]):
+        with pytest.raises(ValueError, match=f"expected an integer, got {re.escape(repr(value))}"):
+            int_from_json(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_entry_point_reads_integers_by_the_rule(entry, value):
+    try:
+        result = entry(value)
+    except ValueError as exc:
+        refused = "expected an integer" in str(exc)
+        assert not refused or f"got {value!r}" in str(exc)
+    else:
+        refused = False
+        assert result == entry(int(value))
+    assert refused != _rule_accepts(value)
+
+
+@pytest.mark.parametrize(
+    "read, value",
+    [
+        (lambda: cyclic(2.7), 2.7),
+        (lambda: event_indices(make_parity(3), [(0.5, 1)]), 0.5),
+        (lambda: shamir_reconstruct(5, 1, [(1.5, 2), (2, 3)]), 1.5),
+        (lambda: dataclasses.replace(deutsch(), outcome_labels={0: 1.7, 1: 0}), 1.7),
+        (lambda: random_algorithm(1, cyclic(2), 1, 0, 1, labels_cycle=(0.5, 1)), 0.5),
+        (lambda: compile_classical(deutsch(), [0.9]), 0.9),
+        (lambda: classical_output_prob(compile_classical(deutsch(), [0]), [0.9, 1]), 0.9),
+        (lambda: LearningProblem(1, cyclic(2**70), ((2**65,), (1.5,)), (0, 1), HALF), 1.5),
+        (lambda: LearningProblem(1, cyclic(2), ((0,), (1,)), (2**65, 1.5), HALF), 1.5),
+        (lambda: LearningProblem(1, cyclic(2), ((True,), (0,)), (0, 1), HALF), True),
+    ],
+    ids=[
+        "cyclic",
+        "query point",
+        "share point",
+        "outcome label",
+        "labels_cycle",
+        "accept outcome",
+        "table bit",
+        "table value",
+        "label",
+        "bool in table",
+    ],
+)
+def test_non_integers_are_refused_not_truncated(read, value):
+    with pytest.raises(ValueError, match=f"expected an integer, got {re.escape(repr(value))}"):
+        read()

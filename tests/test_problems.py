@@ -397,6 +397,13 @@ def test_ints_past_int64_beside_small_ones_are_integers(functions, labels):
         LearningProblem(1, cyclic(2**64), ((2.5,), (2**63,)), (0, 1), (Fraction(1, 2),) * 2)
     with pytest.raises(ValueError, match="must be integers"):
         LearningProblem(1, cyclic(2**64), ((0,), (1,)), (2.5, 2**63), (Fraction(1, 2),) * 2)
+    # and so are a fraction, None and a bool beside 2^65, each by name
+    for bad in (1.5, None, True):
+        named = f"must be integers: expected an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=named):
+            LearningProblem(1, cyclic(2**66), ((bad,), (2**65,)), (0, 1), (Fraction(1, 2),) * 2)
+        with pytest.raises(ValueError, match=named):
+            LearningProblem(1, cyclic(2**66), ((0,), (1,)), (bad, 2**65), (Fraction(1, 2),) * 2)
 
 
 def test_prior_accepts_what_fraction_accepts_and_refuses_negative_weights():
