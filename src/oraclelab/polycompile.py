@@ -15,6 +15,7 @@ indices, bit i for point i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -163,8 +164,8 @@ class CompiledClassicalAlgorithm:
     Each term is (subset mask, sampling probability, sign). On oracle
     table f the sampler queries the subset's points, forms the +/-1
     product of their responses, and outputs 0 exactly when sign * product
-    is +1. A degenerate compilation (T below threshold) asks no queries
-    and outputs a fair coin.
+    is +1. A degenerate compilation (T below threshold) has no terms, asks
+    no queries and outputs a fair coin.
     """
 
     n: int
@@ -174,24 +175,32 @@ class CompiledClassicalAlgorithm:
     degenerate: bool
 
     def __post_init__(self):
-        if not self.degenerate:
-            total = sum(prob for _, prob, _ in self.terms)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"term probabilities sum to {total!r}, not 1")
-            for mask, _, sign in self.terms:
-                if sign not in (-1, 1):
-                    raise ValueError(f"sign must be +/-1, got {sign}")
-                if mask.bit_count() > 2 * self.queries:
-                    raise ValueError(
-                        f"subset {_subset_sorted(mask)} exceeds the query budget "
-                        f"{2 * self.queries}"
-                    )
-        # Term columns for classical_output_prob; not fields, so equality
-        # and hashing still see only the terms tuple.
-        masks, probs, signs = zip(*self.terms) if self.terms else ((), (), ())
-        object.__setattr__(self, "_masks", np.array(masks, dtype=np.uint64))
-        object.__setattr__(self, "_probs", np.array(probs, dtype=float))
-        object.__setattr__(self, "_signs", np.array(signs, dtype=np.int64))
+        if self.degenerate and self.terms:
+            raise ValueError("a degenerate sampler has no terms")
+        total = sum(prob for _, prob, _ in self.terms)
+        if not self.degenerate and abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"term probabilities sum to {total!r}, not 1")
+        for mask, _, sign in self.terms:
+            if sign not in (-1, 1):
+                raise ValueError(f"sign must be +/-1, got {sign}")
+            if mask >> self.n:  # also every negative mask
+                raise ValueError(f"subset mask {mask:#b} has a bit at or above n = {self.n}")
+            if mask.bit_count() > 2 * self.queries:
+                raise ValueError(f"subset {_subset_sorted(mask)} exceeds 2k = {2 * self.queries}")
+
+    @cached_property
+    def output_probs(self) -> np.ndarray:
+        """Probability of output 0 on every table, indexed by table mask: p(f) =
+        1/2 + 1/2 sum_S sign_S prob_S w_S(f) with w_S(f) = (-1)^|S| (-1)^|S & f|,
+        one Walsh-Hadamard transform of the signed term vector."""
+        if self.n > MAX_CUBE_VARS:
+            raise CapacityError(f"sampler has 2^{self.n} tables, over the ceiling n <= {MAX_CUBE_VARS}")
+        signed = np.zeros(1 << self.n)
+        for mask, prob, sign in self.terms:  # a repeated subset adds up, as sampling it twice does
+            signed[mask] += (-1) ** mask.bit_count() * sign * prob
+        probs = np.clip(0.5 + 0.5 * walsh_hadamard(signed), 0.0, 1.0)
+        probs.flags.writeable = False  # cached and shared by every reader
+        return probs
 
     @property
     def max_queries(self) -> int:
@@ -211,16 +220,12 @@ def compile_polynomial(poly: MultilinearPolynomial, queries: int) -> CompiledCla
     )
     scale = float(np.abs(coeffs[kept]).sum())
     if scale < PRUNE_TOL:
-        return CompiledClassicalAlgorithm(
-            n=poly.n, queries=queries, scale=0.0, terms=(), degenerate=True
-        )
+        return CompiledClassicalAlgorithm(poly.n, queries, 0.0, (), degenerate=True)
     terms = tuple(
         (int(mask), float(abs(coeffs[mask]) / scale), 1 if coeffs[mask] > 0 else -1)
         for mask in kept
     )
-    return CompiledClassicalAlgorithm(
-        n=poly.n, queries=queries, scale=scale, terms=terms, degenerate=False
-    )
+    return CompiledClassicalAlgorithm(poly.n, queries, scale, terms, degenerate=False)
 
 
 def compile_classical(
@@ -237,14 +242,7 @@ def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]
     bits = [int_from_json(v) for v in f]
     if any(v not in (0, 1) for v in bits):
         raise ValueError(f"table entries must be bits, got {bits}")
-    if compiled.degenerate:
-        return 0.5
-    zero_mask = sum((1 - bit) << i for i, bit in enumerate(bits))
-    # product of w_i = 2 f_i - 1 over each subset: -1 per zero response;
-    # bitwise_count returns uint8, so cast before the sign arithmetic
-    zeros = np.bitwise_count(compiled._masks & np.uint64(zero_mask)).astype(np.int64)
-    w = 1 - 2 * (zeros % 2)
-    return float(compiled._probs[compiled._signs * w == 1].sum())
+    return float(compiled.output_probs[sum(bit << i for i, bit in enumerate(bits))])
 
 
 def bias_certificate(
@@ -256,12 +254,11 @@ def bias_certificate(
     identity, or p_classical - 1/2 for a degenerate compilation.
     """
     values = poly.values_on_cube()
+    p_c = compiled.output_probs
+    residuals = p_c - (0.5 if compiled.degenerate else (values - 0.5) / compiled.scale + 0.5)
     for mask in range(1 << compiled.n):
         bits = [mask >> i & 1 for i in range(compiled.n)]
-        p_q = float(values[mask])
-        p_c = classical_output_prob(compiled, bits)
-        expected = 0.5 if compiled.degenerate else (p_q - 0.5) / compiled.scale + 0.5
-        yield bits, p_q, p_c, p_c - expected
+        yield bits, float(values[mask]), float(p_c[mask]), float(residuals[mask])
 
 
 def compiled_to_json(compiled: CompiledClassicalAlgorithm) -> dict:

@@ -78,12 +78,13 @@ class LearningProblem:
     _part_labels: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.domain_size < 1:
+        domain_size = int_from_json(self.domain_size)
+        if domain_size < 1:
             raise ValueError("domain_size must be >= 1")
         if not len(self.functions):
             raise ValueError("the function class must be non-empty")
-        _check_cells(len(self.functions), self.domain_size)
-        functions = _integer_array(self.functions, self.domain_size)
+        _check_cells(len(self.functions), domain_size)
+        functions = _integer_array(self.functions, domain_size)
         labels = _integer_array(self.labels)
         prior = tuple(self.prior)
         if not all(type(w) is Fraction for w in prior):
@@ -113,6 +114,7 @@ class LearningProblem:
         np.add.at(part_masses, part_index, weights)
         for array in (functions, labels, weights, float_prior, part_index, part_masses):
             array.flags.writeable = False
+        object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
@@ -224,6 +226,7 @@ def _digits(base: int, width: int) -> np.ndarray:
 
 def make_parity(n: int) -> LearningProblem:
     """All functions {1..N} -> Z2, uniform prior, labeled by the mod-2 sum."""
+    n = int_from_json(n)
     if not 1 <= n <= MAX_PARITY_N:
         raise CapacityError(f"parity needs 1 <= N <= {MAX_PARITY_N}, got {n}")
     functions = _digits(2, n)
@@ -283,6 +286,7 @@ def make_shamir(p: int, k: int) -> LearningProblem:
     f(1), ..., f(p-1) so internal point i is field point i+1. Part labels
     are the secret a_0, each with prior weight 1/p.
     """
+    p, k = int_from_json(p), int_from_json(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k + 1 >= p:

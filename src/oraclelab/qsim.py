@@ -75,6 +75,8 @@ class QuantumAlgorithm:
     outcome_labels: dict[int, int] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "x_dim", int_from_json(self.x_dim))
+        object.__setattr__(self, "z_dim", int_from_json(self.z_dim))
         if self.x_dim < 1 or self.z_dim < 1:
             raise ValueError("x_dim and z_dim must be >= 1")
         dim = self.dim
@@ -295,6 +297,7 @@ def random_algorithm(
     ``labels_cycle`` assigns outcome s the label ``cycle[s % len(cycle)]``,
     for problems where a success probability is wanted.
     """
+    x_dim, z_dim, queries, seed = map(int_from_json, (x_dim, z_dim, queries, seed))
     dim = x_dim * group.order * z_dim
     seeds = trial_seeds(seed, queries + 2)
     state = random_pure_state(dim, seeds[0])

@@ -147,6 +147,23 @@ def compiled_from_json(data):
     )
 
 
+def naive_output_prob(compiled, bits):
+    """Probability the sampler outputs 0 on table ``bits``, term by term: the
+    sum of ``prob`` over terms whose sign * prod_{i in S} (2 f_i - 1) is +1.
+    A degenerate sampler asks nothing and flips a fair coin."""
+    if compiled.degenerate:
+        return 0.5
+    total = 0.0
+    for mask, prob, sign in compiled.terms:
+        product = 1
+        for i in range(compiled.n):
+            if mask >> i & 1:
+                product *= 2 * bits[i] - 1
+        if sign * product == 1:
+            total += prob
+    return total
+
+
 def poly_eval_mod(coeffs, x, p):
     return sum(a * pow(x, i, p) for i, a in enumerate(coeffs)) % p
 

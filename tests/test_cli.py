@@ -18,7 +18,7 @@ from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
 from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
 
-from reference import dense_run
+from reference import compiled_from_json, dense_run, naive_output_prob
 
 
 def _reject_constant(name):
@@ -611,7 +611,15 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
         simulated.append(len(tables))
         return simulate(alg, tables)
 
+    transformed = []
+    transform = polycompile.walsh_hadamard
+
+    def counting_transform(values):
+        transformed.append(len(values))
+        return transform(values)
+
     monkeypatch.setattr(polycompile, "run", counting_run)
+    monkeypatch.setattr(polycompile, "walsh_hadamard", counting_transform)
     data = algorithm_to_json(random_algorithm(4, cyclic(2), 1, 1, seed=11))
     alg_path, out, cert = tmp_path / "alg.json", tmp_path / "c.json", tmp_path / "cert.csv"
     alg_path.write_text(json.dumps(data))
@@ -620,6 +628,7 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
             "--certificate", str(cert)]
     assert main(argv) == EXIT_OK
     assert simulated == [16]
+    assert transformed == [16, 16]  # one in to_fourier, one for the sampler's output_probs
     simulated.clear()
     reproduce._bias_identity(reproduce.BundleRun(7))
     assert len(simulated) == 40  # one per algorithm of the pool
@@ -627,6 +636,7 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
     # every row against dense conjugation of the JSON's own rho0 and POVM
     compiled = _read_report(out)["result"]
     assert not compiled["degenerate"]
+    sampler = compiled_from_json(compiled)
     alg = algorithm_from_json(data)
     rho0 = matrix_from_json(data["rho0"])
     povm = [matrix_from_json(e) for e in data["povm"]]
@@ -638,8 +648,7 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
         bits = [mask >> i & 1 for i in range(4)]
         assert f == "".join(map(str, bits))
         p_dense = dense_run(alg, bits, rho0, povm)[1][accept].sum()
-        signs = [1 - 2 * (sum(1 - bits[i] for i in t["S"]) % 2) for t in compiled["terms"]]
-        p_sampler = sum(t["prob"] for t, w in zip(compiled["terms"], signs) if t["sign"] * w == 1)
+        p_sampler = naive_output_prob(sampler, bits)
         assert abs(float(p_q) - p_dense) < 1e-12
         assert abs(float(p_c) - p_sampler) < 1e-12
         expected = (p_dense - 0.5) / compiled["T"] + 0.5

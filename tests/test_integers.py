@@ -3,6 +3,7 @@ reads an integer: 3, 3.0, numpy integers and ints past int64 pass; bools,
 fractions, None and strings are refused by name, never truncated."""
 
 import dataclasses
+import json
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from oraclelab.algebra import FiniteAbelianGroup, cyclic, int_from_json
+from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
 from oraclelab.polycompile import classical_output_prob, compile_classical
 from oraclelab.problems import (
@@ -17,9 +19,11 @@ from oraclelab.problems import (
     event_indices,
     is_prime,
     make_parity,
+    make_shamir,
+    problem_to_json,
     shamir_reconstruct,
 )
-from oraclelab.qsim import random_algorithm
+from oraclelab.qsim import algorithm_to_json, random_algorithm
 
 VALUES = [3, 3.0, np.int64(3), 2**65, True, 2.5, None, "3"]
 HALF = (Fraction(1, 2),) * 2
@@ -27,6 +31,17 @@ BIG_PRIME = 2**66 + 9  # share points and values up to 2^65 are in range
 BIG_CLASS = LearningProblem(1, cyclic(2**66), ((3,), (2**65,)), (0, 1), HALF)
 FOUR_OUTCOMES = random_algorithm(2, cyclic(2), 1, 1, 7)  # d = 4, one outcome per dimension
 SAMPLER = compile_classical(FOUR_OUTCOMES, [0, 2])
+THREE_POINTS = random_algorithm(3, cyclic(2), 1, 0, 5)  # x_dim 3
+THREE_WORKSPACE = random_algorithm(1, cyclic(2), 3, 0, 5)  # z_dim 3
+
+
+def _problem_text(problem):
+    return json.dumps(problem_to_json(problem))
+
+
+def _algorithm_text(alg):
+    return json.dumps(algorithm_to_json(alg))
+
 
 # Each reads one integer v; where 3 or 2^65 is outside its range it raises
 # a range error, which is not the rule's.
@@ -50,6 +65,23 @@ ENTRY_POINTS = {
     "table bit": lambda v: classical_output_prob(SAMPLER, [v, 1]),
 }
 
+# Size parameters, compared as written JSON so that a kept 3.0 or True
+# shows; 2^65 may also exceed a capacity ceiling.
+SIZES = {
+    "domain_size": lambda v: _problem_text(
+        LearningProblem(v, cyclic(2), ((0, 1, 0),), (0,), (Fraction(1),))
+    ),
+    "x_dim": lambda v: _algorithm_text(dataclasses.replace(THREE_POINTS, x_dim=v)),
+    "z_dim": lambda v: _algorithm_text(dataclasses.replace(THREE_WORKSPACE, z_dim=v)),
+    "parity n": lambda v: _problem_text(make_parity(v)),
+    "shamir p": lambda v: _problem_text(make_shamir(v, 1)),
+    "shamir k": lambda v: _problem_text(make_shamir(5, v)),
+    "random x_dim": lambda v: _algorithm_text(random_algorithm(v, cyclic(2), 1, 0, 1)),
+    "random z_dim": lambda v: _algorithm_text(random_algorithm(1, cyclic(2), v, 0, 1)),
+    "random queries": lambda v: _algorithm_text(random_algorithm(1, cyclic(2), 1, v, 1)),
+    "random seed": lambda v: _algorithm_text(random_algorithm(1, cyclic(2), 1, 0, v)),
+}
+
 
 def _rule_accepts(value) -> bool:
     try:
@@ -69,13 +101,18 @@ def test_the_rule():
 
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)
-@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize(
+    "entry", [*ENTRY_POINTS.values(), *SIZES.values()], ids=[*ENTRY_POINTS, *SIZES]
+)
 def test_every_entry_point_reads_integers_by_the_rule(entry, value):
     try:
         result = entry(value)
     except ValueError as exc:
         refused = "expected an integer" in str(exc)
         assert not refused or f"got {value!r}" in str(exc)
+    except CapacityError:
+        assert value == 2**65 and entry in SIZES.values()
+        refused = False
     else:
         refused = False
         assert result == entry(int(value))

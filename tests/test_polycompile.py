@@ -32,6 +32,7 @@ from reference import (
     compiled_from_json,
     from_fourier,
     naive_character_coeffs,
+    naive_output_prob,
 )
 
 
@@ -241,6 +242,81 @@ def test_compiled_validation():
         CompiledClassicalAlgorithm(2, 0, 1.0, ((0b11, 1.0, 1),), False)
     with pytest.raises(ValueError):  # bad sign
         CompiledClassicalAlgorithm(2, 1, 1.0, ((0b1, 1.0, 2),), False)
+    with pytest.raises(ValueError, match="subset mask 0b10 has a bit at or above n = 1"):
+        CompiledClassicalAlgorithm(1, 1, 1.0, ((0b10, 1.0, 1),), False)
+    with pytest.raises(ValueError, match="subset mask -0b1 has a bit at or above n = 2"):
+        CompiledClassicalAlgorithm(2, 1, 1.0, ((-1, 1.0, 1),), False)
+    with pytest.raises(ValueError, match="a degenerate sampler has no terms"):
+        CompiledClassicalAlgorithm(2, 1, 0.0, ((0b1, 1.0, 1),), True)
+
+
+def _assert_matches_oracle(compiled):
+    assert compiled.output_probs.shape == (1 << compiled.n,)
+    assert not compiled.output_probs.flags.writeable
+    for mask in range(1 << compiled.n):
+        bits = [mask >> i & 1 for i in range(compiled.n)]
+        want = naive_output_prob(compiled, bits)
+        assert abs(compiled.output_probs[mask] - want) <= 1e-15
+        assert abs(classical_output_prob(compiled, bits) - want) <= 1e-15
+
+
+def test_output_probs_match_the_term_by_term_oracle_on_compiled_samplers():
+    for _, alg in _sample_pool(29, count=10):
+        _assert_matches_oracle(compile_classical(alg, _accept_evens(alg)))
+    for n in range(4, 9):
+        for q in (1, 2):
+            alg = random_algorithm(n, cyclic(2), 1, q, n + 10 * q)
+            _assert_matches_oracle(compile_classical(alg, _accept_evens(alg)))
+
+
+@st.composite
+def _hand_samplers(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << n) - 1),
+                st.integers(min_value=1, max_value=100),
+                st.sampled_from((-1, 1)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    total = sum(w for _, w, _ in raw)
+    terms = tuple((mask, w / total, sign) for mask, w, sign in raw)
+    return CompiledClassicalAlgorithm(n, n, 1.0, terms, False)
+
+
+@given(_hand_samplers())
+@settings(max_examples=100, deadline=None)
+def test_output_probs_match_the_term_by_term_oracle_on_hand_samplers(compiled):
+    _assert_matches_oracle(compiled)
+
+
+def test_output_probs_of_repeated_and_degenerate_samplers():
+    twice = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 0.5, 1), (0b01, 0.5, 1)), False)
+    once = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 1.0, 1),), False)
+    assert twice.output_probs.tolist() == once.output_probs.tolist() == [0.0, 1.0, 0.0, 1.0]
+    _assert_matches_oracle(twice)
+    cancelled = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b11, 0.5, 1), (0b11, 0.5, -1)), False)
+    assert cancelled.output_probs.tolist() == [0.5] * 4
+    _assert_matches_oracle(cancelled)
+    for n in (1, 3, 5):
+        degenerate = CompiledClassicalAlgorithm(n, 1, 0.0, (), True)
+        assert degenerate.output_probs.tolist() == [0.5] * (1 << n)
+        _assert_matches_oracle(degenerate)
+
+
+def test_output_probs_refuse_more_tables_than_the_cube_ceiling():
+    wide = CompiledClassicalAlgorithm(40, 1, 1.0, ((0b1, 1.0, 1),), False)
+    refusal = rf"sampler has 2\^40 tables, over the ceiling n <= {MAX_CUBE_VARS}"
+    with pytest.raises(CapacityError, match=refusal):
+        classical_output_prob(wide, [1] + [0] * 39)
+    with pytest.raises(CapacityError, match=refusal):
+        wide.output_probs
+    at_ceiling = CompiledClassicalAlgorithm(MAX_CUBE_VARS, 1, 1.0, ((0b1, 1.0, 1),), False)
+    assert classical_output_prob(at_ceiling, [1] + [0] * (MAX_CUBE_VARS - 1)) == 1.0
 
 
 def test_corollary5_holds_for_parity4():
