@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -190,60 +191,78 @@ def validate_povm(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
 
     Each element Pi_s = B_s B_s^H is Hermitian and positive semidefinite by
     construction, so the whole check is one product of the stacked factor:
-    max|B B^H - I| <= TOL_NUM.
+    max|B B^H - I| <= TOL_NUM. The stacked factor is read once by
+    :func:`as_complex_matrix`, and the elements are returned as its column
+    blocks.
     """
-    mats = tuple(as_complex_matrix(b) for b in factors)
+    mats = tuple(np.asarray(b) for b in factors)
     if not mats:
         raise ValueError("a POVM needs at least one element")
-    dim = mats[0].shape[0]
+    dim = mats[0].shape[0] if mats[0].ndim else None
     for i, b in enumerate(mats):
+        if b.ndim != 2:
+            raise ValueError(f"POVM element {i}: expected a 2-d matrix, got shape {b.shape}")
         if b.shape[0] != dim:
             raise ValueError(f"POVM element {i} has {b.shape[0]} rows, expected {dim}")
-    stacked = np.hstack(mats)
+    stacked = as_complex_matrix(np.concatenate(mats, axis=1))
     defect = max_abs(stacked @ stacked.conj().T - np.eye(dim))
     if defect > TOL_NUM:
         raise ValueError(f"POVM does not sum to identity: defect {defect:.3e} > {TOL_NUM:g}")
-    return mats
+    ends = accumulate(b.shape[1] for b in mats)
+    return tuple(stacked[:, end - b.shape[1]:end] for b, end in zip(mats, ends))
 
 
 # ---------------------------------------------------------------------------
 # seeded random generation
 
 
-def random_unitary(dim: int, seed: int) -> np.ndarray:
+def random_unitary(dim: int, seeds: int | Sequence[int]) -> np.ndarray:
     """Haar-style random unitary, deterministic for a fixed seed.
 
     QR orthonormalization of an i.i.d. complex standard Gaussian matrix,
     with the phases of the R diagonal divided out so the distribution does
-    not depend on the QR sign convention.
+    not depend on the QR sign convention. ``seeds`` is one seed, giving a
+    (dim, dim) unitary, or a sequence of them, giving a (len(seeds), dim,
+    dim) stack: each seed draws its Gaussians from its own stream and the
+    whole stack is orthonormalized by one stacked QR, so a stack's
+    unitaries equal the one-seed ones bit for bit.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    single = np.ndim(seeds) == 0
+    seeds = [seeds] if single else list(seeds)
+    a = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        a[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    return u[0] if single else u
 
 
-def random_povm(dim: int, n_outcomes: int, seed: int) -> tuple[np.ndarray, ...]:
+def random_povm(
+    dim: int, n_outcomes: int, seeds: int | Sequence[int]
+) -> tuple[np.ndarray, ...]:
     """Random projective POVM from a coarse-grained random orthonormal basis.
 
     The columns of a random unitary are split into ``n_outcomes`` groups of
     near-equal size; element s is the orthogonal projector onto group s,
-    returned as its factor: the group's columns.
+    returned as its factor: the group's columns. For a sequence of seeds
+    each factor has a leading axis, one basis per seed, as in
+    :func:`random_unitary`.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not 1 <= n_outcomes <= dim:
         raise ValueError(f"need 1 <= n_outcomes <= dim, got n_outcomes={n_outcomes}, dim={dim}")
-    u = random_unitary(dim, seed)
+    u = random_unitary(dim, seeds)
     base, extra = divmod(dim, n_outcomes)
     elements = []
     start = 0
     for s in range(n_outcomes):
         size = base + (1 if s < extra else 0)
-        elements.append(u[:, start:start + size])
+        elements.append(u[..., start:start + size])
         start += size
     return tuple(elements)
 

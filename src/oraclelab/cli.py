@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -136,7 +137,10 @@ def _parse_accept(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: ``main`` only
+    reads it, and parse_args returns a fresh namespace on each call."""
     parser = argparse.ArgumentParser(
         prog="oraclelab",
         description="simulate k-query oracle algorithms and certify query uselessness",

@@ -14,6 +14,7 @@ indices, bit i for point i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from .algebra import int_from_json
 from .errors import CapacityError
 from .problems import LearningProblem
-from .qsim import EPS_COND, QuantumAlgorithm, joint_distribution, run
+from .qsim import EPS_COND, AlgorithmStack, QuantumAlgorithm, as_stack, joint_distribution, run
 from .useless import VERDICT_NOT_USELESS, classical_useless
 
 MAX_CUBE_VARS = 12
@@ -70,7 +71,9 @@ def _subset_sorted(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _accept_indices(alg: QuantumAlgorithm, accept_outcomes: Iterable[int]) -> list[int]:
+def _accept_indices(
+    alg: QuantumAlgorithm | AlgorithmStack, accept_outcomes: Iterable[int]
+) -> list[int]:
     """The accept set as sorted distinct outcome indices of ``alg``."""
     accept = sorted({int_from_json(s) for s in accept_outcomes})
     for s in accept:
@@ -117,32 +120,44 @@ def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
     return _butterfly(values, ((1, 1), (1, -1)))
 
 
-def acceptance_polynomial(
-    alg: QuantumAlgorithm, accept_outcomes: Iterable[int]
-) -> MultilinearPolynomial:
-    """Accept probability of the algorithm as a polynomial in the table bits.
+def acceptance_polynomials(
+    algs: Sequence[QuantumAlgorithm], accept_outcomes: Iterable[int]
+) -> list[MultilinearPolynomial]:
+    """Accept probability of each algorithm as a polynomial in the table bits.
 
-    Simulates every Boolean oracle table, sums the POVM outcome weights in
+    Simulates every Boolean oracle table for the algorithms of one shape in
+    one stacked :func:`run`, sums the POVM outcome weights in
     ``accept_outcomes``, and interpolates. Any coefficient beyond degree
     2k above the alarm threshold signals a broken simulation and raises.
     """
-    if alg.group.factors != (2,):
+    stack, _ = as_stack(algs)
+    if stack.group.factors != (2,):
         raise ValueError("acceptance polynomials require the binary response group")
-    n = alg.x_dim
+    n = stack.x_dim
     if n > MAX_CUBE_VARS:
         raise CapacityError(f"cube has 2^{n} tables, over the ceiling n <= {MAX_CUBE_VARS}")
-    accept = _accept_indices(alg, accept_outcomes)
+    accept = _accept_indices(stack, accept_outcomes)
     tables = np.arange(1 << n)[:, None] >> np.arange(n) & 1
-    values = run(alg, tables).outcome_probs[:, accept].sum(axis=1)
-    poly = interpolate_on_cube(values)
-    max_degree = 2 * alg.query_count
-    broken = (_popcounts(1 << n) > max_degree) & (np.abs(poly.coeffs) >= DEGREE_TOL)
-    if broken.any():
-        mask = int(np.argmax(broken))
-        raise ArithmeticError(
-            f"coefficient {poly.coeffs[mask]:.3e} on subset {_subset_sorted(mask)} "
-            f"violates the degree bound {max_degree}; the simulation is inconsistent"
-        )
+    max_degree = 2 * stack.query_count
+    polys = []
+    for probs in run(stack, tables).outcome_probs:
+        poly = interpolate_on_cube(probs[:, accept].sum(axis=1))
+        broken = (_popcounts(1 << n) > max_degree) & (np.abs(poly.coeffs) >= DEGREE_TOL)
+        if broken.any():
+            mask = int(np.argmax(broken))
+            raise ArithmeticError(
+                f"coefficient {poly.coeffs[mask]:.3e} on subset {_subset_sorted(mask)} "
+                f"violates the degree bound {max_degree}; the simulation is inconsistent"
+            )
+        polys.append(poly)
+    return polys
+
+
+def acceptance_polynomial(
+    alg: QuantumAlgorithm, accept_outcomes: Iterable[int]
+) -> MultilinearPolynomial:
+    """The one-algorithm case of :func:`acceptance_polynomials`."""
+    (poly,) = acceptance_polynomials([alg], accept_outcomes)
     return poly
 
 
@@ -172,21 +187,28 @@ class CompiledClassicalAlgorithm:
     queries: int
     scale: float
     terms: tuple[tuple[int, float, int], ...]
-    degenerate: bool
 
     def __post_init__(self):
-        if self.degenerate and self.terms:
-            raise ValueError("a degenerate sampler has no terms")
-        total = sum(prob for _, prob, _ in self.terms)
-        if not self.degenerate and abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"term probabilities sum to {total!r}, not 1")
-        for mask, _, sign in self.terms:
+        for mask, prob, sign in self.terms:
             if sign not in (-1, 1):
                 raise ValueError(f"sign must be +/-1, got {sign}")
             if mask >> self.n:  # also every negative mask
                 raise ValueError(f"subset mask {mask:#b} has a bit at or above n = {self.n}")
             if mask.bit_count() > 2 * self.queries:
                 raise ValueError(f"subset {_subset_sorted(mask)} exceeds 2k = {2 * self.queries}")
+            if not 0.0 <= prob < math.inf:  # false for NaN as well
+                raise ValueError(
+                    f"term probability {prob!r} of subset {_subset_sorted(mask)} is not a "
+                    "finite non-negative number"
+                )
+        total = sum(prob for _, prob, _ in self.terms)
+        if self.terms and abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"term probabilities sum to {total!r}, not 1")
+
+    @property
+    def degenerate(self) -> bool:
+        """A sampler with no terms: it asks no queries and flips a fair coin."""
+        return not self.terms
 
     @cached_property
     def output_probs(self) -> np.ndarray:
@@ -220,12 +242,12 @@ def compile_polynomial(poly: MultilinearPolynomial, queries: int) -> CompiledCla
     )
     scale = float(np.abs(coeffs[kept]).sum())
     if scale < PRUNE_TOL:
-        return CompiledClassicalAlgorithm(poly.n, queries, 0.0, (), degenerate=True)
+        return CompiledClassicalAlgorithm(poly.n, queries, 0.0, ())
     terms = tuple(
         (int(mask), float(abs(coeffs[mask]) / scale), 1 if coeffs[mask] > 0 else -1)
         for mask in kept
     )
-    return CompiledClassicalAlgorithm(poly.n, queries, scale, terms, degenerate=False)
+    return CompiledClassicalAlgorithm(poly.n, queries, scale, terms)
 
 
 def compile_classical(
@@ -301,42 +323,50 @@ class Corollary5Report:
 
 def corollary5_audit(
     problem: LearningProblem,
-    alg: QuantumAlgorithm,
+    algs: QuantumAlgorithm | Sequence[QuantumAlgorithm],
     accept_outcomes: Iterable[int],
     check_classical: bool = True,
-) -> Corollary5Report:
+) -> Corollary5Report | list[Corollary5Report]:
     """Audit the ratio identity tying acceptance mass to the prior.
 
     Requires a Boolean-valued problem with exactly two parts. The accept
     masses come from :func:`joint_distribution`, a direct simulation kept
     independent of the polynomial and sampler machinery on purpose.
+    ``algs`` is one algorithm or a sequence of algorithms of one shape,
+    audited from one stacked simulation; a sequence gives one report per
+    algorithm, and the classical verdict is decided once for all of them.
     """
+    stack, single = as_stack(algs)
     if problem.group.factors != (2,):
         raise ValueError("the audit requires the binary response group")
     parts = problem.part_labels()
     if len(parts) != 2:
         raise ValueError(f"the audit requires exactly two parts, got {parts}")
-    accept = _accept_indices(alg, accept_outcomes)
-    part_mass = joint_distribution(alg, problem)[:, accept].sum(axis=1)
-    first = parts[0]
-    lhs_mass, total_mass = float(part_mass[0]), float(part_mass.sum())
+    accept = _accept_indices(stack, accept_outcomes)
+    part_masses = joint_distribution(stack, problem)[:, :, accept].sum(axis=2)
     rhs = problem.part_shares()[0]
-    defined = total_mass > EPS_COND
-    lhs = lhs_mass / total_mass if defined else float("nan")
-    deviation = abs(lhs - rhs) if defined else float("nan")
     useless_2k: bool | None = None
     if check_classical:
-        verdict = classical_useless(problem, 2 * alg.query_count).verdict
+        verdict = classical_useless(problem, 2 * stack.query_count).verdict
         useless_2k = verdict != VERDICT_NOT_USELESS
-    return Corollary5Report(
-        problem=problem.name,
-        part=first,
-        accept_mass=total_mass,
-        lhs=lhs,
-        rhs=rhs,
-        deviation=deviation,
-        tolerance=AUDIT_TOL,
-        defined=defined,
-        identity_holds=bool(defined and deviation <= AUDIT_TOL),
-        classical_useless_2k=useless_2k,
-    )
+    reports = []
+    for part_mass in part_masses:
+        lhs_mass, total_mass = float(part_mass[0]), float(part_mass.sum())
+        defined = total_mass > EPS_COND
+        lhs = lhs_mass / total_mass if defined else float("nan")
+        deviation = abs(lhs - rhs) if defined else float("nan")
+        reports.append(
+            Corollary5Report(
+                problem=problem.name,
+                part=parts[0],
+                accept_mass=total_mass,
+                lhs=lhs,
+                rhs=rhs,
+                deviation=deviation,
+                tolerance=AUDIT_TOL,
+                defined=defined,
+                identity_holds=bool(defined and deviation <= AUDIT_TOL),
+                classical_useless_2k=useless_2k,
+            )
+        )
+    return reports[0] if single else reports

@@ -20,6 +20,14 @@ tables of a stack at once, so a pure state costs one column per table and
 a mixed state one per eigenvalue; the measurement is one product with the
 stacked B^H. Final density matrices are formed from the evolved factor
 only when they are read.
+
+Algorithms of one shape also stack: the simulator takes one algorithm or
+a sequence of them (an :class:`AlgorithmStack`), and for a sequence every
+array gains a leading algorithm axis, from one gather per oracle call and
+one batched matrix product per unitary and for the measurement. One
+algorithm is a stack of one, run by the same code. ``STACK_ENTRY_BUDGET``
+bounds what one stack holds, and :func:`random_algorithms` draws a stack
+with one stacked QR for its unitaries and one for its POVM bases.
 """
 
 from __future__ import annotations
@@ -117,6 +125,77 @@ class QuantumAlgorithm:
     def n_outcomes(self) -> int:
         return len(self.povm)
 
+    @cached_property
+    def stack_key(self) -> tuple:
+        """What algorithms of one stack share: registers, query count, the
+        initial state's rank and each POVM element's rank."""
+        ranks = tuple(b.shape[1] for b in self.povm)
+        return (self.x_dim, self.group, self.z_dim, self.query_count, len(self.state[0]), ranks)
+
+
+# Complex entries one stack of algorithms may hold, bounding memory: its
+# state vectors, unitaries and POVM factors and, in a run over T tables,
+# its evolved columns and measured amplitudes. A 1-query random algorithm
+# at the falsifier's ceiling d = 1232 (useless.MAX_DIM) holds about
+# 3.0e6 of them, so there a stack is one algorithm.
+STACK_ENTRY_BUDGET = 2**22
+
+
+def stack_capacity(dim: int, queries: int, rank: int, povm_columns: int, n_tables: int) -> int:
+    """Algorithms of one shape a stack run over ``n_tables`` tables holds
+    within ``STACK_ENTRY_BUDGET``, and at least one."""
+    entries = dim * (queries * dim + rank + povm_columns) + (dim + povm_columns) * n_tables * rank
+    return max(1, STACK_ENTRY_BUDGET // entries)
+
+
+def _stack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays along a new leading axis; one array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+@dataclass(frozen=True, eq=False)
+class AlgorithmStack:
+    """Algorithms of one shape, simulated together along a leading axis.
+
+    One shape means equal ``stack_key``: the same registers, query count,
+    state rank and POVM element ranks, so each operator stacks into one
+    array. The stack reads its registers from its first algorithm.
+    """
+
+    algorithms: tuple[QuantumAlgorithm, ...]
+
+    def __post_init__(self):
+        algorithms = tuple(self.algorithms)
+        if not algorithms:
+            raise ValueError("a stack needs at least one algorithm")
+        key = algorithms[0].stack_key
+        for i, alg in enumerate(algorithms):
+            if alg.stack_key != key:
+                raise ValueError(
+                    f"algorithm {i} has shape {alg.stack_key}, the stack's first has {key}"
+                )
+        object.__setattr__(self, "algorithms", algorithms)
+
+    def __len__(self) -> int:
+        return len(self.algorithms)
+
+    def __iter__(self):
+        return iter(self.algorithms)
+
+    x_dim = property(lambda self: self.algorithms[0].x_dim)
+    group = property(lambda self: self.algorithms[0].group)
+    dim = property(lambda self: self.algorithms[0].dim)
+    query_count = property(lambda self: self.algorithms[0].query_count)
+    n_outcomes = property(lambda self: self.algorithms[0].n_outcomes)
+
+
+def as_stack(algs: QuantumAlgorithm | Sequence[QuantumAlgorithm]) -> tuple[AlgorithmStack, bool]:
+    """(stack, single): one algorithm is a stack of one, and ``single`` tells
+    the caller to return its result without the leading algorithm axis."""
+    if isinstance(algs, QuantumAlgorithm):
+        return AlgorithmStack((algs,)), True
+    return (algs if isinstance(algs, AlgorithmStack) else AlgorithmStack(algs)), False
+
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
@@ -126,7 +205,8 @@ class RunResult:
     factored form: table t ends in rho_t = sum_r weights[r] v_rt v_rt^H
     with v_rt = ``columns[:, t, r]``, where ``columns`` has shape (d, T, R),
     R is the rank of the initial state's factor and ``weights`` its signed
-    weights.
+    weights. A run of a stack of A algorithms puts a leading axis of A on
+    every array.
     """
 
     outcome_probs: np.ndarray
@@ -136,8 +216,9 @@ class RunResult:
     @cached_property
     def final_states(self) -> np.ndarray:
         """rho_t for every table, shape (T, d, d), built on first read."""
-        vectors = np.moveaxis(self.columns, 1, 0)  # (T, d, R)
-        return (vectors * self.weights) @ vectors.conj().transpose(0, 2, 1)
+        vectors = np.moveaxis(self.columns, -3, -2)  # (..., T, d, R)
+        weighted = vectors * self.weights[..., None, None, :]
+        return weighted @ np.swapaxes(vectors.conj(), -1, -2)
 
 
 def oracle_matrix(
@@ -165,60 +246,73 @@ def oracle_matrix(
     return index.reshape(len(tables), x_dim * y_dim * z_dim)
 
 
-def run(alg: QuantumAlgorithm, tables) -> RunResult:
+def run(algs: QuantumAlgorithm | Sequence[QuantumAlgorithm], tables) -> RunResult:
     """Evolve the initial state through k oracle calls and k unitaries,
     for every oracle table in the (T, x_dim) stack at once.
 
-    Each signed-weight vector of the initial state's factor evolves as a
-    column, oracle calls gather along the basis axis and each unitary is
-    one matrix product over all tables and columns. With no unitaries the
-    initial state is measured directly. The measurement is one product
-    B^H @ columns with the stacked POVM factor B; outcome probabilities are
-    sum_r weights[r] ||B_s^H v_rt||^2, a segmented sum of its squared
-    moduli, verified to be a distribution within the numeric tolerance for
-    every table and then clamped to [0, 1].
+    ``algs`` is one algorithm or a sequence of algorithms of one shape
+    (an :class:`AlgorithmStack`); a sequence puts a leading algorithm axis
+    on every array of the result. Each signed-weight vector of each
+    algorithm's initial state evolves as a column, oracle calls are one
+    gather along the basis axis for the whole stack and each unitary is
+    one batched matrix product over algorithms, tables and columns. With
+    no unitaries the initial state is measured directly. The measurement
+    is one batched product B^H @ columns with each algorithm's stacked
+    POVM factor B; outcome probabilities are sum_r weights[r] ||B_s^H
+    v_rt||^2, a segmented sum of its squared moduli, verified to be a
+    distribution within the numeric tolerance for every algorithm and
+    table and then clamped to [0, 1].
     """
+    stack, single = as_stack(algs)
+    algorithms = stack.algorithms
+    first = algorithms[0]
     tables = np.asarray(tables)
-    perm = oracle_matrix(tables, alg.x_dim, alg.group, alg.z_dim)
+    perm = oracle_matrix(tables, first.x_dim, first.group, first.z_dim)
     n_tables, dim = perm.shape
-    weights, vectors = alg.state
-    rank = len(weights)
-    columns = np.broadcast_to(vectors[:, None, :], (dim, n_tables, rank))
-    # row (i, t) of the (d*T, R) view reads row (P[t, i], t)
+    n_algs, n_outcomes = len(algorithms), first.n_outcomes
+    weights = _stack_arrays([alg.state[0] for alg in algorithms])  # (A, R)
+    vectors = _stack_arrays([alg.state[1] for alg in algorithms])  # (A, d, R)
+    rank = weights.shape[1]
+    columns = np.broadcast_to(vectors[:, :, None, :], (n_algs, dim, n_tables, rank))
+    # row (i, t) of each algorithm's (d*T, R) view reads row (P[t, i], t)
     gather = perm.T * n_tables + np.arange(n_tables)
-    for u in alg.unitaries:
-        columns = columns.reshape(dim * n_tables, rank)[gather]
-        columns = (u @ columns.reshape(dim, n_tables * rank)).reshape(dim, n_tables, rank)
-    flat = np.ascontiguousarray(columns).reshape(dim, n_tables * rank)
-    amplitudes = np.hstack(alg.povm).conj().T @ flat
+    for i in range(first.query_count):
+        u = _stack_arrays([alg.unitaries[i] for alg in algorithms])
+        columns = columns.reshape(n_algs, dim * n_tables, rank)[:, gather]
+        columns = u @ columns.reshape(n_algs, dim, n_tables * rank)
+        columns = columns.reshape(n_algs, dim, n_tables, rank)
+    flat = np.ascontiguousarray(columns).reshape(n_algs, dim, n_tables * rank)
+    measure = _stack_arrays([np.hstack(alg.povm) for alg in algorithms]).conj()  # (A, d, M)
+    amplitudes = measure.transpose(0, 2, 1) @ flat
     squares = amplitudes.real**2 + amplitudes.imag**2
-    sizes = np.array([b.shape[1] for b in alg.povm])
+    sizes = np.array([b.shape[1] for b in first.povm])
     starts = np.cumsum(sizes) - sizes
-    expect = np.zeros((alg.n_outcomes, n_tables * rank))
+    expect = np.zeros((n_algs, n_outcomes, n_tables * rank))
     measured = sizes > 0  # reduceat would copy a row into an empty segment
-    expect[measured] = np.add.reduceat(squares, starts[measured], axis=0)
-    probs = (expect.reshape(alg.n_outcomes, n_tables, rank) @ weights).T
-    out_of_range = (probs.min(axis=1) < -TOL_NUM) | (probs.max(axis=1) > 1 + TOL_NUM)
+    expect[:, measured] = np.add.reduceat(squares, starts[measured], axis=1)
+    expect = expect.reshape(n_algs, n_outcomes, n_tables, rank)
+    probs = (expect @ weights[:, None, :, None])[..., 0].transpose(0, 2, 1)  # (A, T, S)
+    out_of_range = (probs.min(axis=2) < -TOL_NUM) | (probs.max(axis=2) > 1 + TOL_NUM)
     if out_of_range.any():
-        t = int(np.argmax(out_of_range))
+        a, t = np.unravel_index(np.argmax(out_of_range), out_of_range.shape)
         raise ArithmeticError(
-            f"outcome probabilities outside [0,1] on table {t} {tables[t].tolist()}: "
-            f"{probs[t]}"
+            f"outcome probabilities of algorithm {a} outside [0,1] on table {t} "
+            f"{tables[t].tolist()}: {probs[a, t]}"
         )
-    sums = probs.sum(axis=1)
+    sums = probs.sum(axis=2)
     bad_sum = np.abs(sums - 1.0) > TOL_NUM
     if bad_sum.any():
-        t = int(np.argmax(bad_sum))
+        a, t = np.unravel_index(np.argmax(bad_sum), bad_sum.shape)
         raise ArithmeticError(
-            f"outcome probabilities on table {t} {tables[t].tolist()} sum to "
-            f"{sums[t]}, not 1"
+            f"outcome probabilities of algorithm {a} on table {t} {tables[t].tolist()} "
+            f"sum to {sums[a, t]}, not 1"
         )
-    return RunResult(
-        outcome_probs=np.clip(probs, 0.0, 1.0), weights=weights, columns=columns
-    )
+    if single:
+        probs, weights, columns = probs[0], weights[0], columns[0]
+    return RunResult(outcome_probs=np.clip(probs, 0.0, 1.0), weights=weights, columns=columns)
 
 
-def _check_match(alg: QuantumAlgorithm, problem: LearningProblem) -> None:
+def _check_match(alg: QuantumAlgorithm | AlgorithmStack, problem: LearningProblem) -> None:
     if alg.x_dim != problem.domain_size:
         raise ValueError(
             f"algorithm queries {alg.x_dim} points, problem has {problem.domain_size}"
@@ -230,42 +324,59 @@ def _check_match(alg: QuantumAlgorithm, problem: LearningProblem) -> None:
         )
 
 
-def joint_distribution(alg: QuantumAlgorithm, problem: LearningProblem) -> np.ndarray:
+def joint_distribution(
+    algs: QuantumAlgorithm | Sequence[QuantumAlgorithm], problem: LearningProblem
+) -> np.ndarray:
     """Table over (part, outcome) of Pr[j, s] = sum_{f in part j} mu(f) Tr(rho_f Pi_s).
 
-    Rows follow ``problem.part_labels()``. Every quantum verdict reads this
-    table; no other code sums a class's outcome table by part.
+    Rows follow ``problem.part_labels()``. ``algs`` is one algorithm or a
+    sequence of algorithms of one shape, whose tables stack along a leading
+    axis from one :func:`run`. Every quantum verdict reads this table; no
+    other code sums a class's outcome table by part.
     """
-    _check_match(alg, problem)
+    stack, single = as_stack(algs)
+    _check_match(stack, problem)
     in_part = np.arange(len(problem.part_masses))[:, None] == problem.part_index  # (J, |C|)
-    table = (in_part * problem.float_prior) @ run(alg, problem.functions).outcome_probs
-    if abs(table.sum() - 1.0) > TOL_NUM:
-        raise ArithmeticError(f"joint distribution sums to {table.sum()}, not 1")
-    return table
+    table = (in_part * problem.float_prior) @ run(stack, problem.functions).outcome_probs
+    sums = table.sum(axis=(1, 2))
+    bad = np.abs(sums - 1.0) > TOL_NUM
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise ArithmeticError(f"joint distribution of algorithm {a} sums to {sums[a]}, not 1")
+    return table[0] if single else table
 
 
 def outcome_posteriors(
-    alg: QuantumAlgorithm, problem: LearningProblem
+    algs: QuantumAlgorithm | Sequence[QuantumAlgorithm], problem: LearningProblem
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities (S,) and part posteriors (J, S), rows as in
-    :func:`joint_distribution`; a column is NaN where conditioning is
-    undefined, at an outcome probability of at most ``EPS_COND``."""
-    table = joint_distribution(alg, problem)
-    outcome_probs = table.sum(axis=0)
+    :func:`joint_distribution`, with its leading algorithm axis for a
+    sequence; a column is NaN where conditioning is undefined, at an
+    outcome probability of at most ``EPS_COND``."""
+    table = joint_distribution(algs, problem)
+    outcome_probs = table.sum(axis=-2)
+    column = outcome_probs[..., None, :]
     posteriors = np.divide(
-        table, outcome_probs, out=np.full_like(table, np.nan), where=outcome_probs > EPS_COND
+        table, column, out=np.full_like(table, np.nan), where=column > EPS_COND
     )
     return outcome_probs, posteriors
 
 
-def success_probability(alg: QuantumAlgorithm, problem: LearningProblem) -> float:
-    """Probability that the labeled outcome matches the hidden part."""
-    if alg.outcome_labels is None:
+def success_probability(
+    algs: QuantumAlgorithm | Sequence[QuantumAlgorithm], problem: LearningProblem
+) -> float | np.ndarray:
+    """Probability that the labeled outcome matches the hidden part; an
+    array of them, one per algorithm, for a sequence of algorithms."""
+    stack, single = as_stack(algs)
+    if any(alg.outcome_labels is None for alg in stack):
         raise ValueError("algorithm has no outcome labels")
-    table = joint_distribution(alg, problem)
-    outcomes = list(alg.outcome_labels)
-    hit = np.equal.outer(problem.part_labels(), [alg.outcome_labels[s] for s in outcomes])
-    return float(table[:, outcomes][hit].sum())
+    parts = problem.part_labels()
+    values = []
+    for alg, table in zip(stack, joint_distribution(stack, problem)):
+        outcomes = list(alg.outcome_labels)
+        hit = np.equal.outer(parts, [alg.outcome_labels[s] for s in outcomes])
+        values.append(float(table[:, outcomes][hit].sum()))
+    return values[0] if single else np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +393,49 @@ def trial_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
+def random_algorithms(
+    x_dim: int,
+    group: FiniteAbelianGroup,
+    z_dim: int,
+    queries: int,
+    seeds: Sequence[int],
+    labels_cycle: Sequence[int] | None = None,
+) -> list[QuantumAlgorithm]:
+    """Seeded random algorithms, one per seed: Haar pure initial state,
+    Haar unitaries, and a random projective POVM with one rank-1 element
+    per dimension, each built as its factor.
+
+    Seed s draws from the streams ``trial_seeds(s, queries + 2)``: the
+    state, then each unitary, then the POVM's basis. The unitaries of all
+    seeds are orthonormalized by one stacked QR, and the POVM bases by
+    another, so each algorithm equals its one-seed draw bit for bit; its
+    unitaries are views into the stack. ``labels_cycle`` assigns outcome s
+    the label ``cycle[s % len(cycle)]``, for problems where a success
+    probability is wanted.
+    """
+    x_dim, z_dim, queries = map(int_from_json, (x_dim, z_dim, queries))
+    streams = [trial_seeds(int_from_json(seed), queries + 2) for seed in seeds]
+    dim = x_dim * group.order * z_dim
+    unitary_seeds = [s for child in streams for s in child[1:queries + 1]]
+    unitaries = random_unitary(dim, unitary_seeds).reshape(len(streams), queries, dim, dim)
+    povms = random_povm(dim, dim, [child[queries + 1] for child in streams])
+    labels = None
+    if labels_cycle is not None:
+        labels = {s: labels_cycle[s % len(labels_cycle)] for s in range(dim)}
+    return [
+        QuantumAlgorithm(
+            x_dim=x_dim,
+            group=group,
+            z_dim=z_dim,
+            state=random_pure_state(dim, child[0]),
+            unitaries=tuple(unitaries[a]),
+            povm=tuple(b[a] for b in povms),
+            outcome_labels=labels,
+        )
+        for a, child in enumerate(streams)
+    ]
+
+
 def random_algorithm(
     x_dim: int,
     group: FiniteAbelianGroup,
@@ -290,31 +444,9 @@ def random_algorithm(
     seed: int,
     labels_cycle: Sequence[int] | None = None,
 ) -> QuantumAlgorithm:
-    """Seeded random algorithm: Haar pure initial state, Haar unitaries,
-    and a random projective POVM with one rank-1 element per dimension,
-    each built as its factor.
-
-    ``labels_cycle`` assigns outcome s the label ``cycle[s % len(cycle)]``,
-    for problems where a success probability is wanted.
-    """
-    x_dim, z_dim, queries, seed = map(int_from_json, (x_dim, z_dim, queries, seed))
-    dim = x_dim * group.order * z_dim
-    seeds = trial_seeds(seed, queries + 2)
-    state = random_pure_state(dim, seeds[0])
-    unitaries = tuple(random_unitary(dim, s) for s in seeds[1:queries + 1])
-    povm = random_povm(dim, dim, seeds[queries + 1])
-    labels = None
-    if labels_cycle is not None:
-        labels = {s: labels_cycle[s % len(labels_cycle)] for s in range(dim)}
-    return QuantumAlgorithm(
-        x_dim=x_dim,
-        group=group,
-        z_dim=z_dim,
-        state=state,
-        unitaries=unitaries,
-        povm=povm,
-        outcome_labels=labels,
-    )
+    """The one-seed case of :func:`random_algorithms`."""
+    (alg,) = random_algorithms(x_dim, group, z_dim, queries, [seed], labels_cycle)
+    return alg
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,14 @@ import numpy as np
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
     MultilinearPolynomial,
-    acceptance_polynomial,
+    acceptance_polynomials,
     bias_certificate,
     compile_polynomial,
     corollary5_audit,
     to_fourier,
 )
 from .problems import make_image_parity, make_parity, make_shamir, shamir_reconstruct
-from .qsim import QuantumAlgorithm, random_algorithm, success_probability, trial_seeds
+from .qsim import QuantumAlgorithm, random_algorithms, success_probability, trial_seeds
 from .useless import (
     VERDICT_USELESS,
     classical_useless,
@@ -74,9 +74,8 @@ class BundleRun:
         """
         drawn = self._parity4
         if len(drawn) < count:
-            group = make_parity(4).group
-            for s in trial_seeds(self.seed, count)[len(drawn):]:
-                drawn.append(random_algorithm(4, group, 1, 1, s, labels_cycle=(0, 1)))
+            seeds = trial_seeds(self.seed, count)[len(drawn):]
+            drawn += random_algorithms(4, make_parity(4).group, 1, 1, seeds, labels_cycle=(0, 1))
         return drawn[:count]
 
     @cached_property
@@ -85,10 +84,10 @@ class BundleRun:
         with the acceptance polynomial of their even outcomes."""
         cubes = []
         for n in (2, 3):
-            group = make_parity(n).group
-            for s in trial_seeds(self.seed + n, COMPILE_TRIALS):
-                alg = random_algorithm(n, group, 1, 1, s)
-                cubes.append((n, alg, acceptance_polynomial(alg, _accept_set(alg))))
+            seeds = trial_seeds(self.seed + n, COMPILE_TRIALS)
+            algs = random_algorithms(n, make_parity(n).group, 1, 1, seeds)
+            polys = acceptance_polynomials(algs, _accept_set(algs[0]))
+            cubes += [(n, alg, poly) for alg, poly in zip(algs, polys)]
         return cubes
 
 
@@ -122,7 +121,7 @@ def _parity_quantum(bundle: BundleRun) -> dict:
     report = quantum_useless_falsify(
         problem, 1, trials=0, seed=bundle.seed, extra_algorithms=algorithms
     )
-    lemma_max = max(lemma_check(problem, alg) for alg in algorithms)
+    lemma_max = float(lemma_check(problem, algorithms).max())
     ok = (
         report.verdict == VERDICT_USELESS
         and report.max_deviation < 1e-8
@@ -159,10 +158,8 @@ def _parity_upper(bundle: BundleRun) -> dict:
 
 
 def _parity_barrier(bundle: BundleRun) -> dict:
-    problem = make_parity(4)
-    worst = 0.0
-    for alg in bundle.parity4_algorithms(DEFAULT_TRIALS):
-        worst = max(worst, abs(success_probability(alg, problem) - 0.5))
+    successes = success_probability(bundle.parity4_algorithms(DEFAULT_TRIALS), make_parity(4))
+    worst = float(np.abs(successes - 0.5).max())
     return {
         "claim": "parity of 4 bits: every 1-query algorithm succeeds with probability 1/2",
         "expected": "|success - 1/2| < 1e-8 over 50 random algorithms",
@@ -255,11 +252,9 @@ def _bias_identity(bundle: BundleRun) -> dict:
 def _ratio_audit(bundle: BundleRun) -> dict:
     problem = make_parity(4)
     algorithms = bundle.parity4_algorithms(COMPILE_TRIALS)
-    worst = 0.0
-    for alg in algorithms:
-        report = corollary5_audit(problem, alg, _accept_set(alg), check_classical=False)
-        # an undefined ratio certifies nothing, so it fails the row
-        worst = max(worst, report.deviation if report.defined else float("inf"))
+    reports = corollary5_audit(problem, algorithms, _accept_set(algorithms[0]), check_classical=False)
+    # an undefined ratio certifies nothing, so it fails the row
+    worst = max(r.deviation if r.defined else float("inf") for r in reports)
     deutsch_report = corollary5_audit(make_parity(2), deutsch(), [0])
     ok = (
         worst < 1e-8

@@ -17,20 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import combinations, groupby, islice
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import max_abs
 from .errors import CapacityError
 from .problems import LearningProblem, _group_rows, posterior_classical
 from .qsim import (
+    AlgorithmStack,
     QuantumAlgorithm,
     _check_match,
+    as_stack,
     outcome_posteriors,
-    random_algorithm,
+    random_algorithms,
     run,
+    stack_capacity,
     trial_seeds,
 )
 
@@ -46,7 +48,8 @@ BATCH_ROW_BUDGET = 2**16
 
 # Hilbert-space ceiling for the sampling falsifier. One parity-4 trial with
 # one query costs O(d^3); at d = 1232 it takes about 1.5-1.6 s on a 2-core
-# box (CPython 3.11, numpy 2.4 with OpenBLAS).
+# box (CPython 3.11, numpy 2.4 with OpenBLAS). There a stack holds one
+# algorithm (qsim.STACK_ENTRY_BUDGET).
 MAX_DIM = 1232
 
 # A sampled posterior deviation above this is reported as a violation.
@@ -205,26 +208,72 @@ def quantum_lower_bound(problem: LearningProblem) -> int:
     return quantum_useless_up_to(max_useless_k(problem)) + 1
 
 
-def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float:
+def lemma_check(
+    problem: LearningProblem, algs: QuantumAlgorithm | Sequence[QuantumAlgorithm]
+) -> float | np.ndarray:
     """Deviation of the part-averaged final states from the prior mixture.
 
     For every part j, compares sum_{f in part j} mu(f) rho_f against
     mu(part j) * sum_f mu(f) rho_f and returns the largest entrywise
     absolute difference. The identity holds exactly whenever twice the
-    algorithm's query count is classically useless.
+    algorithm's query count is classically useless. ``algs`` is one
+    algorithm or a sequence of algorithms of one shape, run as one stack;
+    a sequence gives one deviation per algorithm.
     """
-    _check_match(alg, problem)
-    result = run(alg, problem.functions)
+    stack, single = as_stack(algs)
+    _check_match(stack, problem)
+    result = run(stack, problem.functions)
     mu = problem.float_prior
 
     def weighted_sum(rows) -> np.ndarray:
         """sum of mu(f) rho_f over ``rows``: A diag(mu(f) w_r) A^H, A their columns."""
-        vectors = result.columns[:, rows, :].reshape(len(result.columns), -1)
-        return (vectors * np.outer(mu[rows], result.weights).ravel()) @ vectors.conj().T
+        vectors = result.columns[:, :, rows, :]
+        vectors = vectors.reshape(len(stack), vectors.shape[1], -1)
+        scale = (mu[rows][None, :, None] * result.weights[:, None, :]).reshape(len(stack), -1)
+        return (vectors * scale[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
 
     mixture = weighted_sum(slice(None))
-    shares = enumerate(problem.part_shares())
-    return max(max_abs(weighted_sum(problem.part_index == r) - w * mixture) for r, w in shares)
+    worst = np.max(
+        [
+            np.abs(weighted_sum(problem.part_index == r) - w * mixture).max(axis=(1, 2))
+            for r, w in enumerate(problem.part_shares())
+        ],
+        axis=0,
+    )
+    return float(worst[0]) if single else worst
+
+
+def _trial_stacks(
+    problem: LearningProblem,
+    queries: int,
+    trials: int,
+    seed: int,
+    z_dim: int,
+    extras: Sequence[QuantumAlgorithm],
+):
+    """(tags, stack) in trial order: each run of consecutive extras of one
+    shape, then the seeded random trials, cut into stacks of at most
+    ``stack_capacity`` algorithms. Random trials are drawn a stack at a
+    time, as they are simulated."""
+    n_tables = problem.size
+    trial = 0
+    for _, same_shape in groupby(extras, key=lambda alg: alg.stack_key):
+        same_shape = list(same_shape)
+        first = same_shape[0]
+        width = sum(b.shape[1] for b in first.povm)
+        size = stack_capacity(first.dim, queries, len(first.state[0]), width, n_tables)
+        for start in range(0, len(same_shape), size):
+            chunk = same_shape[start:start + size]
+            tags = [f"extra-{trial + i}" for i in range(len(chunk))]
+            trial += len(chunk)
+            yield tags, AlgorithmStack(chunk)
+    dim = problem.domain_size * problem.group.order * z_dim
+    seeds = trial_seeds(seed, trials)
+    size = stack_capacity(dim, queries, 1, dim, n_tables)
+    for start in range(0, trials, size):
+        chunk = seeds[start:start + size]
+        algs = random_algorithms(problem.domain_size, problem.group, z_dim, queries, chunk)
+        yield [f"seed-{s}" for s in chunk], AlgorithmStack(algs)
 
 
 def quantum_useless_falsify(
@@ -238,8 +287,10 @@ def quantum_useless_falsify(
     """Search for posterior-vs-prior deviations over random algorithms.
 
     Runs any ``extra_algorithms`` (each making ``queries`` calls) and then
-    ``trials`` seeded random ``queries``-call algorithms, and records
-    the largest |posterior - prior| over observable outcomes and parts.
+    ``trials`` seeded random ``queries``-call algorithms, one stacked
+    simulation per stack of trials, and records the largest
+    |posterior - prior| over observable outcomes and parts; of equal
+    maxima the witness is the earliest trial, then the earliest outcome.
     A deviation above ``FALSIFY_TOL`` yields a "not useless" verdict with a
     witness naming the trial; anything else is "useless" backed by sampling
     only, which is evidence, not proof.
@@ -258,32 +309,28 @@ def quantum_useless_falsify(
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")
     parts = problem.part_labels()
     prior = np.array(problem.part_shares())  # in ``parts`` order
-    # built one at a time: at MAX_DIM each random algorithm holds ~50 MB
-    algorithms = chain(
-        ((f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)),
-        (
-            (f"seed-{s}", random_algorithm(problem.domain_size, problem.group, z_dim, queries, s))
-            for s in trial_seeds(seed, trials)
-        ),
-    )
     max_deviation = 0.0
     argmax: dict | None = None
-    for trial, (tag, alg) in enumerate(algorithms):
-        outcome_probs, posteriors = outcome_posteriors(alg, problem)
-        # outcome-major, so the first of equal maxima is the earliest outcome
-        deviations = np.abs(posteriors - prior[:, None]).T
-        s, r = divmod(int(np.argmax(np.nan_to_num(deviations, nan=-1.0))), len(parts))
-        if deviations[s, r] > max_deviation:
-            max_deviation = float(deviations[s, r])
+    first_trial = 0
+    for tags, stack in _trial_stacks(problem, queries, trials, seed, z_dim, extra_algorithms):
+        outcome_probs, posteriors = outcome_posteriors(stack, problem)
+        # trial-major, then outcome-major, so the first of equal maxima is
+        # the earliest trial's earliest outcome
+        deviations = np.abs(posteriors - prior[:, None]).transpose(0, 2, 1)
+        flat = int(np.argmax(np.nan_to_num(deviations, nan=-1.0)))
+        a, s, r = np.unravel_index(flat, deviations.shape)
+        if deviations[a, s, r] > max_deviation:
+            max_deviation = float(deviations[a, s, r])
             argmax = {
-                "trial": trial,
-                "algorithm": tag,
-                "outcome": s,
-                "outcome_probability": float(outcome_probs[s]),
+                "trial": first_trial + int(a),
+                "algorithm": tags[a],
+                "outcome": int(s),
+                "outcome_probability": float(outcome_probs[a, s]),
                 "part": parts[r],
-                "posterior": float(posteriors[r, s]),
+                "posterior": float(posteriors[a, r, s]),
                 "prior": float(prior[r]),
             }
+        first_trial += len(stack)
     verdict = VERDICT_NOT_USELESS if max_deviation > FALSIFY_TOL else VERDICT_USELESS
     return UselessnessReport(
         problem=problem.name,

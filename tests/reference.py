@@ -13,6 +13,7 @@ from operator import itemgetter
 import numpy as np
 
 from oraclelab.polycompile import CompiledClassicalAlgorithm
+from oraclelab.qsim import outcome_posteriors, random_algorithm, trial_seeds
 
 
 def naive_posterior(problem, transcript):
@@ -143,7 +144,6 @@ def compiled_from_json(data):
         queries=int(data["k"]),
         scale=float(data["T"]),
         terms=terms,
-        degenerate=bool(data["degenerate"]),
     )
 
 
@@ -247,6 +247,54 @@ def dense_run(alg, f, rho0, povm):
         rho = u @ rho @ u.conj().T
     probs = np.array([float(np.sum(rho * pi.T).real) for pi in povm])
     return rho, np.clip(probs, 0.0, 1.0)
+
+
+def one_seed_draw(dim, queries, seed):
+    """The factor arrays of a seeded random algorithm, drawn matrix by matrix:
+    [state weights, state vector, unitaries..., POVM columns...], each
+    unitary from one 2-d QR of its own stream's Gaussians."""
+    streams = [int(s) for s in np.random.SeedSequence(seed).generate_state(queries + 2)]
+    rng = np.random.default_rng(streams[0])
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    unitaries = []
+    for s in streams[1:]:
+        rng = np.random.default_rng(s)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r)
+        unitaries.append(q * (d / np.abs(d)))
+    basis = unitaries.pop()
+    return [np.ones(1), v[:, None], *unitaries, *(basis[:, [i]] for i in range(dim))]
+
+
+def per_algorithm_falsify(problem, queries, trials, seed, z_dim=1, extra_algorithms=()):
+    """(max_deviation, witness) of the falsifier, one algorithm at a time:
+    the extras, then one seeded random algorithm per trial seed, each
+    simulated alone. Of equal maxima the earliest trial wins, then its
+    earliest outcome, then its earliest part."""
+    parts = problem.part_labels()
+    prior = np.array(problem.part_shares())
+    tagged = [(f"extra-{i}", alg) for i, alg in enumerate(extra_algorithms)]
+    for s in trial_seeds(seed, trials):
+        tagged.append((f"seed-{s}", random_algorithm(problem.domain_size, problem.group, z_dim, queries, s)))
+    max_deviation, witness = 0.0, None
+    for trial, (tag, alg) in enumerate(tagged):
+        outcome_probs, posteriors = outcome_posteriors(alg, problem)
+        deviations = np.abs(posteriors - prior[:, None]).T  # outcome-major
+        s, r = divmod(int(np.argmax(np.nan_to_num(deviations, nan=-1.0))), len(parts))
+        if deviations[s, r] > max_deviation:
+            max_deviation = float(deviations[s, r])
+            witness = {
+                "trial": trial,
+                "algorithm": tag,
+                "outcome": s,
+                "outcome_probability": float(outcome_probs[s]),
+                "part": parts[r],
+                "posterior": float(posteriors[r, s]),
+                "prior": float(prior[r]),
+            }
+    return max_deviation, witness
 
 
 def trial_division_is_prime(n):

@@ -262,16 +262,18 @@ def test_criterion_10_rerun_draws_its_own_algorithms(monkeypatch, only):
     # from the 51st draw on, the drifting draw never shows an even outcome, so
     # the rerun's ratio audit accepts nothing and its row diverges
     draws = count()
-    draw = reproduce.random_algorithm
+    draw = reproduce.random_algorithms
 
-    def drifting(*args, **kwargs):
-        alg = draw(*args, **kwargs)
+    def blinded(alg):
         if next(draws) < 50:
             return alg
         blind = (np.zeros((alg.dim, 0)), np.eye(alg.dim))
         return dataclasses.replace(alg, povm=blind, outcome_labels=None)
 
-    monkeypatch.setattr(reproduce, "random_algorithm", drifting)
+    def drifting(*args, **kwargs):
+        return [blinded(alg) for alg in draw(*args, **kwargs)]
+
+    monkeypatch.setattr(reproduce, "random_algorithms", drifting)
     payload = run_all(seed=SEED, only=only)
     row = payload["criteria"][-1]
     assert row["id"] == 10 and row["observed"] == "divergent"
@@ -283,12 +285,13 @@ def test_criterion_10_sees_a_change_of_draws(monkeypatch, only):
     # algorithms all differ from the bundle's while their printed deviations
     # stay at roundoff; the digests in rows 2 and 9 show the change
     calls = count()
-    draw = reproduce.random_algorithm
+    draw = reproduce.random_algorithms
 
-    def shifted(x_dim, group, z_dim, queries, seed, **kwargs):
-        return draw(x_dim, group, z_dim, queries, seed + next(calls) // 50, **kwargs)
+    def shifted(x_dim, group, z_dim, queries, seeds, **kwargs):
+        seeds = [seed + next(calls) // 50 for seed in seeds]
+        return draw(x_dim, group, z_dim, queries, seeds, **kwargs)
 
-    monkeypatch.setattr(reproduce, "random_algorithm", shifted)
+    monkeypatch.setattr(reproduce, "random_algorithms", shifted)
     payload = run_all(seed=SEED, only=only)
     digested = [row["id"] for row in payload["criteria"] if "draws_sha256" in row]
     assert digested == ([2, 9] if only is None else [])
@@ -297,23 +300,27 @@ def test_criterion_10_sees_a_change_of_draws(monkeypatch, only):
 
 
 _COUNTED = {
-    "random_algorithm": qsim,
+    "random_algorithms": qsim,
     "run": qsim,
-    "acceptance_polynomial": polycompile,
+    "acceptance_polynomials": polycompile,
     "max_useless_k": useless,
 }
 
 
 def _count_calls(monkeypatch, *names):
     """Count calls of the named functions (keys of ``_COUNTED``) through
-    every binding in the package."""
+    every binding in the package, and the algorithms ``random_algorithms``
+    draws, as "drawn"."""
     calls = Counter()
 
     def counting(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "random_algorithms":
+                calls["drawn"] += len(result)
+            return result
 
         return wrapper
 
@@ -334,19 +341,21 @@ def _count_calls(monkeypatch, *names):
     [
         (
             None,
-            {"random_algorithm": 190, "run": 388, "acceptance_polynomial": 40, "max_useless_k": 11},
+            {"drawn": 190, "random_algorithms": 5, "run": 18, "acceptance_polynomials": 2,
+             "max_useless_k": 11},
         ),
-        ("parity-quantum", {"random_algorithm": 50}),
-        ("determinism", {"random_algorithm": 100, "run": 242}),
-        ("ratio-audit", {"random_algorithm": 20, "run": 21}),
-        ("parity", {"random_algorithm": 100, "run": 206}),
+        ("parity-quantum", {"drawn": 50, "random_algorithms": 1, "run": 2}),
+        ("determinism", {"drawn": 100, "random_algorithms": 2, "run": 8}),
+        ("ratio-audit", {"drawn": 20, "random_algorithms": 1, "run": 2}),
+        ("parity", {"drawn": 100, "random_algorithms": 2, "run": 10}),
         ("shamir", {"max_useless_k": 3}),
     ],
 )
 def test_reproduce_builds_each_algorithm_once(monkeypatch, only, expected):
     # criteria 2, 4 and 9 share one parity-4 draw and criteria 7 and 8 one
     # set of simulated cubes; criterion 10 reruns criteria 1, 2 and 9 once on
-    # a fresh draw, and criterion 6 scans each Shamir problem once
+    # a fresh draw, and criterion 6 scans each Shamir problem once. Each
+    # criterion simulates its algorithms as one stack per shape.
     calls = _count_calls(monkeypatch, *_COUNTED)
     assert run_all(only=only)["all_pass"]
     assert {name: calls[name] for name in expected} == expected

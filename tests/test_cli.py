@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oraclelab import polycompile, reproduce, useless
 from oraclelab.algebra import cyclic, matrix_from_json
-from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _emit, main
+from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _emit, build_parser, main
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
 from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
@@ -111,6 +111,18 @@ def test_shamir_over_the_cells_ceiling_exits_two_fast(capsys):
     assert main(["problem", "--gen", "shamir", "--p", "997", "--degree", "1"]) == EXIT_USAGE
     assert time.perf_counter() - start < 1
     assert "MAX_CLASS_CELLS" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys):
+    # a later call reads its own arguments, not the earlier call's
+    build_parser.cache_clear()
+    assert main(["gallery", "list"]) == EXIT_OK
+    assert main(["bound", "--gen", "parity", "--n", "3", "--out", str(tmp_path / "b.json")]) == EXIT_OK
+    assert main(["bound"]) == EXIT_USAGE
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert _read_report(tmp_path / "b.json")["header"]["config"] == {"gen": "parity", "n": 3}
+    assert "provide --problem FILE or --gen NAME" in capsys.readouterr().err
 
 
 def test_check_classical_loads_problem_file(tmp_path):
@@ -631,7 +643,7 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
     assert transformed == [16, 16]  # one in to_fourier, one for the sampler's output_probs
     simulated.clear()
     reproduce._bias_identity(reproduce.BundleRun(7))
-    assert len(simulated) == 40  # one per algorithm of the pool
+    assert simulated == [4, 8]  # one stacked run per cube of the pool, n = 2 and 3
 
     # every row against dense conjugation of the JSON's own rho0 and POVM
     compiled = _read_report(out)["result"]

@@ -15,8 +15,10 @@ from oraclelab.polycompile import (
     CompiledClassicalAlgorithm,
     MultilinearPolynomial,
     acceptance_polynomial,
+    acceptance_polynomials,
     classical_output_prob,
     compile_classical,
+    compile_polynomial,
     compiled_to_json,
     corollary5_audit,
     interpolate_on_cube,
@@ -24,7 +26,7 @@ from oraclelab.polycompile import (
     walsh_hadamard,
 )
 from oraclelab.problems import LearningProblem, make_parity
-from oraclelab.qsim import QuantumAlgorithm, random_algorithm, run, trial_seeds
+from oraclelab.qsim import QuantumAlgorithm, random_algorithm, random_algorithms, run, trial_seeds
 
 from reference import (
     brute_eval_01,
@@ -121,10 +123,10 @@ def test_degree_bound_for_one_query_algorithms():
 
 
 def test_acceptance_polynomial_refuses_a_broken_simulation(monkeypatch):
-    def broken_run(alg, tables):  # permutes the outcomes of the last table only
+    def broken_run(alg, tables):  # permutes the outcomes of each algorithm's last table only
         result = run(alg, tables)
         probs = result.outcome_probs.copy()
-        probs[-1] = np.roll(probs[-1], 1)
+        probs[:, -1] = np.roll(probs[:, -1], 1, axis=-1)
         return dataclasses.replace(result, outcome_probs=probs)
 
     monkeypatch.setattr(polycompile, "run", broken_run)
@@ -237,17 +239,59 @@ def test_compiled_json_round_trip():
 
 def test_compiled_validation():
     with pytest.raises(ValueError):  # probabilities not normalized
-        CompiledClassicalAlgorithm(2, 1, 1.0, ((0, 0.5, 1),), False)
+        CompiledClassicalAlgorithm(2, 1, 1.0, ((0, 0.5, 1),))
     with pytest.raises(ValueError):  # subset too large for the query budget
-        CompiledClassicalAlgorithm(2, 0, 1.0, ((0b11, 1.0, 1),), False)
+        CompiledClassicalAlgorithm(2, 0, 1.0, ((0b11, 1.0, 1),))
     with pytest.raises(ValueError):  # bad sign
-        CompiledClassicalAlgorithm(2, 1, 1.0, ((0b1, 1.0, 2),), False)
+        CompiledClassicalAlgorithm(2, 1, 1.0, ((0b1, 1.0, 2),))
     with pytest.raises(ValueError, match="subset mask 0b10 has a bit at or above n = 1"):
-        CompiledClassicalAlgorithm(1, 1, 1.0, ((0b10, 1.0, 1),), False)
+        CompiledClassicalAlgorithm(1, 1, 1.0, ((0b10, 1.0, 1),))
     with pytest.raises(ValueError, match="subset mask -0b1 has a bit at or above n = 2"):
-        CompiledClassicalAlgorithm(2, 1, 1.0, ((-1, 1.0, 1),), False)
-    with pytest.raises(ValueError, match="a degenerate sampler has no terms"):
-        CompiledClassicalAlgorithm(2, 1, 0.0, ((0b1, 1.0, 1),), True)
+        CompiledClassicalAlgorithm(2, 1, 1.0, ((-1, 1.0, 1),))
+
+
+@pytest.mark.parametrize(
+    "terms, value",
+    [
+        (((0, float("nan"), 1),), "nan"),  # escapes the sum check
+        (((0, 1.5, 1), (0b1, -0.5, 1)), "-0.5"),  # sums to 1
+        (((0, float("inf"), 1), (0b1, float("-inf"), 1)), "inf"),  # sums to NaN
+    ],
+)
+def test_compiled_refuses_nan_infinite_and_negative_term_probabilities(terms, value):
+    with pytest.raises(ValueError, match=f"term probability {value} of subset .* is not a finite"):
+        CompiledClassicalAlgorithm(2, 1, 1.0, terms)
+
+
+def test_degenerate_is_exactly_no_terms():
+    fair_coin = compile_polynomial(MultilinearPolynomial(2, np.array([0.5, 0, 0, 0])), 1)
+    samplers = [
+        fair_coin,
+        CompiledClassicalAlgorithm(3, 1, 0.0, ()),
+        CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 1.0, 1),)),
+        compile_classical(deutsch(), [0]),
+        *(compile_classical(alg, _accept_evens(alg)) for _, alg in _sample_pool(29, count=3)),
+    ]
+    assert fair_coin.terms == () and fair_coin.degenerate
+    for compiled in samplers:
+        assert compiled.degenerate == (not compiled.terms)
+        data = compiled_to_json(compiled)
+        assert data["degenerate"] is compiled.degenerate
+        assert compiled_from_json(data) == compiled
+
+
+def test_stacked_acceptance_polynomials_and_audits_equal_one_algorithm_at_a_time():
+    for n in (2, 3, 6):
+        algs = random_algorithms(n, cyclic(2), 1, 1, trial_seeds(n, 7))
+        accept = _accept_evens(algs[0])
+        polys = acceptance_polynomials(algs, accept)
+        reports = corollary5_audit(make_parity(n), algs, accept)
+        assert len(polys) == len(reports) == len(algs)
+        for alg, poly, report in zip(algs, polys, reports):
+            assert poly.coeffs.tobytes() == acceptance_polynomial(alg, accept).coeffs.tobytes()
+            assert dataclasses.astuple(report) == dataclasses.astuple(
+                corollary5_audit(make_parity(n), alg, accept)
+            )
 
 
 def _assert_matches_oracle(compiled):
@@ -285,7 +329,7 @@ def _hand_samplers(draw):
     )
     total = sum(w for _, w, _ in raw)
     terms = tuple((mask, w / total, sign) for mask, w, sign in raw)
-    return CompiledClassicalAlgorithm(n, n, 1.0, terms, False)
+    return CompiledClassicalAlgorithm(n, n, 1.0, terms)
 
 
 @given(_hand_samplers())
@@ -295,27 +339,27 @@ def test_output_probs_match_the_term_by_term_oracle_on_hand_samplers(compiled):
 
 
 def test_output_probs_of_repeated_and_degenerate_samplers():
-    twice = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 0.5, 1), (0b01, 0.5, 1)), False)
-    once = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 1.0, 1),), False)
+    twice = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 0.5, 1), (0b01, 0.5, 1)))
+    once = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b01, 1.0, 1),))
     assert twice.output_probs.tolist() == once.output_probs.tolist() == [0.0, 1.0, 0.0, 1.0]
     _assert_matches_oracle(twice)
-    cancelled = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b11, 0.5, 1), (0b11, 0.5, -1)), False)
+    cancelled = CompiledClassicalAlgorithm(2, 1, 1.0, ((0b11, 0.5, 1), (0b11, 0.5, -1)))
     assert cancelled.output_probs.tolist() == [0.5] * 4
     _assert_matches_oracle(cancelled)
     for n in (1, 3, 5):
-        degenerate = CompiledClassicalAlgorithm(n, 1, 0.0, (), True)
+        degenerate = CompiledClassicalAlgorithm(n, 1, 0.0, ())
         assert degenerate.output_probs.tolist() == [0.5] * (1 << n)
         _assert_matches_oracle(degenerate)
 
 
 def test_output_probs_refuse_more_tables_than_the_cube_ceiling():
-    wide = CompiledClassicalAlgorithm(40, 1, 1.0, ((0b1, 1.0, 1),), False)
+    wide = CompiledClassicalAlgorithm(40, 1, 1.0, ((0b1, 1.0, 1),))
     refusal = rf"sampler has 2\^40 tables, over the ceiling n <= {MAX_CUBE_VARS}"
     with pytest.raises(CapacityError, match=refusal):
         classical_output_prob(wide, [1] + [0] * 39)
     with pytest.raises(CapacityError, match=refusal):
         wide.output_probs
-    at_ceiling = CompiledClassicalAlgorithm(MAX_CUBE_VARS, 1, 1.0, ((0b1, 1.0, 1),), False)
+    at_ceiling = CompiledClassicalAlgorithm(MAX_CUBE_VARS, 1, 1.0, ((0b1, 1.0, 1),))
     assert classical_output_prob(at_ceiling, [1] + [0] * (MAX_CUBE_VARS - 1)) == 1.0
 
 

@@ -18,8 +18,10 @@ from oraclelab.algebra import (
 )
 from oraclelab.gallery import deutsch
 from oraclelab.problems import LearningProblem, make_image_parity, make_parity, make_shamir
+from oraclelab import algebra
 from oraclelab.qsim import (
     EPS_COND,
+    AlgorithmStack,
     QuantumAlgorithm,
     algorithm_from_json,
     algorithm_to_json,
@@ -27,6 +29,7 @@ from oraclelab.qsim import (
     oracle_matrix,
     outcome_posteriors,
     random_algorithm,
+    random_algorithms,
     run,
     success_probability,
     trial_seeds,
@@ -38,6 +41,7 @@ from reference import (
     dense_part_table,
     dense_run,
     group_add,
+    one_seed_draw,
 )
 
 
@@ -517,3 +521,124 @@ def test_algorithm_json_round_trip():
     tables = list(product(range(2), repeat=2))
     probs, again_probs = run(alg, tables).outcome_probs, run(again, tables).outcome_probs
     assert np.abs(probs - again_probs).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacks of algorithms
+
+
+def _arrays(alg):
+    return [*alg.state, *alg.unitaries, *alg.povm]
+
+
+# (x_dim, group order, z_dim) for d = 4, 6, 8, 9, 32, 36, 96 and 108
+DRAW_SHAPES = [(2, 2, 1), (3, 2, 1), (4, 2, 1), (3, 3, 1), (4, 2, 4), (3, 3, 4), (4, 2, 12), (3, 3, 12)]
+
+
+@pytest.mark.parametrize("queries", [1, 2])
+@pytest.mark.parametrize("x_dim, order, z_dim", DRAW_SHAPES)
+def test_random_algorithms_equal_the_one_seed_draws_bit_for_bit(x_dim, order, z_dim, queries):
+    seeds = trial_seeds(x_dim * order * z_dim + queries, 5)
+    algs = random_algorithms(x_dim, cyclic(order), z_dim, queries, seeds, labels_cycle=(0, 1))
+    for seed, alg in zip(seeds, algs):
+        alone = random_algorithm(x_dim, cyclic(order), z_dim, queries, seed, labels_cycle=(0, 1))
+        reference = one_seed_draw(alg.dim, queries, seed)
+        for arrays in (_arrays(alone), reference):
+            assert len(arrays) == len(_arrays(alg))
+            for a, b in zip(_arrays(alg), arrays):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert alg.outcome_labels == alone.outcome_labels == {s: s % 2 for s in range(alg.dim)}
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of algorithms of one shape with mixed initial states of a
+    shared rank and a POVM of unequal element ranks, with their dense
+    initial states and POVM elements."""
+    group = FiniteAbelianGroup(draw(st.sampled_from([(2,), (3,), (2, 2)])))
+    x_dim, z_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    dim = x_dim * group.order * z_dim
+    queries, rank = draw(st.integers(0, 2)), draw(st.integers(1, min(dim, 3)))
+    n_outcomes = draw(st.integers(1, dim))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+    spectrum = np.arange(1, rank + 1) / (rank * (rank + 1) / 2)
+    stack = []
+    for seed in seeds:
+        basis = random_unitary(dim, seed)
+        povm = random_povm(dim, n_outcomes, seed + 1)
+        unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(queries))
+        state = (spectrum, basis[:, :rank])
+        alg = QuantumAlgorithm(x_dim, group, z_dim, state, unitaries, povm)
+        stack.append((alg, _density(state), [_product(b) for b in povm]))
+    tables = list(product(range(group.order), repeat=x_dim))
+    return stack, draw(st.lists(st.sampled_from(tables), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_stacked_run_matches_the_dense_reference_on_every_algorithm(stack_and_tables):
+    stack, tables = stack_and_tables
+    algs = [alg for alg, _, _ in stack]
+    res = run(algs, tables)
+    n_outcomes, dim = algs[0].n_outcomes, algs[0].dim
+    assert res.outcome_probs.shape == (len(algs), len(tables), n_outcomes)
+    assert res.final_states.shape == (len(algs), len(tables), dim, dim)
+    for a, (alg, rho0, povm) in enumerate(stack):
+        alone = run(alg, tables)
+        assert alone.outcome_probs.tobytes() == res.outcome_probs[a].tobytes()
+        for t, f in enumerate(tables):
+            rho, probs = dense_run(alg, f, rho0, povm)
+            assert np.abs(res.outcome_probs[a, t] - probs).max() < 1e-12
+            assert np.abs(res.final_states[a, t] - rho).max() < 1e-12
+
+
+def test_stacked_tables_equal_one_algorithm_at_a_time_bit_for_bit():
+    for problem in (make_parity(4), make_image_parity(), make_shamir(5, 1)):
+        for queries in (1, 2):
+            args = (problem.domain_size, problem.group, 2, queries)
+            algs = random_algorithms(*args, trial_seeds(queries, 6), labels_cycle=(0, 1))
+            table = joint_distribution(algs, problem)
+            probs, posteriors = outcome_posteriors(algs, problem)
+            success = success_probability(algs, problem)
+            assert table.shape == (len(algs), len(problem.part_labels()), algs[0].n_outcomes)
+            assert probs.shape == (len(algs), algs[0].n_outcomes)
+            assert posteriors.shape == table.shape and success.shape == (len(algs),)
+            for a, alg in enumerate(algs):
+                alone_probs, alone_posteriors = outcome_posteriors(alg, problem)
+                assert joint_distribution(alg, problem).tobytes() == table[a].tobytes()
+                assert alone_probs.tobytes() == probs[a].tobytes()
+                assert alone_posteriors.tobytes() == posteriors[a].tobytes()
+                assert success_probability(alg, problem) == success[a]
+
+
+def test_a_stack_holds_algorithms_of_one_shape():
+    parity2 = make_parity(2)
+    pure = random_algorithm(2, parity2.group, 1, 1, 0)
+    with pytest.raises(ValueError, match="algorithm 1 has shape"):
+        AlgorithmStack((pure, deutsch()))  # POVM ranks 1 x 4 against 2 x 2
+    with pytest.raises(ValueError, match="algorithm 2 has shape"):
+        run([pure, pure, random_algorithm(2, parity2.group, 1, 2, 0)], [(0, 1)])
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        joint_distribution([], parity2)
+    stack = AlgorithmStack([pure, pure])
+    assert (len(stack), stack.dim, stack.query_count, stack.n_outcomes) == (2, 4, 1, 4)
+    assert joint_distribution(stack, parity2).shape == (2, 2, 4)
+
+
+def test_validate_povm_reads_the_stacked_factor_once(monkeypatch):
+    read = []
+    as_complex_matrix = algebra.as_complex_matrix
+
+    def counted(data):
+        read.append(np.shape(data))
+        return as_complex_matrix(data)
+
+    monkeypatch.setattr(algebra, "as_complex_matrix", counted)
+    povm = random_povm(8, 8, 3)
+    factors = algebra.validate_povm(povm)
+    assert read == [(8, 8)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(factors, povm))
+    with pytest.raises(ValueError, match="POVM element 2 has 7 rows, expected 8"):
+        algebra.validate_povm([*povm[:2], povm[2][:7], *povm[3:]])
+    with pytest.raises(ValueError, match="POVM element 1: expected a 2-d matrix"):
+        algebra.validate_povm([povm[0], povm[1][:, 0]])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oraclelab import useless
+from oraclelab import qsim, useless
 from oraclelab.algebra import FiniteAbelianGroup, cyclic, factor_hermitian, random_pure_state
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch, pairwise_parity
@@ -24,7 +24,14 @@ from oraclelab.problems import (
     make_shamir,
     posterior_classical,
 )
-from oraclelab.qsim import QuantumAlgorithm, RunResult, random_algorithm, trial_seeds
+from oraclelab.qsim import (
+    QuantumAlgorithm,
+    RunResult,
+    random_algorithm,
+    random_algorithms,
+    stack_capacity,
+    trial_seeds,
+)
 from oraclelab.useless import (
     MAX_DIM,
     MAX_TABLE_CELLS,
@@ -42,6 +49,7 @@ from reference import (
     dict_loop_first_violation,
     naive_classical_useless,
     naive_posterior,
+    per_algorithm_falsify,
 )
 
 
@@ -569,7 +577,7 @@ def test_falsify_zero_trials_runs_only_the_extras(monkeypatch):
     def no_random_algorithm(*args, **kwargs):
         raise AssertionError("trials=0 builds no random algorithm")
 
-    monkeypatch.setattr(useless, "random_algorithm", no_random_algorithm)
+    monkeypatch.setattr(useless, "random_algorithms", no_random_algorithm)
     extras = [random_algorithm(2, cyclic(2), 1, 1, 5), deutsch()]
     report = quantum_useless_falsify(make_parity(2), 1, trials=0, seed=7, extra_algorithms=extras)
     assert report.trials == len(extras)
@@ -608,21 +616,106 @@ def test_falsify_names_a_z_dim_below_one(z_dim):
 
 
 def test_falsify_holds_one_random_algorithm_at_a_time(monkeypatch):
-    # at the dimension ceiling a random algorithm holds ~50 MB, so trials
-    # are built as they are simulated, never all up front
+    # at the dimension ceiling a random algorithm holds ~50 MB and a stack
+    # holds one of them, so trials are built a stack at a time as they are
+    # simulated, never all up front; a budget one small algorithm wide
+    # makes every stack one algorithm here too
     built, most_alive = [], []
 
     def tracked(*args, **kwargs):
         gc.collect()
         most_alive.append(sum(ref() is not None for ref in built))
-        alg = random_algorithm(*args, **kwargs)
-        built.append(weakref.ref(alg))
-        return alg
+        algs = random_algorithms(*args, **kwargs)
+        built.extend(weakref.ref(alg) for alg in algs)
+        return algs
 
-    monkeypatch.setattr(useless, "random_algorithm", tracked)
+    monkeypatch.setattr(useless, "random_algorithms", tracked)
+    monkeypatch.setattr(qsim, "STACK_ENTRY_BUDGET", 1)
     report = quantum_useless_falsify(make_parity(2), queries=1, trials=4, seed=1)
     assert report.trials == 4 and len(built) == 4
     assert max(most_alive) <= 1
+
+
+def test_falsify_stacks_trials_within_the_entry_budget(monkeypatch):
+    sizes = []
+
+    def tracked(*args, **kwargs):
+        algs = random_algorithms(*args, **kwargs)
+        sizes.append(len(algs))
+        return algs
+
+    monkeypatch.setattr(useless, "random_algorithms", tracked)
+    # parity-4 at z_dim 4: d = 32 over 16 tables, so an algorithm holds
+    # 32 * (32 + 1 + 32) entries and its run (32 + 32) * 16 more
+    monkeypatch.setattr(qsim, "STACK_ENTRY_BUDGET", 7 * (32 * 65 + 64 * 16) + 1)
+    problem = make_parity(4)
+    assert stack_capacity(32, 1, 1, 32, problem.size) == 7
+    report = quantum_useless_falsify(problem, queries=1, trials=50, seed=3, z_dim=4)
+    assert sizes == [7] * 7 + [1]
+    assert (report.max_deviation, report.detail["best"]) == per_algorithm_falsify(problem, 1, 50, 3, 4)
+
+
+def test_a_stack_at_the_dimension_ceiling_holds_one_algorithm():
+    # a 1-query random algorithm at MAX_DIM: one per stack over any number
+    # of tables, so peak memory is what one algorithm needs; at half the
+    # dimension several fit
+    for n_tables in (1, 16, 2**10):
+        assert stack_capacity(MAX_DIM, 1, 1, MAX_DIM, n_tables) == 1
+    assert stack_capacity(MAX_DIM // 2, 1, 1, MAX_DIM // 2, 16) > 1
+    assert stack_capacity(8, 1, 1, 8, 16) == qsim.STACK_ENTRY_BUDGET // (8 * 17 + 16 * 16)
+
+
+def _mixed_extra(problem, queries, seed, rank=2):
+    """A random algorithm whose initial state is a rank-``rank`` mixture."""
+    alg = random_algorithm(problem.domain_size, problem.group, 1, queries, seed)
+    vectors = np.stack([random_pure_state(alg.dim, seed + i)[1][:, 0] for i in range(rank)], 1)
+    basis, _ = np.linalg.qr(vectors)
+    state = (np.linspace(1, 2, rank) / np.linspace(1, 2, rank).sum(), basis)
+    return QuantumAlgorithm(alg.x_dim, alg.group, 1, state, alg.unitaries, alg.povm)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20100325])
+def test_falsifier_matches_the_per_algorithm_loop(seed):
+    # extras of mixed shapes: runs of one shape stack, a change of shape
+    # starts a new stack, and the random trials follow
+    parity2 = make_parity(2)
+    extras = [
+        random_algorithm(2, parity2.group, 1, 1, 3),
+        random_algorithm(2, parity2.group, 1, 1, 4),
+        _mixed_extra(parity2, 1, 5),
+        _mixed_extra(parity2, 1, 6, rank=3),
+        deutsch(),
+        random_algorithm(2, parity2.group, 1, 1, 7),
+    ]
+    assert len({alg.stack_key for alg in extras}) == 4
+    cases = [
+        (parity2, 1, 20, 1, extras),
+        (parity2, 1, 20, 1, extras[:4]),
+        (make_parity(4), 1, 30, 2, [_mixed_extra(make_parity(4), 1, 8)]),
+        (make_image_parity(), 1, 25, 1, ()),
+        (make_shamir(5, 1), 1, 10, 2, ()),
+    ]
+    for problem, queries, trials, z_dim, extra in cases:
+        report = quantum_useless_falsify(problem, queries, trials, seed, z_dim, extra)
+        expected = per_algorithm_falsify(problem, queries, trials, seed, z_dim, extra)
+        assert (report.max_deviation, report.detail["best"]) == expected
+
+
+def test_falsifier_witness_of_tied_maxima_is_the_earliest_trial_then_outcome():
+    # Deutsch's algorithm moves every outcome and part of parity-2 by 1/2:
+    # the same maximum in every cell of every copy, within one stack and
+    # across stacks split by an algorithm of another shape
+    problem = make_parity(2)
+    other = _mixed_extra(problem, 1, 2)
+    for extras in ([deutsch(), deutsch()], [other, deutsch(), other, deutsch(), deutsch()]):
+        report = quantum_useless_falsify(problem, 1, 3, 9, extra_algorithms=extras)
+        first = next(i for i, alg in enumerate(extras) if alg.n_outcomes == 2)
+        assert report.max_deviation == 0.5
+        assert (report.witness["trial"], report.witness["outcome"]) == (first, 0)
+        assert report.witness["part"] == problem.part_labels()[0]
+        assert (report.max_deviation, report.witness) == per_algorithm_falsify(
+            problem, 1, 3, 9, extra_algorithms=extras
+        )
 
 
 def test_report_csv_row():
