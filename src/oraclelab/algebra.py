@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -74,13 +73,14 @@ def cyclic(m: int) -> FiniteAbelianGroup:
 
 
 def as_complex_matrix(data) -> np.ndarray:
-    """A 2-d complex128 array with finite entries.
+    """A complex128 matrix, or a stack of them along leading axes, with
+    finite entries.
 
     Every validator starts here: comparisons with NaN are false, so a
     non-finite entry would pass each tolerance check after it.
     """
     a = np.asarray(data, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
@@ -92,24 +92,32 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def max_abs(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def max_abs(a: np.ndarray) -> np.ndarray:
+    """Max |entry| of a matrix, or of each matrix in a stack."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
 
 
-def unitary_defect(u: np.ndarray) -> float:
-    """Max entrywise |U^H U - I|."""
+def _refuse_first(values: np.ndarray, failing: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message.format(value, tol=TOL_NUM))`` for the first
+    value whose ``failing`` flag is set, in C order over a stack, so a
+    batch reports its earliest failing member."""
+    if failing.any():
+        raise ValueError(message.format(float(values.flat[np.argmax(failing)]), tol=TOL_NUM))
+
+
+def unitary_defect(u: np.ndarray) -> np.ndarray:
+    """Max entrywise |U^H U - I|, of a unitary or of each in a stack."""
     u = as_complex_matrix(u)
-    if u.shape[0] != u.shape[1]:
+    if u.shape[-2] != u.shape[-1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    return max_abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))
 
 
 def validate_unitary(u) -> np.ndarray:
+    """Check a unitary, or a stack of them along leading axes."""
     u = as_complex_matrix(u)
-    defect = unitary_defect(u)
-    if defect > TOL_NUM:
-        raise ValueError(f"not unitary: max|U^H U - I| = {defect:.3e} > {TOL_NUM:g}")
+    defects = unitary_defect(u)
+    _refuse_first(defects, defects > TOL_NUM, "not unitary: max|U^H U - I| = {:.3e} > {tol:g}")
     return u
 
 
@@ -124,7 +132,7 @@ def factor_hermitian(a, name: str) -> tuple[np.ndarray, np.ndarray]:
     columns; the rest keep their sign.
     """
     a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     herm = max_abs(a - a.conj().T)
     if herm > TOL_NUM:
@@ -155,61 +163,57 @@ def povm_from_dense(elements) -> tuple[np.ndarray, ...]:
 
 
 def validate_density_matrix(weights, vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Check the factored state rho = V diag(weights) V^H.
+    """Check the factored state rho = V diag(weights) V^H, or a stack of
+    them: weights (..., r) and vectors (..., d, r).
 
     The columns of V must be orthonormal within TOL_NUM, so the weights are
     rho's nonzero eigenvalues; none may be below -TOL_NUM and they must
-    sum to 1. Costs O(d r^2) for a rank-r state.
+    sum to 1. Costs O(d r^2) for a rank-r state. An error reports the
+    first failing state of a stack.
     """
     vectors = as_complex_matrix(vectors)
     weights = np.asarray(weights)
-    if weights.dtype.kind not in "iuf" or weights.shape != vectors.shape[1:]:
+    if weights.dtype.kind not in "iuf" or weights.shape != vectors.shape[:-2] + vectors.shape[-1:]:
         raise ValueError(
-            f"state weights must be {vectors.shape[1]} real numbers, got "
+            f"state weights must be {vectors.shape[-1]} real numbers, got "
             f"{weights.dtype} of shape {weights.shape}"
         )
     weights = weights.astype(float)
     if not np.isfinite(weights).all():
         raise ValueError("state weights are not finite")
-    defect = max_abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1]))
-    if defect > TOL_NUM:
-        raise ValueError(
-            f"state vectors are not orthonormal: max|V^H V - I| = {defect:.3e} > {TOL_NUM:g}"
-        )
-    if weights.size and weights.min() < -TOL_NUM:
-        raise ValueError(
-            f"density matrix has eigenvalue {weights.min():.3e} below -{TOL_NUM:g}"
-        )
-    tr = float(weights.sum())
-    if abs(tr - 1.0) > TOL_NUM:
-        raise ValueError(f"trace {tr} differs from 1 by more than {TOL_NUM:g}")
+    defects = max_abs(np.swapaxes(vectors.conj(), -1, -2) @ vectors - np.eye(vectors.shape[-1]))
+    message = "state vectors are not orthonormal: max|V^H V - I| = {:.3e} > {tol:g}"
+    _refuse_first(defects, defects > TOL_NUM, message)
+    lowest = weights.min(axis=-1, initial=np.inf)
+    _refuse_first(lowest, lowest < -TOL_NUM, "density matrix has eigenvalue {:.3e} below -{tol:g}")
+    traces = weights.sum(axis=-1)
+    _refuse_first(traces, abs(traces - 1.0) > TOL_NUM, "trace {} differs from 1 by more than {tol:g}")
     return weights, vectors
 
 
-def validate_povm(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Check that factors B_s, each of shape (d, r_s), resolve the identity.
+def validate_povm(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Check that factors B_s, each of shape (..., d, r_s), resolve the
+    identity, and return the stacked factor B = [B_0 B_1 ...] (..., d, M).
 
     Each element Pi_s = B_s B_s^H is Hermitian and positive semidefinite by
     construction, so the whole check is one product of the stacked factor:
     max|B B^H - I| <= TOL_NUM. The stacked factor is read once by
-    :func:`as_complex_matrix`, and the elements are returned as its column
-    blocks.
+    :func:`as_complex_matrix`; leading axes are a stack of POVMs, and an
+    error reports the first failing one.
     """
     mats = tuple(np.asarray(b) for b in factors)
     if not mats:
         raise ValueError("a POVM needs at least one element")
-    dim = mats[0].shape[0] if mats[0].ndim else None
+    dim = mats[0].shape[-2] if mats[0].ndim > 1 else None
     for i, b in enumerate(mats):
-        if b.ndim != 2:
+        if b.ndim < 2:
             raise ValueError(f"POVM element {i}: expected a 2-d matrix, got shape {b.shape}")
-        if b.shape[0] != dim:
-            raise ValueError(f"POVM element {i} has {b.shape[0]} rows, expected {dim}")
-    stacked = as_complex_matrix(np.concatenate(mats, axis=1))
-    defect = max_abs(stacked @ stacked.conj().T - np.eye(dim))
-    if defect > TOL_NUM:
-        raise ValueError(f"POVM does not sum to identity: defect {defect:.3e} > {TOL_NUM:g}")
-    ends = accumulate(b.shape[1] for b in mats)
-    return tuple(stacked[:, end - b.shape[1]:end] for b, end in zip(mats, ends))
+        if b.shape[-2] != dim:
+            raise ValueError(f"POVM element {i} has {b.shape[-2]} rows, expected {dim}")
+    stacked = as_complex_matrix(np.concatenate(mats, axis=-1))
+    defects = max_abs(stacked @ np.swapaxes(stacked.conj(), -1, -2) - np.eye(dim))
+    _refuse_first(defects, defects > TOL_NUM, "POVM does not sum to identity: defect {:.3e} > {tol:g}")
+    return stacked
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,8 @@ def random_pure_state(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def matrix_to_json(a: np.ndarray) -> list:
     a = as_complex_matrix(a)
+    if a.ndim != 2:
+        raise ValueError(f"matrix JSON holds one matrix, got shape {a.shape}")
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 

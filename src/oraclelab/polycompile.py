@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import int_from_json
 from .errors import CapacityError
 from .problems import LearningProblem
-from .qsim import EPS_COND, AlgorithmStack, QuantumAlgorithm, as_stack, joint_distribution, run
+from .qsim import EPS_COND, QuantumAlgorithm, joint_distribution, run
 from .useless import VERDICT_NOT_USELESS, classical_useless
 
 MAX_CUBE_VARS = 12
@@ -50,19 +50,20 @@ def _popcounts(size: int) -> np.ndarray:
 
 
 def _butterfly(values: Sequence[float], kernel: Sequence[Sequence[float]]) -> np.ndarray:
-    """Apply the 2x2 ``kernel`` along every index bit: out = K^(x n) v.
+    """Apply the 2x2 ``kernel`` along every index bit of the last axis:
+    out = K^(x n) v, for each row of a batch.
 
     Bit i of the index is one tensor factor: viewed as (-1, 2, 2^i), the
     middle axis holds the pairs (mask without bit i, mask with bit i).
     """
     a = np.array(values, dtype=float)
-    size = len(a)
-    if a.ndim != 1 or size == 0 or size & (size - 1):
+    size = a.shape[-1] if a.ndim else 0
+    if size == 0 or size & (size - 1):
         raise ValueError(f"need a power-of-two value count, got {size}")
     k = np.asarray(kernel, dtype=float)
     step = 1
     while step < size:
-        a = (k @ a.reshape(-1, 2, step)).reshape(size)
+        a = (k @ a.reshape(-1, 2, step)).reshape(a.shape)
         step *= 2
     return a
 
@@ -71,9 +72,7 @@ def _subset_sorted(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _accept_indices(
-    alg: QuantumAlgorithm | AlgorithmStack, accept_outcomes: Iterable[int]
-) -> list[int]:
+def _accept_indices(alg: QuantumAlgorithm, accept_outcomes: Iterable[int]) -> list[int]:
     """The accept set as sorted distinct outcome indices of ``alg``."""
     accept = sorted({int_from_json(s) for s in accept_outcomes})
     for s in accept:
@@ -86,7 +85,8 @@ def _accept_indices(
 class MultilinearPolynomial:
     """Real multilinear polynomial in n variables, coefficients by bitmask.
 
-    ``coeffs[mask]`` multiplies the product of the variables in ``mask``.
+    ``coeffs[..., mask]`` multiplies the product of the variables in
+    ``mask``; leading axes hold one polynomial per algorithm of a batch.
     The same container serves the 0/1-variable form and the +/-1-variable
     form; which one is meant is determined by how it was produced.
     """
@@ -96,7 +96,7 @@ class MultilinearPolynomial:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.n < 0 or coeffs.shape != (1 << self.n,):
+        if self.n < 0 or coeffs.shape[-1:] != (1 << self.n,):
             raise ValueError(f"need 2^{self.n} coefficients, got shape {coeffs.shape}")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -108,11 +108,11 @@ class MultilinearPolynomial:
 def interpolate_on_cube(values: Sequence[float]) -> MultilinearPolynomial:
     """The unique multilinear polynomial through values on {0,1}^n.
 
-    ``values[mask]`` is the target at the point whose i-th variable is bit
-    i of ``mask``. Subset Moebius transform, O(2^n * n).
+    ``values[..., mask]`` is the target at the point whose i-th variable is
+    bit i of ``mask``. Subset Moebius transform, O(2^n * n).
     """
     c = _butterfly(values, ((1, 0), (-1, 1)))
-    return MultilinearPolynomial(len(c).bit_length() - 1, c)
+    return MultilinearPolynomial(c.shape[-1].bit_length() - 1, c)
 
 
 def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
@@ -120,49 +120,40 @@ def walsh_hadamard(values: Sequence[float]) -> np.ndarray:
     return _butterfly(values, ((1, 1), (1, -1)))
 
 
-def acceptance_polynomials(
-    algs: Sequence[QuantumAlgorithm], accept_outcomes: Iterable[int]
-) -> list[MultilinearPolynomial]:
-    """Accept probability of each algorithm as a polynomial in the table bits.
-
-    Simulates every Boolean oracle table for the algorithms of one shape in
-    one stacked :func:`run`, sums the POVM outcome weights in
-    ``accept_outcomes``, and interpolates. Any coefficient beyond degree
-    2k above the alarm threshold signals a broken simulation and raises.
-    """
-    stack, _ = as_stack(algs)
-    if stack.group.factors != (2,):
-        raise ValueError("acceptance polynomials require the binary response group")
-    n = stack.x_dim
-    if n > MAX_CUBE_VARS:
-        raise CapacityError(f"cube has 2^{n} tables, over the ceiling n <= {MAX_CUBE_VARS}")
-    accept = _accept_indices(stack, accept_outcomes)
-    tables = np.arange(1 << n)[:, None] >> np.arange(n) & 1
-    max_degree = 2 * stack.query_count
-    polys = []
-    for probs in run(stack, tables).outcome_probs:
-        poly = interpolate_on_cube(probs[:, accept].sum(axis=1))
-        broken = (_popcounts(1 << n) > max_degree) & (np.abs(poly.coeffs) >= DEGREE_TOL)
-        if broken.any():
-            mask = int(np.argmax(broken))
-            raise ArithmeticError(
-                f"coefficient {poly.coeffs[mask]:.3e} on subset {_subset_sorted(mask)} "
-                f"violates the degree bound {max_degree}; the simulation is inconsistent"
-            )
-        polys.append(poly)
-    return polys
-
-
 def acceptance_polynomial(
     alg: QuantumAlgorithm, accept_outcomes: Iterable[int]
 ) -> MultilinearPolynomial:
-    """The one-algorithm case of :func:`acceptance_polynomials`."""
-    (poly,) = acceptance_polynomials([alg], accept_outcomes)
+    """Accept probability as a polynomial in the table bits, one per
+    algorithm of a batch along the leading axes of its coefficients.
+
+    Simulates every Boolean oracle table in one :func:`run`, sums the POVM
+    outcome weights in ``accept_outcomes``, and interpolates. Any
+    coefficient beyond degree 2k above the alarm threshold signals a
+    broken simulation and raises.
+    """
+    if alg.group.factors != (2,):
+        raise ValueError("acceptance polynomials require the binary response group")
+    n = alg.x_dim
+    if n > MAX_CUBE_VARS:
+        raise CapacityError(f"cube has 2^{n} tables, over the ceiling n <= {MAX_CUBE_VARS}")
+    accept = _accept_indices(alg, accept_outcomes)
+    tables = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    poly = interpolate_on_cube(run(alg, tables).outcome_probs[..., accept].sum(axis=-1))
+    max_degree = 2 * alg.query_count
+    coeffs = poly.coeffs.reshape(-1, 1 << n)
+    broken = (_popcounts(1 << n) > max_degree) & (np.abs(coeffs) >= DEGREE_TOL)
+    if broken.any():
+        a, mask = np.unravel_index(np.argmax(broken), broken.shape)
+        raise ArithmeticError(
+            f"coefficient {coeffs[a, mask]:.3e} on subset {_subset_sorted(int(mask))} "
+            f"violates the degree bound {max_degree}; the simulation is inconsistent"
+        )
     return poly
 
 
 def to_fourier(p: MultilinearPolynomial) -> MultilinearPolynomial:
-    """Character coefficients of q(w) = 2 p((w+1)/2, ...) - 1 over w in {-1,1}.
+    """Character coefficients of q(w) = 2 p((w+1)/2, ...) - 1 over w in {-1,1},
+    for each polynomial of a batch.
 
     q-hat(S) = 2^-n * sum_w q(w) w_S with w = 2f - 1. The Walsh-Hadamard
     transform sums (-1)^|S & f| q, and w_S = (-1)^|S| (-1)^|S & f|.
@@ -323,7 +314,7 @@ class Corollary5Report:
 
 def corollary5_audit(
     problem: LearningProblem,
-    algs: QuantumAlgorithm | Sequence[QuantumAlgorithm],
+    alg: QuantumAlgorithm,
     accept_outcomes: Iterable[int],
     check_classical: bool = True,
 ) -> Corollary5Report | list[Corollary5Report]:
@@ -331,26 +322,25 @@ def corollary5_audit(
 
     Requires a Boolean-valued problem with exactly two parts. The accept
     masses come from :func:`joint_distribution`, a direct simulation kept
-    independent of the polynomial and sampler machinery on purpose.
-    ``algs`` is one algorithm or a sequence of algorithms of one shape,
-    audited from one stacked simulation; a sequence gives one report per
-    algorithm, and the classical verdict is decided once for all of them.
+    independent of the polynomial and sampler machinery on purpose. A
+    batch of algorithms is audited from one simulation and gives one
+    report per algorithm; the classical verdict is decided once for all
+    of them.
     """
-    stack, single = as_stack(algs)
     if problem.group.factors != (2,):
         raise ValueError("the audit requires the binary response group")
     parts = problem.part_labels()
     if len(parts) != 2:
         raise ValueError(f"the audit requires exactly two parts, got {parts}")
-    accept = _accept_indices(stack, accept_outcomes)
-    part_masses = joint_distribution(stack, problem)[:, :, accept].sum(axis=2)
+    accept = _accept_indices(alg, accept_outcomes)
+    part_masses = joint_distribution(alg, problem)[..., accept].sum(axis=-1)  # (..., 2)
     rhs = problem.part_shares()[0]
     useless_2k: bool | None = None
     if check_classical:
-        verdict = classical_useless(problem, 2 * stack.query_count).verdict
+        verdict = classical_useless(problem, 2 * alg.query_count).verdict
         useless_2k = verdict != VERDICT_NOT_USELESS
     reports = []
-    for part_mass in part_masses:
+    for part_mass in part_masses.reshape(-1, 2):
         lhs_mass, total_mass = float(part_mass[0]), float(part_mass.sum())
         defined = total_mass > EPS_COND
         lhs = lhs_mass / total_mass if defined else float("nan")
@@ -369,4 +359,4 @@ def corollary5_audit(
                 classical_useless_2k=useless_2k,
             )
         )
-    return reports[0] if single else reports
+    return reports if alg.batch_shape else reports[0]

@@ -7,10 +7,10 @@ a deterministic JSON payload plus a printable table. The CLI `reproduce`
 subcommand wraps this module.
 
 A run draws each random input once, on first use, and its criteria share
-it: criteria 2 and 4 read the 50 labelled 1-query parity-4 algorithms and
-criterion 9 the first 20 of them; criteria 7 and 8 read the 40
-Boolean-oracle algorithms with their acceptance polynomials. Criterion 10
-reruns criteria 1, 2 and 9 on a fresh run of the same seed, so the rerun
+it: criteria 2 and 4 read one batch of 50 labelled 1-query parity-4
+algorithms and criterion 9 a view of its first 20; criteria 7 and 8 read
+40 Boolean-oracle algorithms with their acceptance polynomials. Criterion
+10 reruns criteria 1, 2 and 9 on a fresh run of the same seed, so the rerun
 draws again; rows 2 and 9 carry a digest of the algorithms they read, so
 a change of draws shows there even when the printed deviations agree.
 """
@@ -19,25 +19,25 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
     MultilinearPolynomial,
-    acceptance_polynomials,
+    acceptance_polynomial,
     bias_certificate,
     compile_polynomial,
     corollary5_audit,
     to_fourier,
 )
 from .problems import make_image_parity, make_parity, make_shamir, shamir_reconstruct
-from .qsim import QuantumAlgorithm, random_algorithms, success_probability, trial_seeds
+from .qsim import QuantumAlgorithm, random_algorithm, success_probability, trial_seeds
 from .useless import (
     VERDICT_USELESS,
     classical_useless,
@@ -59,44 +59,57 @@ class BundleRun:
 
     seed: int
     rows: dict[int, dict] = field(default_factory=dict)
-    _parity4: list[QuantumAlgorithm] = field(default_factory=list, init=False, repr=False)
+    _parity4: QuantumAlgorithm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         trial_seeds(self.seed, 0)  # refuses a negative seed before any criterion runs
 
-    def parity4_algorithms(self, count: int) -> list[QuantumAlgorithm]:
-        """The first ``count`` labelled 1-query parity-4 algorithms.
+    def parity4_algorithms(self, count: int) -> QuantumAlgorithm:
+        """The first ``count`` labelled 1-query parity-4 algorithms, one batch.
 
         Labels enter only success probabilities, so the criteria that need
         none read the same algorithms. ``trial_seeds(seed, m)`` is a prefix
         of ``trial_seeds(seed, n)`` for m <= n, so a longer read draws only
-        the missing tail.
+        the missing tail and joins it to the batch.
         """
         drawn = self._parity4
-        if len(drawn) < count:
-            seeds = trial_seeds(self.seed, count)[len(drawn):]
-            drawn += random_algorithms(4, make_parity(4).group, 1, 1, seeds, labels_cycle=(0, 1))
-        return drawn[:count]
+        have = len(drawn) if drawn else 0
+        if have < count:
+            seeds = trial_seeds(self.seed, count)[have:]
+            tail = random_algorithm(4, make_parity(4).group, 1, 1, seeds, labels_cycle=(0, 1))
+            self._parity4 = _joined(drawn, tail) if drawn else tail
+        return self._parity4[:count]
 
     @cached_property
     def compile_cubes(self) -> list[tuple[int, QuantumAlgorithm, MultilinearPolynomial]]:
         """Random 1-query Boolean-oracle algorithms on n = 2 and 3 points,
-        with the acceptance polynomial of their even outcomes."""
+        with the acceptance polynomial of their even outcomes, each a view
+        of one batch per n."""
         cubes = []
         for n in (2, 3):
             seeds = trial_seeds(self.seed + n, COMPILE_TRIALS)
-            algs = random_algorithms(n, make_parity(n).group, 1, 1, seeds)
-            polys = acceptance_polynomials(algs, _accept_set(algs[0]))
-            cubes += [(n, alg, poly) for alg, poly in zip(algs, polys)]
+            algs = random_algorithm(n, make_parity(n).group, 1, 1, seeds)
+            polys = acceptance_polynomial(algs, _accept_set(algs))
+            cubes += [(n, alg, MultilinearPolynomial(n, c)) for alg, c in zip(algs, polys.coeffs)]
         return cubes
+
+
+def _joined(first: QuantumAlgorithm, second: QuantumAlgorithm) -> QuantumAlgorithm:
+    """One batch of the algorithms of two batches of one shape, in order."""
+    return replace(
+        first,
+        state=tuple(map(np.concatenate, zip(first.state, second.state))),
+        unitaries=np.concatenate((first.unitaries, second.unitaries)),
+        povm=tuple(map(np.concatenate, zip(first.povm, second.povm))),
+    )
 
 
 def _accept_set(alg) -> list[int]:
     return [s for s in range(alg.n_outcomes) if s % 2 == 0]
 
 
-def _draws_sha256(algorithms: Sequence[QuantumAlgorithm]) -> str:
-    """Short SHA-256 of the algorithms' factor arrays, in draw order: the
+def _draws_sha256(algorithms: QuantumAlgorithm) -> str:
+    """Short SHA-256 of each algorithm's factor arrays, in draw order: the
     state's weights and vectors, the unitaries and the POVM factors."""
     digest = hashlib.sha256()
     for alg in algorithms:
@@ -119,7 +132,7 @@ def _parity_quantum(bundle: BundleRun) -> dict:
     problem = make_parity(4)
     algorithms = bundle.parity4_algorithms(DEFAULT_TRIALS)
     report = quantum_useless_falsify(
-        problem, 1, trials=0, seed=bundle.seed, extra_algorithms=algorithms
+        problem, 1, trials=0, seed=bundle.seed, extra_algorithms=(algorithms,)
     )
     lemma_max = float(lemma_check(problem, algorithms).max())
     ok = (
@@ -252,7 +265,7 @@ def _bias_identity(bundle: BundleRun) -> dict:
 def _ratio_audit(bundle: BundleRun) -> dict:
     problem = make_parity(4)
     algorithms = bundle.parity4_algorithms(COMPILE_TRIALS)
-    reports = corollary5_audit(problem, algorithms, _accept_set(algorithms[0]), check_classical=False)
+    reports = corollary5_audit(problem, algorithms, _accept_set(algorithms), check_classical=False)
     # an undefined ratio certifies nothing, so it fails the row
     worst = max(r.deviation if r.defined else float("inf") for r in reports)
     deutsch_report = corollary5_audit(make_parity(2), deutsch(), [0])

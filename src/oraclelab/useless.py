@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
 
+from .algebra import int_from_json
 from .errors import CapacityError
 from .problems import LearningProblem, _group_rows, posterior_classical
 from .qsim import (
-    AlgorithmStack,
     QuantumAlgorithm,
     _check_match,
-    as_stack,
     outcome_posteriors,
-    random_algorithms,
+    random_algorithm,
     run,
     stack_capacity,
     trial_seeds,
@@ -48,7 +47,7 @@ BATCH_ROW_BUDGET = 2**16
 
 # Hilbert-space ceiling for the sampling falsifier. One parity-4 trial with
 # one query costs O(d^3); at d = 1232 it takes about 1.5-1.6 s on a 2-core
-# box (CPython 3.11, numpy 2.4 with OpenBLAS). There a stack holds one
+# box (CPython 3.11, numpy 2.4 with OpenBLAS). There a batch holds one
 # algorithm (qsim.STACK_ENTRY_BUDGET).
 MAX_DIM = 1232
 
@@ -144,6 +143,7 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     :func:`posterior_classical` and the first part it moves. ``detail``
     counts the point-sets and table cells read, up to the witness's own.
     """
+    k = int_from_json(k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     width = min(k, problem.domain_size)
@@ -208,42 +208,37 @@ def quantum_lower_bound(problem: LearningProblem) -> int:
     return quantum_useless_up_to(max_useless_k(problem)) + 1
 
 
-def lemma_check(
-    problem: LearningProblem, algs: QuantumAlgorithm | Sequence[QuantumAlgorithm]
-) -> float | np.ndarray:
+def lemma_check(problem: LearningProblem, alg: QuantumAlgorithm) -> float | np.ndarray:
     """Deviation of the part-averaged final states from the prior mixture.
 
     For every part j, compares sum_{f in part j} mu(f) rho_f against
     mu(part j) * sum_f mu(f) rho_f and returns the largest entrywise
     absolute difference. The identity holds exactly whenever twice the
-    algorithm's query count is classically useless. ``algs`` is one
-    algorithm or a sequence of algorithms of one shape, run as one stack;
-    a sequence gives one deviation per algorithm.
+    algorithm's query count is classically useless. A batch of algorithms
+    runs as one and gives one deviation per algorithm.
     """
-    stack, single = as_stack(algs)
-    _check_match(stack, problem)
-    result = run(stack, problem.functions)
-    mu = problem.float_prior
+    _check_match(alg, problem)
+    result = run(alg, problem.functions)
+    mu, batch = problem.float_prior, alg.batch_shape
 
     def weighted_sum(rows) -> np.ndarray:
         """sum of mu(f) rho_f over ``rows``: A diag(mu(f) w_r) A^H, A their columns."""
-        vectors = result.columns[:, :, rows, :]
-        vectors = vectors.reshape(len(stack), vectors.shape[1], -1)
-        scale = (mu[rows][None, :, None] * result.weights[:, None, :]).reshape(len(stack), -1)
-        return (vectors * scale[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+        vectors = result.columns[..., rows, :].reshape(*batch, alg.dim, -1)
+        scale = (mu[rows][:, None] * result.weights[..., None, :]).reshape(*batch, -1)
+        return (vectors * scale[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
 
     mixture = weighted_sum(slice(None))
     worst = np.max(
         [
-            np.abs(weighted_sum(problem.part_index == r) - w * mixture).max(axis=(1, 2))
+            np.abs(weighted_sum(problem.part_index == r) - w * mixture).max(axis=(-2, -1))
             for r, w in enumerate(problem.part_shares())
         ],
         axis=0,
     )
-    return float(worst[0]) if single else worst
+    return worst if batch else float(worst)
 
 
-def _trial_stacks(
+def _trial_posteriors(
     problem: LearningProblem,
     queries: int,
     trials: int,
@@ -251,29 +246,29 @@ def _trial_stacks(
     z_dim: int,
     extras: Sequence[QuantumAlgorithm],
 ):
-    """(tags, stack) in trial order: each run of consecutive extras of one
-    shape, then the seeded random trials, cut into stacks of at most
-    ``stack_capacity`` algorithms. Random trials are drawn a stack at a
-    time, as they are simulated."""
-    n_tables = problem.size
+    """(tags, outcome probabilities, posteriors) of each batch of trials, in
+    trial order: each extra batch, then the seeded random trials, cut into
+    batches of at most ``stack_capacity`` algorithms. A random batch is
+    drawn as it is simulated and nothing holds it after, so no random
+    algorithm is alive when the next batch is drawn."""
     trial = 0
-    for _, same_shape in groupby(extras, key=lambda alg: alg.stack_key):
-        same_shape = list(same_shape)
-        first = same_shape[0]
-        width = sum(b.shape[1] for b in first.povm)
-        size = stack_capacity(first.dim, queries, len(first.state[0]), width, n_tables)
-        for start in range(0, len(same_shape), size):
-            chunk = same_shape[start:start + size]
-            tags = [f"extra-{trial + i}" for i in range(len(chunk))]
-            trial += len(chunk)
-            yield tags, AlgorithmStack(chunk)
+    for extra in extras:
+        rank, width = extra.state[0].shape[-1], extra.povm_factor.shape[-1]
+        size = stack_capacity(extra.dim, queries, rank, width, problem.size)
+        for start in range(0, len(extra), size):
+            stop = min(start + size, len(extra))
+            yield [f"extra-{trial + i}" for i in range(start, stop)], *outcome_posteriors(
+                extra[start:stop], problem
+            )
+        trial += len(extra)
     dim = problem.domain_size * problem.group.order * z_dim
     seeds = trial_seeds(seed, trials)
-    size = stack_capacity(dim, queries, 1, dim, n_tables)
+    size = stack_capacity(dim, queries, 1, dim, problem.size)
     for start in range(0, trials, size):
         chunk = seeds[start:start + size]
-        algs = random_algorithms(problem.domain_size, problem.group, z_dim, queries, chunk)
-        yield [f"seed-{s}" for s in chunk], AlgorithmStack(algs)
+        yield [f"seed-{s}" for s in chunk], *outcome_posteriors(
+            random_algorithm(problem.domain_size, problem.group, z_dim, queries, chunk), problem
+        )
 
 
 def quantum_useless_falsify(
@@ -286,20 +281,25 @@ def quantum_useless_falsify(
 ) -> UselessnessReport:
     """Search for posterior-vs-prior deviations over random algorithms.
 
-    Runs any ``extra_algorithms`` (each making ``queries`` calls) and then
-    ``trials`` seeded random ``queries``-call algorithms, one stacked
-    simulation per stack of trials, and records the largest
-    |posterior - prior| over observable outcomes and parts; of equal
-    maxima the witness is the earliest trial, then the earliest outcome.
+    Runs any ``extra_algorithms`` (each one algorithm or a batch, making
+    ``queries`` calls, with dimension at most ``MAX_DIM``; their algorithms
+    are tagged extra-0, extra-1, ... in order) and then ``trials`` seeded
+    random ``queries``-call algorithms, one batched simulation per batch of
+    trials, and records the largest |posterior - prior| over observable
+    outcomes and parts; of equal maxima the witness is the earliest trial,
+    then the earliest outcome.
     A deviation above ``FALSIFY_TOL`` yields a "not useless" verdict with a
     witness naming the trial; anything else is "useless" backed by sampling
     only, which is evidence, not proof.
     """
+    queries, trials, seed, z_dim = map(int_from_json, (queries, trials, seed, z_dim))
+    extras = [alg if alg.batch_shape else alg[None] for alg in extra_algorithms]
+    firsts = np.cumsum([0, *map(len, extras)])  # the trial number of each extra's first algorithm
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
-    if trials < 0 or trials + len(extra_algorithms) < 1:
+    if trials < 0 or trials + firsts[-1] < 1:
         raise ValueError(f"trials must be >= 0, and >= 1 without extra algorithms; got {trials}")
-    miscounted = [f"extra-{i}" for i, a in enumerate(extra_algorithms) if a.query_count != queries]
+    miscounted = [f"extra-{i}" for i, a in zip(firsts, extras) if a.query_count != queries]
     if miscounted:
         raise ValueError(f"extras must make {queries} queries; {', '.join(miscounted)} do not")
     if z_dim < 1:
@@ -307,13 +307,19 @@ def quantum_useless_falsify(
     dim = problem.domain_size * problem.group.order * z_dim
     if dim > MAX_DIM:
         raise CapacityError(f"Hilbert dimension {dim} exceeds the ceiling MAX_DIM={MAX_DIM}")
+    too_wide = [f"extra-{i} (d = {a.dim})" for i, a in zip(firsts, extras) if a.dim > MAX_DIM]
+    if too_wide:
+        raise CapacityError(
+            f"extras exceed the ceiling MAX_DIM={MAX_DIM} in Hilbert dimension: {', '.join(too_wide)}"
+        )
     parts = problem.part_labels()
     prior = np.array(problem.part_shares())  # in ``parts`` order
     max_deviation = 0.0
     argmax: dict | None = None
     first_trial = 0
-    for tags, stack in _trial_stacks(problem, queries, trials, seed, z_dim, extra_algorithms):
-        outcome_probs, posteriors = outcome_posteriors(stack, problem)
+    for tags, outcome_probs, posteriors in _trial_posteriors(
+        problem, queries, trials, seed, z_dim, extras
+    ):
         # trial-major, then outcome-major, so the first of equal maxima is
         # the earliest trial's earliest outcome
         deviations = np.abs(posteriors - prior[:, None]).transpose(0, 2, 1)
@@ -330,7 +336,7 @@ def quantum_useless_falsify(
                 "posterior": float(posteriors[a, r, s]),
                 "prior": float(prior[r]),
             }
-        first_trial += len(stack)
+        first_trial += len(tags)
     verdict = VERDICT_NOT_USELESS if max_deviation > FALSIFY_TOL else VERDICT_USELESS
     return UselessnessReport(
         problem=problem.name,
@@ -340,6 +346,6 @@ def quantum_useless_falsify(
         evidence="sampled-algorithms",
         witness=argmax if verdict == VERDICT_NOT_USELESS else None,
         max_deviation=max_deviation,
-        trials=len(extra_algorithms) + trials,
+        trials=int(firsts[-1]) + trials,
         detail={"tol": FALSIFY_TOL, "seed": seed, "z_dim": z_dim, "best": argmax},
     )

@@ -261,19 +261,19 @@ def test_criterion_10_rerun_draws_its_own_algorithms(monkeypatch, only):
     # the rerun draws on a fresh run of the seed, not from the bundle's draws:
     # from the 51st draw on, the drifting draw never shows an even outcome, so
     # the rerun's ratio audit accepts nothing and its row diverges
-    draws = count()
-    draw = reproduce.random_algorithms
-
-    def blinded(alg):
-        if next(draws) < 50:
-            return alg
-        blind = (np.zeros((alg.dim, 0)), np.eye(alg.dim))
-        return dataclasses.replace(alg, povm=blind, outcome_labels=None)
+    drawn = [0]
+    draw = reproduce.random_algorithm
 
     def drifting(*args, **kwargs):
-        return [blinded(alg) for alg in draw(*args, **kwargs)]
+        batch = draw(*args, **kwargs)
+        first, drawn[0] = drawn[0], drawn[0] + len(batch)
+        if first < 50:  # every batch drawn ends at a multiple of 50 or below it
+            return batch
+        shape = (len(batch), batch.dim)
+        blind = (np.zeros((*shape, 0)), np.broadcast_to(np.eye(batch.dim), (*shape, batch.dim)))
+        return dataclasses.replace(batch, povm=blind, outcome_labels=None)
 
-    monkeypatch.setattr(reproduce, "random_algorithms", drifting)
+    monkeypatch.setattr(reproduce, "random_algorithm", drifting)
     payload = run_all(seed=SEED, only=only)
     row = payload["criteria"][-1]
     assert row["id"] == 10 and row["observed"] == "divergent"
@@ -285,13 +285,13 @@ def test_criterion_10_sees_a_change_of_draws(monkeypatch, only):
     # algorithms all differ from the bundle's while their printed deviations
     # stay at roundoff; the digests in rows 2 and 9 show the change
     calls = count()
-    draw = reproduce.random_algorithms
+    draw = reproduce.random_algorithm
 
     def shifted(x_dim, group, z_dim, queries, seeds, **kwargs):
         seeds = [seed + next(calls) // 50 for seed in seeds]
         return draw(x_dim, group, z_dim, queries, seeds, **kwargs)
 
-    monkeypatch.setattr(reproduce, "random_algorithms", shifted)
+    monkeypatch.setattr(reproduce, "random_algorithm", shifted)
     payload = run_all(seed=SEED, only=only)
     digested = [row["id"] for row in payload["criteria"] if "draws_sha256" in row]
     assert digested == ([2, 9] if only is None else [])
@@ -300,16 +300,16 @@ def test_criterion_10_sees_a_change_of_draws(monkeypatch, only):
 
 
 _COUNTED = {
-    "random_algorithms": qsim,
+    "random_algorithm": qsim,
     "run": qsim,
-    "acceptance_polynomials": polycompile,
+    "acceptance_polynomial": polycompile,
     "max_useless_k": useless,
 }
 
 
 def _count_calls(monkeypatch, *names):
     """Count calls of the named functions (keys of ``_COUNTED``) through
-    every binding in the package, and the algorithms ``random_algorithms``
+    every binding in the package, and the algorithms ``random_algorithm``
     draws, as "drawn"."""
     calls = Counter()
 
@@ -318,7 +318,7 @@ def _count_calls(monkeypatch, *names):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             result = fn(*args, **kwargs)
-            if name == "random_algorithms":
+            if name == "random_algorithm":
                 calls["drawn"] += len(result)
             return result
 
@@ -341,13 +341,13 @@ def _count_calls(monkeypatch, *names):
     [
         (
             None,
-            {"drawn": 190, "random_algorithms": 5, "run": 18, "acceptance_polynomials": 2,
+            {"drawn": 190, "random_algorithm": 5, "run": 18, "acceptance_polynomial": 2,
              "max_useless_k": 11},
         ),
-        ("parity-quantum", {"drawn": 50, "random_algorithms": 1, "run": 2}),
-        ("determinism", {"drawn": 100, "random_algorithms": 2, "run": 8}),
-        ("ratio-audit", {"drawn": 20, "random_algorithms": 1, "run": 2}),
-        ("parity", {"drawn": 100, "random_algorithms": 2, "run": 10}),
+        ("parity-quantum", {"drawn": 50, "random_algorithm": 1, "run": 2}),
+        ("determinism", {"drawn": 100, "random_algorithm": 2, "run": 8}),
+        ("ratio-audit", {"drawn": 20, "random_algorithm": 1, "run": 2}),
+        ("parity", {"drawn": 100, "random_algorithm": 2, "run": 10}),
         ("shamir", {"max_useless_k": 3}),
     ],
 )
@@ -355,7 +355,7 @@ def test_reproduce_builds_each_algorithm_once(monkeypatch, only, expected):
     # criteria 2, 4 and 9 share one parity-4 draw and criteria 7 and 8 one
     # set of simulated cubes; criterion 10 reruns criteria 1, 2 and 9 once on
     # a fresh draw, and criterion 6 scans each Shamir problem once. Each
-    # criterion simulates its algorithms as one stack per shape.
+    # criterion simulates its algorithms as one batch per shape.
     calls = _count_calls(monkeypatch, *_COUNTED)
     assert run_all(only=only)["all_pass"]
     assert {name: calls[name] for name in expected} == expected

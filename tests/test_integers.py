@@ -23,7 +23,8 @@ from oraclelab.problems import (
     problem_to_json,
     shamir_reconstruct,
 )
-from oraclelab.qsim import algorithm_to_json, random_algorithm
+from oraclelab.qsim import algorithm_to_json, random_algorithm, trial_seeds
+from oraclelab.useless import classical_useless, quantum_useless_falsify
 
 VALUES = [3, 3.0, np.int64(3), 2**65, True, 2.5, None, "3"]
 HALF = (Fraction(1, 2),) * 2
@@ -63,6 +64,8 @@ ENTRY_POINTS = {
     ).outcome_labels,
     "accept outcome": lambda v: compile_classical(FOUR_OUTCOMES, [v]).terms,
     "table bit": lambda v: classical_output_prob(SAMPLER, [v, 1]),
+    "classical_useless k": lambda v: dataclasses.asdict(classical_useless(make_parity(4), v)),
+    "falsifier seed": lambda v: dataclasses.asdict(quantum_useless_falsify(make_parity(2), 1, 1, v)),
 }
 
 # Size parameters, compared as written JSON so that a kept 3.0 or True
@@ -132,6 +135,9 @@ def test_every_entry_point_reads_integers_by_the_rule(entry, value):
         (lambda: LearningProblem(1, cyclic(2**70), ((2**65,), (1.5,)), (0, 1), HALF), 1.5),
         (lambda: LearningProblem(1, cyclic(2), ((0,), (1,)), (2**65, 1.5), HALF), 1.5),
         (lambda: LearningProblem(1, cyclic(2), ((True,), (0,)), (0, 1), HALF), True),
+        (lambda: trial_seeds(True, 2), True),
+        (lambda: trial_seeds(2, 2.5), 2.5),
+        (lambda: classical_useless(make_parity(2), 2.5), 2.5),
     ],
     ids=[
         "cyclic",
@@ -144,8 +150,21 @@ def test_every_entry_point_reads_integers_by_the_rule(entry, value):
         "table value",
         "label",
         "bool in table",
+        "trial seed",
+        "trial count",
+        "classical k",
     ],
 )
 def test_non_integers_are_refused_not_truncated(read, value):
     with pytest.raises(ValueError, match=f"expected an integer, got {re.escape(repr(value))}"):
         read()
+
+
+@pytest.mark.parametrize("value", [2.5, True, None, "3"], ids=repr)
+@pytest.mark.parametrize("name", ["queries", "trials", "z_dim"])
+def test_the_falsifier_refuses_non_integer_counts(name, value):
+    # refused values only: an accepted 2^65 queries or trials would start
+    # unbounded work
+    args = {"queries": 1, "trials": 1, "seed": 0, "z_dim": 1, name: value}
+    with pytest.raises(ValueError, match=f"expected an integer, got {re.escape(repr(value))}"):
+        quantum_useless_falsify(make_parity(2), **args)

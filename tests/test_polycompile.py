@@ -15,7 +15,6 @@ from oraclelab.polycompile import (
     CompiledClassicalAlgorithm,
     MultilinearPolynomial,
     acceptance_polynomial,
-    acceptance_polynomials,
     classical_output_prob,
     compile_classical,
     compile_polynomial,
@@ -26,7 +25,7 @@ from oraclelab.polycompile import (
     walsh_hadamard,
 )
 from oraclelab.problems import LearningProblem, make_parity
-from oraclelab.qsim import QuantumAlgorithm, random_algorithm, random_algorithms, run, trial_seeds
+from oraclelab.qsim import QuantumAlgorithm, random_algorithm, run, trial_seeds
 
 from reference import (
     brute_eval_01,
@@ -126,7 +125,7 @@ def test_acceptance_polynomial_refuses_a_broken_simulation(monkeypatch):
     def broken_run(alg, tables):  # permutes the outcomes of each algorithm's last table only
         result = run(alg, tables)
         probs = result.outcome_probs.copy()
-        probs[:, -1] = np.roll(probs[:, -1], 1, axis=-1)
+        probs[..., -1, :] = np.roll(probs[..., -1, :], 1, axis=-1)
         return dataclasses.replace(result, outcome_probs=probs)
 
     monkeypatch.setattr(polycompile, "run", broken_run)
@@ -282,13 +281,14 @@ def test_degenerate_is_exactly_no_terms():
 
 def test_stacked_acceptance_polynomials_and_audits_equal_one_algorithm_at_a_time():
     for n in (2, 3, 6):
-        algs = random_algorithms(n, cyclic(2), 1, 1, trial_seeds(n, 7))
-        accept = _accept_evens(algs[0])
-        polys = acceptance_polynomials(algs, accept)
+        algs = random_algorithm(n, cyclic(2), 1, 1, trial_seeds(n, 7))
+        accept = _accept_evens(algs)
+        polys = acceptance_polynomial(algs, accept)
         reports = corollary5_audit(make_parity(n), algs, accept)
-        assert len(polys) == len(reports) == len(algs)
-        for alg, poly, report in zip(algs, polys, reports):
-            assert poly.coeffs.tobytes() == acceptance_polynomial(alg, accept).coeffs.tobytes()
+        assert polys.n == n and polys.coeffs.shape == (len(algs), 1 << n)
+        assert len(reports) == len(algs)
+        for alg, coeffs, report in zip(algs, polys.coeffs, reports):
+            assert coeffs.tobytes() == acceptance_polynomial(alg, accept).coeffs.tobytes()
             assert dataclasses.astuple(report) == dataclasses.astuple(
                 corollary5_audit(make_parity(n), alg, accept)
             )

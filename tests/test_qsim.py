@@ -21,7 +21,6 @@ from oraclelab.problems import LearningProblem, make_image_parity, make_parity, 
 from oraclelab import algebra
 from oraclelab.qsim import (
     EPS_COND,
-    AlgorithmStack,
     QuantumAlgorithm,
     algorithm_from_json,
     algorithm_to_json,
@@ -29,7 +28,6 @@ from oraclelab.qsim import (
     oracle_matrix,
     outcome_posteriors,
     random_algorithm,
-    random_algorithms,
     run,
     success_probability,
     trial_seeds,
@@ -248,10 +246,11 @@ def test_run_names_first_table_with_broken_distribution():
     # its factor by 1/sqrt(2), leaves the even-parity tables summing to 1
     # and the odd ones to 1/2
     alg = deutsch()
-    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] / np.sqrt(2)))
+    even, odd = alg.povm
+    object.__setattr__(alg, "povm_factor", np.hstack((even, odd / np.sqrt(2))))
     with pytest.raises(ArithmeticError, match=r"table 1 \[0, 1\] sum to 0\.(5|49)"):
         run(alg, [(0, 0), (0, 1), (1, 0)])
-    object.__setattr__(alg, "povm", (alg.povm[0], alg.povm[1] * 2))
+    object.__setattr__(alg, "povm_factor", np.hstack((even, odd * np.sqrt(2))))
     with pytest.raises(ArithmeticError, match=r"outside \[0,1\] on table 1 \[0, 1\]"):
         run(alg, [(0, 0), (0, 1), (1, 0)])
 
@@ -524,11 +523,25 @@ def test_algorithm_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# stacks of algorithms
+# batches of algorithms
 
 
 def _arrays(alg):
     return [*alg.state, *alg.unitaries, *alg.povm]
+
+
+def _batch(algs):
+    """One batch of algorithms of one shape, built from their stacked arrays."""
+    first = algs[0]
+    return QuantumAlgorithm(
+        first.x_dim,
+        first.group,
+        first.z_dim,
+        tuple(np.stack(arrays) for arrays in zip(*(alg.state for alg in algs))),
+        np.stack([alg.unitaries for alg in algs]),
+        tuple(np.stack(factors) for factors in zip(*(alg.povm for alg in algs))),
+        first.outcome_labels,
+    )
 
 
 # (x_dim, group order, z_dim) for d = 4, 6, 8, 9, 32, 36, 96 and 108
@@ -539,22 +552,25 @@ DRAW_SHAPES = [(2, 2, 1), (3, 2, 1), (4, 2, 1), (3, 3, 1), (4, 2, 4), (3, 3, 4),
 @pytest.mark.parametrize("x_dim, order, z_dim", DRAW_SHAPES)
 def test_random_algorithms_equal_the_one_seed_draws_bit_for_bit(x_dim, order, z_dim, queries):
     seeds = trial_seeds(x_dim * order * z_dim + queries, 5)
-    algs = random_algorithms(x_dim, cyclic(order), z_dim, queries, seeds, labels_cycle=(0, 1))
+    algs = random_algorithm(x_dim, cyclic(order), z_dim, queries, seeds, labels_cycle=(0, 1))
+    assert algs.batch_shape == (5,) and len(list(algs)) == 5
     for seed, alg in zip(seeds, algs):
         alone = random_algorithm(x_dim, cyclic(order), z_dim, queries, seed, labels_cycle=(0, 1))
+        assert alone.batch_shape == alg.batch_shape == ()
         reference = one_seed_draw(alg.dim, queries, seed)
         for arrays in (_arrays(alone), reference):
             assert len(arrays) == len(_arrays(alg))
             for a, b in zip(_arrays(alg), arrays):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert alone.povm_factor.tobytes() == alg.povm_factor.tobytes()
         assert alg.outcome_labels == alone.outcome_labels == {s: s % 2 for s in range(alg.dim)}
 
 
 @st.composite
 def _stacks(draw):
-    """A stack of algorithms of one shape with mixed initial states of a
-    shared rank and a POVM of unequal element ranks, with their dense
-    initial states and POVM elements."""
+    """Algorithms of one shape with mixed initial states of a shared rank
+    and a POVM of unequal element ranks, with their dense initial states
+    and POVM elements."""
     group = FiniteAbelianGroup(draw(st.sampled_from([(2,), (3,), (2, 2)])))
     x_dim, z_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     dim = x_dim * group.order * z_dim
@@ -579,13 +595,15 @@ def _stacks(draw):
 def test_stacked_run_matches_the_dense_reference_on_every_algorithm(stack_and_tables):
     stack, tables = stack_and_tables
     algs = [alg for alg, _, _ in stack]
-    res = run(algs, tables)
-    n_outcomes, dim = algs[0].n_outcomes, algs[0].dim
+    batch = _batch(algs)
+    res = run(batch, tables)
+    n_outcomes, dim = batch.n_outcomes, batch.dim
     assert res.outcome_probs.shape == (len(algs), len(tables), n_outcomes)
     assert res.final_states.shape == (len(algs), len(tables), dim, dim)
     for a, (alg, rho0, povm) in enumerate(stack):
         alone = run(alg, tables)
         assert alone.outcome_probs.tobytes() == res.outcome_probs[a].tobytes()
+        assert run(batch[a], tables).outcome_probs.tobytes() == alone.outcome_probs.tobytes()
         for t, f in enumerate(tables):
             rho, probs = dense_run(alg, f, rho0, povm)
             assert np.abs(res.outcome_probs[a, t] - probs).max() < 1e-12
@@ -596,12 +614,12 @@ def test_stacked_tables_equal_one_algorithm_at_a_time_bit_for_bit():
     for problem in (make_parity(4), make_image_parity(), make_shamir(5, 1)):
         for queries in (1, 2):
             args = (problem.domain_size, problem.group, 2, queries)
-            algs = random_algorithms(*args, trial_seeds(queries, 6), labels_cycle=(0, 1))
+            algs = random_algorithm(*args, trial_seeds(queries, 6), labels_cycle=(0, 1))
             table = joint_distribution(algs, problem)
             probs, posteriors = outcome_posteriors(algs, problem)
             success = success_probability(algs, problem)
-            assert table.shape == (len(algs), len(problem.part_labels()), algs[0].n_outcomes)
-            assert probs.shape == (len(algs), algs[0].n_outcomes)
+            assert table.shape == (len(algs), len(problem.part_labels()), algs.n_outcomes)
+            assert probs.shape == (len(algs), algs.n_outcomes)
             assert posteriors.shape == table.shape and success.shape == (len(algs),)
             for a, alg in enumerate(algs):
                 alone_probs, alone_posteriors = outcome_posteriors(alg, problem)
@@ -611,18 +629,78 @@ def test_stacked_tables_equal_one_algorithm_at_a_time_bit_for_bit():
                 assert success_probability(alg, problem) == success[a]
 
 
-def test_a_stack_holds_algorithms_of_one_shape():
+def test_a_batch_shares_one_shape_along_its_leading_axis():
     parity2 = make_parity(2)
     pure = random_algorithm(2, parity2.group, 1, 1, 0)
-    with pytest.raises(ValueError, match="algorithm 1 has shape"):
-        AlgorithmStack((pure, deutsch()))  # POVM ranks 1 x 4 against 2 x 2
-    with pytest.raises(ValueError, match="algorithm 2 has shape"):
-        run([pure, pure, random_algorithm(2, parity2.group, 1, 2, 0)], [(0, 1)])
-    with pytest.raises(ValueError, match="at least one algorithm"):
-        joint_distribution([], parity2)
-    stack = AlgorithmStack([pure, pure])
-    assert (len(stack), stack.dim, stack.query_count, stack.n_outcomes) == (2, 4, 1, 4)
-    assert joint_distribution(stack, parity2).shape == (2, 2, 4)
+    batch = random_algorithm(2, parity2.group, 1, 1, [0, 1])
+    assert (len(batch), batch.dim, batch.query_count, batch.n_outcomes) == (2, 4, 1, 4)
+    assert joint_distribution(batch, parity2).shape == (2, 2, 4)
+    assert joint_distribution(batch[None:1], parity2).shape == (1, 2, 4)
+    assert joint_distribution(pure[None], parity2).shape == (1, 2, 4)
+    weights, vectors = batch.state
+    with pytest.raises(ValueError, match=r"do not share the batch shape \(2,\)"):
+        QuantumAlgorithm(2, parity2.group, 1, batch.state, pure.unitaries, batch.povm)
+    with pytest.raises(ValueError, match="do not share the batch shape"):
+        QuantumAlgorithm(2, parity2.group, 1, (weights, vectors[0]), batch.unitaries, batch.povm)
+    with pytest.raises(ValueError, match="do not share the batch shape"):  # POVM ranks 1 x 4 against 2 x 2
+        QuantumAlgorithm(2, parity2.group, 1, batch.state, batch.unitaries, deutsch()[None].povm)
+    with pytest.raises(ValueError, match="A >= 1"):
+        QuantumAlgorithm(2, parity2.group, 1, (weights[:0], vectors[:0]), (), ())
+    with pytest.raises(ValueError, match="A >= 1"):
+        QuantumAlgorithm(2, parity2.group, 1, (weights[None], vectors[None]), (), ())
+    with pytest.raises(TypeError, match="no batch axis"):
+        len(pure)
+    with pytest.raises(TypeError, match="no batch axis"):
+        list(pure)
+    with pytest.raises(IndexError):
+        pure[0]
+    for index in (slice(2, None), None):  # an empty batch; a second batch axis
+        with pytest.raises(IndexError, match="not \\(\\) or \\(A,\\)"):
+            batch[index]
+
+
+def test_a_batch_names_its_first_invalid_algorithm():
+    algs = random_algorithm(2, cyclic(2), 1, 2, [3, 4, 5, 6])
+    weights, vectors = algs.state
+    unitaries = algs.unitaries.copy()
+    unitaries[2, 1, 0, 0] += 1e-3
+    bad_state = (weights.copy(), vectors)
+    bad_state[0][3] = 2.0
+    with pytest.raises(ValueError) as alone:
+        QuantumAlgorithm(2, cyclic(2), 1, algs[2].state, unitaries[2], algs[2].povm)
+    assert str(alone.value).startswith("not unitary: max|U^H U - I| = ")
+    with pytest.raises(ValueError) as batched:
+        QuantumAlgorithm(2, cyclic(2), 1, bad_state, unitaries, algs.povm)
+    assert str(batched.value) == f"algorithm 2: {alone.value}"
+    with pytest.raises(ValueError, match=r"^algorithm 3: trace 2\.0 differs from 1"):
+        QuantumAlgorithm(2, cyclic(2), 1, bad_state, algs.unitaries, algs.povm)
+    povm = [b.copy() for b in algs.povm]
+    povm[0][1] *= 2
+    with pytest.raises(ValueError, match=r"^algorithm 1: POVM does not sum to identity"):
+        QuantumAlgorithm(2, cyclic(2), 1, algs.state, algs.unitaries, povm)
+
+
+def test_indexing_a_batch_gives_views_without_copying_or_validating(monkeypatch):
+    algs = random_algorithm(3, cyclic(2), 2, 2, trial_seeds(4, 5), labels_cycle=(0, 1))
+
+    def no_validation(self):
+        raise AssertionError("indexing validated again")
+
+    def fields(alg):
+        return [*alg.state, alg.unitaries, alg.povm_factor, *alg.povm]
+
+    monkeypatch.setattr(QuantumAlgorithm, "__post_init__", no_validation)
+    for index, shape in ((1, ()), (-1, ()), (slice(1, 4), (3,)), (np.int64(2), ())):
+        view = algs[index]
+        assert view.batch_shape == shape and view.outcome_labels is algs.outcome_labels
+        for a, b in zip(fields(view), fields(algs)):
+            assert np.shares_memory(a, b) and a.tobytes() == b[index].tobytes()
+    one = algs[2]
+    assert one[None].batch_shape == (1,)
+    assert all(np.shares_memory(a, b) for a, b in zip(fields(one[None]), fields(algs)))
+    assert joint_distribution(one[None], make_parity(3))[0].tobytes() == joint_distribution(
+        algs, make_parity(3)
+    )[2].tobytes()
 
 
 def test_validate_povm_reads_the_stacked_factor_once(monkeypatch):
@@ -635,9 +713,9 @@ def test_validate_povm_reads_the_stacked_factor_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "as_complex_matrix", counted)
     povm = random_povm(8, 8, 3)
-    factors = algebra.validate_povm(povm)
+    factor = algebra.validate_povm(povm)
     assert read == [(8, 8)]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(factors, povm))
+    assert factor.tobytes() == np.hstack(povm).tobytes()
     with pytest.raises(ValueError, match="POVM element 2 has 7 rows, expected 8"):
         algebra.validate_povm([*povm[:2], povm[2][:7], *povm[3:]])
     with pytest.raises(ValueError, match="POVM element 1: expected a 2-d matrix"):

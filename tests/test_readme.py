@@ -79,3 +79,17 @@ def test_readme_ceilings_match_the_code():
         )
     }
     assert defined == {(name, module) for name, _, module in rows}
+
+
+def test_readme_names_only_existing_library_names():
+    # a deleted function or class must not linger in the docs
+    named = set(re.findall(r"`(qsim|polycompile|useless)\.(\w+(?:\.\w+)*)", README.read_text()))
+    assert named
+    missing = []
+    for module, path in sorted(named):
+        obj = importlib.import_module(f"oraclelab.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []

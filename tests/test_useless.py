@@ -28,7 +28,6 @@ from oraclelab.qsim import (
     QuantumAlgorithm,
     RunResult,
     random_algorithm,
-    random_algorithms,
     stack_capacity,
     trial_seeds,
 )
@@ -577,7 +576,7 @@ def test_falsify_zero_trials_runs_only_the_extras(monkeypatch):
     def no_random_algorithm(*args, **kwargs):
         raise AssertionError("trials=0 builds no random algorithm")
 
-    monkeypatch.setattr(useless, "random_algorithms", no_random_algorithm)
+    monkeypatch.setattr(useless, "random_algorithm", no_random_algorithm)
     extras = [random_algorithm(2, cyclic(2), 1, 1, 5), deutsch()]
     report = quantum_useless_falsify(make_parity(2), 1, trials=0, seed=7, extra_algorithms=extras)
     assert report.trials == len(extras)
@@ -616,35 +615,36 @@ def test_falsify_names_a_z_dim_below_one(z_dim):
 
 
 def test_falsify_holds_one_random_algorithm_at_a_time(monkeypatch):
-    # at the dimension ceiling a random algorithm holds ~50 MB and a stack
-    # holds one of them, so trials are built a stack at a time as they are
-    # simulated, never all up front; a budget one small algorithm wide
-    # makes every stack one algorithm here too
-    built, most_alive = [], []
+    # at the dimension ceiling a random algorithm holds ~50 MB and a batch
+    # holds one of them, so trials are drawn a batch at a time as they are
+    # simulated, never all up front, and each batch is released before the
+    # next is drawn; a budget one small algorithm wide makes every batch one
+    # algorithm here too
+    built, alive_at_draw = [], []
 
     def tracked(*args, **kwargs):
         gc.collect()
-        most_alive.append(sum(ref() is not None for ref in built))
-        algs = random_algorithms(*args, **kwargs)
-        built.extend(weakref.ref(alg) for alg in algs)
-        return algs
+        alive_at_draw.append(sum(ref() is not None for ref in built))
+        batch = random_algorithm(*args, **kwargs)
+        built.append(weakref.ref(batch))
+        return batch
 
-    monkeypatch.setattr(useless, "random_algorithms", tracked)
+    monkeypatch.setattr(useless, "random_algorithm", tracked)
     monkeypatch.setattr(qsim, "STACK_ENTRY_BUDGET", 1)
     report = quantum_useless_falsify(make_parity(2), queries=1, trials=4, seed=1)
     assert report.trials == 4 and len(built) == 4
-    assert max(most_alive) <= 1
+    assert alive_at_draw == [0] * 4
 
 
 def test_falsify_stacks_trials_within_the_entry_budget(monkeypatch):
     sizes = []
 
     def tracked(*args, **kwargs):
-        algs = random_algorithms(*args, **kwargs)
-        sizes.append(len(algs))
-        return algs
+        batch = random_algorithm(*args, **kwargs)
+        sizes.append(len(batch))
+        return batch
 
-    monkeypatch.setattr(useless, "random_algorithms", tracked)
+    monkeypatch.setattr(useless, "random_algorithm", tracked)
     # parity-4 at z_dim 4: d = 32 over 16 tables, so an algorithm holds
     # 32 * (32 + 1 + 32) entries and its run (32 + 32) * 16 more
     monkeypatch.setattr(qsim, "STACK_ENTRY_BUDGET", 7 * (32 * 65 + 64 * 16) + 1)
@@ -653,6 +653,25 @@ def test_falsify_stacks_trials_within_the_entry_budget(monkeypatch):
     report = quantum_useless_falsify(problem, queries=1, trials=50, seed=3, z_dim=4)
     assert sizes == [7] * 7 + [1]
     assert (report.max_deviation, report.detail["best"]) == per_algorithm_falsify(problem, 1, 50, 3, 4)
+    # an extra batch is cut at the same capacity
+    extra = random_algorithm(4, problem.group, 4, 1, trial_seeds(5, 10))
+    report = quantum_useless_falsify(problem, 1, 0, 3, 4, extra_algorithms=[extra])
+    assert report.trials == 10
+    assert (report.max_deviation, report.detail["best"]) == per_algorithm_falsify(
+        problem, 1, 0, 3, 4, list(extra)
+    )
+
+
+def test_falsify_refuses_an_extra_above_the_dimension_ceiling(monkeypatch):
+    # the ceiling bounds every algorithm the falsifier simulates, not only
+    # its random trials
+    monkeypatch.setattr(useless, "MAX_DIM", 8)
+    problem = make_parity(4)  # d = 8 at z_dim 1
+    small = random_algorithm(4, problem.group, 1, 1, [3, 4])
+    wide = random_algorithm(4, problem.group, 2, 1, 5)  # d = 16
+    quantum_useless_falsify(problem, 1, 1, 0, extra_algorithms=[small])
+    with pytest.raises(CapacityError, match=r"MAX_DIM=8 in Hilbert dimension: extra-2 \(d = 16\)$"):
+        quantum_useless_falsify(problem, 1, 1, 0, extra_algorithms=[small, wide])
 
 
 def test_a_stack_at_the_dimension_ceiling_holds_one_algorithm():
@@ -676,8 +695,8 @@ def _mixed_extra(problem, queries, seed, rank=2):
 
 @pytest.mark.parametrize("seed", [0, 5, 20100325])
 def test_falsifier_matches_the_per_algorithm_loop(seed):
-    # extras of mixed shapes: runs of one shape stack, a change of shape
-    # starts a new stack, and the random trials follow
+    # extras of mixed shapes, each run as its own batch, then the random
+    # trials; a batch extra tags its algorithms in order
     parity2 = make_parity(2)
     extras = [
         random_algorithm(2, parity2.group, 1, 1, 3),
@@ -687,9 +706,11 @@ def test_falsifier_matches_the_per_algorithm_loop(seed):
         deutsch(),
         random_algorithm(2, parity2.group, 1, 1, 7),
     ]
-    assert len({alg.stack_key for alg in extras}) == 4
+    assert len({(alg.state[1].shape, tuple(b.shape for b in alg.povm)) for alg in extras}) == 4
+    batch = random_algorithm(2, parity2.group, 1, 1, [3, 4, 7])
     cases = [
         (parity2, 1, 20, 1, extras),
+        (parity2, 1, 5, 1, [extras[2], batch, deutsch()]),
         (parity2, 1, 20, 1, extras[:4]),
         (make_parity(4), 1, 30, 2, [_mixed_extra(make_parity(4), 1, 8)]),
         (make_image_parity(), 1, 25, 1, ()),
@@ -697,7 +718,8 @@ def test_falsifier_matches_the_per_algorithm_loop(seed):
     ]
     for problem, queries, trials, z_dim, extra in cases:
         report = quantum_useless_falsify(problem, queries, trials, seed, z_dim, extra)
-        expected = per_algorithm_falsify(problem, queries, trials, seed, z_dim, extra)
+        singles = [one for alg in extra for one in (alg if alg.batch_shape else [alg])]
+        expected = per_algorithm_falsify(problem, queries, trials, seed, z_dim, singles)
         assert (report.max_deviation, report.detail["best"]) == expected
 
 
