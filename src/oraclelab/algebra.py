@@ -220,41 +220,42 @@ def validate_povm(factors: Sequence[np.ndarray]) -> np.ndarray:
 # seeded random generation
 
 
-def random_unitary(dim: int, seeds: int | Sequence[int]) -> np.ndarray:
+def _complex_gaussians(seeds, shape: tuple[int, ...]) -> np.ndarray:
+    """An i.i.d. complex standard Gaussian array of ``shape`` for each seed,
+    drawn from its own stream, stacked at the seeds' shape."""
+    seeds = np.asarray(seeds, dtype=object)
+    out = np.empty(seeds.shape + shape, dtype=np.complex128)
+    for index, seed in np.ndenumerate(seeds):
+        rng = np.random.default_rng(seed)
+        out[index] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return out
+
+
+def random_unitary(dim: int, seeds) -> np.ndarray:
     """Haar-style random unitary, deterministic for a fixed seed.
 
     QR orthonormalization of an i.i.d. complex standard Gaussian matrix,
     with the phases of the R diagonal divided out so the distribution does
-    not depend on the QR sign convention. ``seeds`` is one seed, giving a
-    (dim, dim) unitary, or a sequence of them, giving a (len(seeds), dim,
-    dim) stack: each seed draws its Gaussians from its own stream and the
-    whole stack is orthonormalized by one stacked QR, so a stack's
-    unitaries equal the one-seed ones bit for bit.
+    not depend on the QR sign convention. ``seeds`` is one seed or an array
+    of them, and the result has their shape followed by (dim, dim): each
+    seed draws its Gaussians from its own stream and the whole stack is
+    orthonormalized by one stacked QR, so a stack's unitaries equal the
+    one-seed ones bit for bit.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    single = np.ndim(seeds) == 0
-    seeds = [seeds] if single else list(seeds)
-    a = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        a[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(_complex_gaussians(seeds, (dim, dim)))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
-    return u[0] if single else u
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_povm(
-    dim: int, n_outcomes: int, seeds: int | Sequence[int]
-) -> tuple[np.ndarray, ...]:
+def random_povm(dim: int, n_outcomes: int, seeds) -> tuple[np.ndarray, ...]:
     """Random projective POVM from a coarse-grained random orthonormal basis.
 
     The columns of a random unitary are split into ``n_outcomes`` groups of
     near-equal size; element s is the orthogonal projector onto group s,
-    returned as its factor: the group's columns. For a sequence of seeds
-    each factor has a leading axis, one basis per seed, as in
-    :func:`random_unitary`.
+    returned as its factor: the group's columns. Each factor leads with
+    the seeds' shape, one basis per seed, as in :func:`random_unitary`.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -271,14 +272,15 @@ def random_povm(
     return tuple(elements)
 
 
-def random_pure_state(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-random pure state as the factor (weights [1], vectors [v])."""
+def random_pure_state(dim: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Haar-random pure state as the factor (weights [1], vectors [v]), one
+    per seed: both lead with the seeds' shape, as in :func:`random_unitary`."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return np.ones(1), v[:, None]
+    v = _complex_gaussians(seeds, (dim,))
+    for index in np.ndindex(v.shape[:-1]):  # a norm along an axis would sum in another order
+        v[index] /= np.linalg.norm(v[index])
+    return np.ones(v.shape[:-1] + (1,)), v[..., None]
 
 
 # ---------------------------------------------------------------------------

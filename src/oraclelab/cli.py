@@ -4,7 +4,8 @@ Every run emits a JSON report whose only nondeterministic field is the
 timestamp, isolated in the header; identical configuration and seed give
 byte-identical payloads. Exit codes: 0 when the checked claim holds, 1
 when it is falsified (the report carries a witness), 2 on usage or
-capacity errors.
+capacity errors and on an input whose simulation leaves the numeric
+tolerance.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CapacityError, ValueError, OSError) as exc:
+    except (ArithmeticError, CapacityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

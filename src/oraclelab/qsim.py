@@ -299,7 +299,7 @@ def run(alg: QuantumAlgorithm, tables) -> RunResult:
         a, t = np.unravel_index(np.argmax(out_of_range), out_of_range.shape)
         raise ArithmeticError(
             f"outcome probabilities of algorithm {a} outside [0,1] on table {t} "
-            f"{tables[t].tolist()}: {rows[a, t]}"
+            f"{tables[t].tolist()}: {rows[a, t].tolist()}"
         )
     sums = rows.sum(axis=2)
     bad_sum = np.abs(sums - 1.0) > TOL_NUM
@@ -401,33 +401,31 @@ def random_algorithm(
     sequence of them, giving a batch with one algorithm per seed.
 
     Seed s draws from the streams ``trial_seeds(s, queries + 2)``: the
-    state, then each unitary, then the POVM's basis. The unitaries of all
-    seeds are orthonormalized by one stacked QR, and the POVM bases by
-    another, so each algorithm of a batch equals its one-seed draw bit for
-    bit. ``labels_cycle`` assigns outcome s the label
-    ``cycle[s % len(cycle)]``, for problems where a success probability is
-    wanted.
+    state, then each unitary, then the POVM's basis. Each part is drawn at
+    the seeds' shape, the unitaries of all seeds orthonormalized by one
+    stacked QR and the POVM bases by another, so each algorithm of a batch
+    equals its one-seed draw bit for bit. ``labels_cycle`` assigns outcome
+    s the label ``cycle[s % len(cycle)]``, for problems where a success
+    probability is wanted.
     """
     x_dim, z_dim, queries = map(int_from_json, (x_dim, z_dim, queries))
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    streams = [trial_seeds(s, queries + 2) for s in seeds]
+    seeds = np.asarray(seed, dtype=object)  # each seed as given, for the integer rule
+    streams = np.empty(seeds.shape + (queries + 2,), dtype=object)
+    for index, s in np.ndenumerate(seeds):
+        streams[index] = trial_seeds(s, queries + 2)
     dim = x_dim * group.order * z_dim
-    unitary_seeds = [s for child in streams for s in child[1:queries + 1]]
-    unitaries = random_unitary(dim, unitary_seeds).reshape(len(streams), queries, dim, dim)
-    vectors = np.stack([random_pure_state(dim, child[0])[1] for child in streams])
     labels = None
     if labels_cycle is not None:
         labels = {s: labels_cycle[s % len(labels_cycle)] for s in range(dim)}
-    batch = QuantumAlgorithm(
+    return QuantumAlgorithm(
         x_dim=x_dim,
         group=group,
         z_dim=z_dim,
-        state=(np.ones((len(streams), 1)), vectors),
-        unitaries=unitaries,
-        povm=random_povm(dim, dim, [child[queries + 1] for child in streams]),
+        state=random_pure_state(dim, streams[..., 0]),
+        unitaries=random_unitary(dim, streams[..., 1:queries + 1]),
+        povm=random_povm(dim, dim, streams[..., queries + 1]),
         outcome_labels=labels,
     )
-    return batch if np.ndim(seed) else batch[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,5 +461,18 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
         state=factor_hermitian(matrix_from_json(data["rho0"]), "density matrix"),
         unitaries=tuple(matrix_from_json(u) for u in data["unitaries"]),
         povm=povm_from_dense(matrix_from_json(e) for e in data["povm"]),
-        outcome_labels=None if labels is None else {int(s): j for s, j in labels.items()},
+        outcome_labels=None if labels is None else {_outcome(s): j for s, j in labels.items()},
     )
+
+
+def _outcome(key) -> int:
+    """The outcome a labels key names, read only in the decimal form
+    :func:`algorithm_to_json` writes: ``int`` would also read "01", " 1"
+    and an Arabic-Indic one as 1, and one outcome keyed twice would drop
+    a label."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"outcome label key {key!r} is not a decimal outcome index")

@@ -6,20 +6,21 @@ stamps it with the criterion's id and tag from ``CRITERIA``. The bundle is
 a deterministic JSON payload plus a printable table. The CLI `reproduce`
 subcommand wraps this module.
 
-A run draws each random input once, on first use, and its criteria share
-it: criteria 2 and 4 read one batch of 50 labelled 1-query parity-4
+A run draws each random input once, whole, on first use, and its criteria
+share it: criteria 2 and 4 read one batch of 50 labelled 1-query parity-4
 algorithms and criterion 9 a view of its first 20; criteria 7 and 8 read
-40 Boolean-oracle algorithms with their acceptance polynomials. Criterion
-10 reruns criteria 1, 2 and 9 on a fresh run of the same seed, so the rerun
-draws again; rows 2 and 9 carry a digest of the algorithms they read, so
-a change of draws shows there even when the printed deviations agree.
+one batch of 20 Boolean-oracle algorithms per n = 2, 3 with their
+acceptance polynomials. Criterion 10 reruns criteria 1, 2 and 9 on a
+fresh run of the same seed, so the rerun draws again; rows 2 and 9 carry
+a digest of the algorithms they read, so a change of draws shows there
+even when the printed deviations agree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -55,53 +56,33 @@ COMPILE_TRIALS = 20
 @dataclass
 class BundleRun:
     """One run of the bundle: its seed, the rows made so far, and the random
-    inputs its criteria share, each drawn on first use."""
+    inputs its criteria share, each drawn whole on first use."""
 
     seed: int
     rows: dict[int, dict] = field(default_factory=dict)
-    _parity4: QuantumAlgorithm | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         trial_seeds(self.seed, 0)  # refuses a negative seed before any criterion runs
 
-    def parity4_algorithms(self, count: int) -> QuantumAlgorithm:
-        """The first ``count`` labelled 1-query parity-4 algorithms, one batch.
-
-        Labels enter only success probabilities, so the criteria that need
-        none read the same algorithms. ``trial_seeds(seed, m)`` is a prefix
-        of ``trial_seeds(seed, n)`` for m <= n, so a longer read draws only
-        the missing tail and joins it to the batch.
-        """
-        drawn = self._parity4
-        have = len(drawn) if drawn else 0
-        if have < count:
-            seeds = trial_seeds(self.seed, count)[have:]
-            tail = random_algorithm(4, make_parity(4).group, 1, 1, seeds, labels_cycle=(0, 1))
-            self._parity4 = _joined(drawn, tail) if drawn else tail
-        return self._parity4[:count]
+    @cached_property
+    def parity4(self) -> QuantumAlgorithm:
+        """The 50 labelled 1-query parity-4 algorithms, one batch. Labels
+        enter only success probabilities, so the criteria that need none
+        read the same algorithms."""
+        seeds = trial_seeds(self.seed, DEFAULT_TRIALS)
+        return random_algorithm(4, make_parity(4).group, 1, 1, seeds, labels_cycle=(0, 1))
 
     @cached_property
-    def compile_cubes(self) -> list[tuple[int, QuantumAlgorithm, MultilinearPolynomial]]:
+    def compile_cubes(self) -> list[tuple[QuantumAlgorithm, MultilinearPolynomial]]:
         """Random 1-query Boolean-oracle algorithms on n = 2 and 3 points,
-        with the acceptance polynomial of their even outcomes, each a view
-        of one batch per n."""
+        with the acceptance polynomials of their even outcomes: one batch
+        of each per n."""
         cubes = []
         for n in (2, 3):
             seeds = trial_seeds(self.seed + n, COMPILE_TRIALS)
             algs = random_algorithm(n, make_parity(n).group, 1, 1, seeds)
-            polys = acceptance_polynomial(algs, _accept_set(algs))
-            cubes += [(n, alg, MultilinearPolynomial(n, c)) for alg, c in zip(algs, polys.coeffs)]
+            cubes.append((algs, acceptance_polynomial(algs, _accept_set(algs))))
         return cubes
-
-
-def _joined(first: QuantumAlgorithm, second: QuantumAlgorithm) -> QuantumAlgorithm:
-    """One batch of the algorithms of two batches of one shape, in order."""
-    return replace(
-        first,
-        state=tuple(map(np.concatenate, zip(first.state, second.state))),
-        unitaries=np.concatenate((first.unitaries, second.unitaries)),
-        povm=tuple(map(np.concatenate, zip(first.povm, second.povm))),
-    )
 
 
 def _accept_set(alg) -> list[int]:
@@ -130,7 +111,7 @@ def _parity_classical(bundle: BundleRun) -> dict:
 
 def _parity_quantum(bundle: BundleRun) -> dict:
     problem = make_parity(4)
-    algorithms = bundle.parity4_algorithms(DEFAULT_TRIALS)
+    algorithms = bundle.parity4
     report = quantum_useless_falsify(
         problem, 1, trials=0, seed=bundle.seed, extra_algorithms=(algorithms,)
     )
@@ -171,7 +152,7 @@ def _parity_upper(bundle: BundleRun) -> dict:
 
 
 def _parity_barrier(bundle: BundleRun) -> dict:
-    successes = success_probability(bundle.parity4_algorithms(DEFAULT_TRIALS), make_parity(4))
+    successes = success_probability(bundle.parity4, make_parity(4))
     worst = float(np.abs(successes - 0.5).max())
     return {
         "claim": "parity of 4 bits: every 1-query algorithm succeeds with probability 1/2",
@@ -229,8 +210,8 @@ def _shamir(bundle: BundleRun) -> dict:
 
 def _degree_bound(bundle: BundleRun) -> dict:
     worst = 0.0
-    for n, _, poly in bundle.compile_cubes:
-        stray = to_fourier(poly).coeffs[np.bitwise_count(np.arange(1 << n)) > 2]
+    for _, polys in bundle.compile_cubes:
+        stray = to_fourier(polys).coeffs[:, np.bitwise_count(np.arange(1 << polys.n)) > 2]
         worst = max(worst, np.abs(stray).max(initial=0.0))
     return {
         "claim": "1-query acceptance polynomials have degree at most 2",
@@ -244,13 +225,15 @@ def _bias_identity(bundle: BundleRun) -> dict:
     worst_bias = 0.0
     worst_norm = 0.0
     max_subset = 0
-    for _, alg, poly in bundle.compile_cubes:
-        compiled = compile_polynomial(poly, alg.query_count)
-        if not compiled.degenerate:
-            worst_norm = max(worst_norm, abs(sum(t[1] for t in compiled.terms) - 1.0))
-            max_subset = max(max_subset, compiled.max_queries)
-        for *_, residual in bias_certificate(compiled, poly):
-            worst_bias = max(worst_bias, abs(residual))
+    for algs, polys in bundle.compile_cubes:
+        for coeffs in polys.coeffs:
+            poly = MultilinearPolynomial(polys.n, coeffs)
+            compiled = compile_polynomial(poly, algs.query_count)
+            if not compiled.degenerate:
+                worst_norm = max(worst_norm, abs(sum(t[1] for t in compiled.terms) - 1.0))
+                max_subset = max(max_subset, compiled.max_queries)
+            for *_, residual in bias_certificate(compiled, poly):
+                worst_bias = max(worst_bias, abs(residual))
     ok = worst_bias < 1e-9 and worst_norm < 1e-10 and max_subset <= 2
     return {
         "claim": "compiled samplers scale the acceptance bias by exactly 1/T",
@@ -264,7 +247,7 @@ def _bias_identity(bundle: BundleRun) -> dict:
 
 def _ratio_audit(bundle: BundleRun) -> dict:
     problem = make_parity(4)
-    algorithms = bundle.parity4_algorithms(COMPILE_TRIALS)
+    algorithms = bundle.parity4[:COMPILE_TRIALS]
     reports = corollary5_audit(problem, algorithms, _accept_set(algorithms), check_classical=False)
     # an undefined ratio certifies nothing, so it fails the row
     worst = max(r.deviation if r.defined else float("inf") for r in reports)

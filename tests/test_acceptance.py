@@ -346,16 +346,18 @@ def _count_calls(monkeypatch, *names):
         ),
         ("parity-quantum", {"drawn": 50, "random_algorithm": 1, "run": 2}),
         ("determinism", {"drawn": 100, "random_algorithm": 2, "run": 8}),
-        ("ratio-audit", {"drawn": 20, "random_algorithm": 1, "run": 2}),
+        ("ratio-audit", {"drawn": 50, "random_algorithm": 1, "run": 2}),
         ("parity", {"drawn": 100, "random_algorithm": 2, "run": 10}),
         ("shamir", {"max_useless_k": 3}),
+        ("d", {"drawn": 140, "random_algorithm": 4, "run": 10}),
     ],
 )
 def test_reproduce_builds_each_algorithm_once(monkeypatch, only, expected):
-    # criteria 2, 4 and 9 share one parity-4 draw and criteria 7 and 8 one
-    # set of simulated cubes; criterion 10 reruns criteria 1, 2 and 9 once on
-    # a fresh draw, and criterion 6 scans each Shamir problem once. Each
-    # criterion simulates its algorithms as one batch per shape.
+    # criteria 2, 4 and 9 share one whole draw of 50 parity-4 algorithms, even
+    # when criterion 9 runs first, and criteria 7 and 8 one set of simulated
+    # cubes; criterion 10 reruns criteria 1, 2 and 9 once on a fresh draw, and
+    # criterion 6 scans each Shamir problem once. Each criterion simulates its
+    # algorithms as one batch per shape.
     calls = _count_calls(monkeypatch, *_COUNTED)
     assert run_all(only=only)["all_pass"]
     assert {name: calls[name] for name in expected} == expected

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
 import time
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab import polycompile, reproduce, useless
-from oraclelab.algebra import cyclic, matrix_from_json
+from oraclelab.algebra import TOL_NUM, cyclic, matrix_from_json, matrix_to_json, unitary_defect
 from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _emit, build_parser, main
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
@@ -344,6 +345,50 @@ def test_mutated_problem_never_crashes(data):
 @settings(max_examples=100, deadline=None)
 def test_mutated_algorithm_never_crashes(data):
     _check_mutated_input(data, [SIMULATE_ALG, COMPILE_ALG, AUDIT_ALG])
+
+
+def _near_unitary(schema):
+    """Deutsch's unitary U times I + eps B, with B = 4 w w^H for w = (1, -1, 1,
+    -1)/2: unitary within TOL_NUM, yet on the all-zero table its outcome
+    probabilities sum to (1 + 4 eps)^2, 3.6e-9 past 1."""
+    w = np.array([1, -1, 1, -1]) / 2
+    u = matrix_from_json(schema["unitaries"][0])
+    schema["unitaries"][0] = matrix_to_json(u @ (np.eye(4) + 4.5e-10 * 4 * np.outer(w, w)))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--oracle", "0,0", "--alg"], COMPILE_ALG, AUDIT_ALG],
+    ids=["simulate", "compile", "audit"],
+)
+def test_valid_algorithm_past_the_probability_tolerance_exits_two(tmp_path, capsys, command):
+    # exit 1 means a falsified claim, never a simulation that leaves the tolerance
+    schema = copy.deepcopy(ALG_SCHEMA)
+    _near_unitary(schema)
+    assert 8.9e-10 < unitary_defect(matrix_from_json(schema["unitaries"][0])) <= TOL_NUM
+    algorithm_from_json(schema)  # passes validation
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(schema))
+    assert main([*command, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: outcome probabilities")
+    assert re.search(r"\[1\.000000003\d*, ", err[0])  # the excess shows in full
+
+
+@pytest.mark.parametrize(
+    "labels, key",
+    [({"1": 0, "01": 1, "0": 0}, "01"), ({" 1": 1, "0": 0}, " 1"), ({"\u0661": 1, "0": 0}, "\u0661")],
+    ids=["leading-zero", "space", "arabic-indic-digit"],
+)
+def test_outcome_label_keys_are_read_only_as_written(tmp_path, capsys, labels, key):
+    # int() reads each of these keys as outcome 1; "01" would drop the label of "1"
+    schema = copy.deepcopy(ALG_SCHEMA)
+    schema["labels"] = labels
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(schema))
+    assert main([*SIMULATE_ALG, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"outcome label key {key!r}" in err[0]
 
 
 def test_audit_rejects_mismatched_algorithm(tmp_path, capsys):
