@@ -3,17 +3,20 @@
 Numeric substrate for the rest of the package. Matrices are plain
 ``numpy.ndarray`` values with ``complex128`` entries. A state or POVM
 element is held as a factor, so it is positive semidefinite by
-construction; a dense one read from outside is factored once by
-:func:`factor_hermitian`. For JSON interchange a complex scalar is a
-two-element ``[re, im]`` array, a matrix is a row-major nested array of
-those pairs, and a group is the array of its cyclic factor orders.
+construction. Dense ones read from outside are read as one stack: a list
+of matrices is parsed by one ``np.array`` call (:func:`matrices_from_json`)
+and factored by one stacked ``eigh`` (:func:`factor_hermitians`), so a
+POVM of S elements costs one parse and one eigendecomposition, not S of
+each. For JSON interchange a complex scalar is a two-element ``[re, im]``
+array, a matrix is a row-major nested array of those pairs, and a group is
+the array of its cyclic factor orders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -88,8 +91,9 @@ def as_complex_matrix(data) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2; symmetrize before eigenvalue-based PSD tests."""
-    return (a + a.conj().T) / 2
+    """(A + A^H) / 2 of a matrix, or of each in a stack; symmetrize before
+    eigenvalue-based PSD tests."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
 def max_abs(a: np.ndarray) -> np.ndarray:
@@ -122,44 +126,61 @@ def validate_unitary(u) -> np.ndarray:
 
 
 def factor_hermitian(a, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, vectors) with a = V diag(weights) V^H, from one ``eigh``.
-
-    This is how a dense matrix read from outside becomes a factor, and the
-    eigendecomposition is also its check: ``a`` must be square, Hermitian
-    within TOL_NUM and have no eigenvalue below -TOL_NUM; errors name the
-    matrix as ``name``. Eigenvalues at or below numpy's ``matrix_rank``
-    cutoff |lambda|_max * d * eps are dropped, so a rank-r matrix keeps r
-    columns; the rest keep their sign.
-    """
+    """(weights, vectors) with a = V diag(weights) V^H, for one matrix: a
+    stack of one for :func:`factor_hermitians`."""
     a = as_complex_matrix(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    herm = max_abs(a - a.conj().T)
-    if herm > TOL_NUM:
-        raise ValueError(
-            f"{name} is not Hermitian within {TOL_NUM:g}: max|A - A^H| = {herm:.3e}"
-        )
+    return factor_hermitians(a[None], name)[0]
+
+
+def factor_hermitians(stack, name: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, vectors) with A_i = V_i diag(weights_i) V_i^H for each
+    matrix of an (S, d, d) stack, from one stacked ``eigh``.
+
+    This is how dense matrices read from outside become factors, and the
+    eigendecomposition is also their check: each must be square, Hermitian
+    within TOL_NUM and have no eigenvalue below -TOL_NUM. An error names the
+    stack's first failing matrix i as ``name.format(i)``, by its Hermitian
+    check first. Eigenvalues at or below numpy's ``matrix_rank`` cutoff
+    |lambda|_max * d * eps are dropped, so a rank-r matrix keeps r columns;
+    the rest keep their sign. Cutting each matrix's kept columns is the
+    only step taken per matrix.
+    """
+    a = as_complex_matrix(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"{name.format(0)} must be square, got shape {a.shape[1:]}")
+    herm = max_abs(a - np.swapaxes(a.conj(), -1, -2))
     weights, vectors = np.linalg.eigh(hermitian_part(a))
-    if weights[0] < -TOL_NUM:
-        raise ValueError(f"{name} has eigenvalue {weights[0]:.3e} below -{TOL_NUM:g}")
-    cutoff = np.abs(weights).max() * len(a) * np.finfo(float).eps
-    keep = np.abs(weights) > cutoff
-    return weights[keep], vectors[:, keep]
+    # initial=0: an empty stack, as of an empty POVM, reduces over no eigenvalues
+    lowest = weights.min(axis=-1, initial=0.0)
+    failing = (herm > TOL_NUM) | (lowest < -TOL_NUM)
+    if failing.any():
+        i = int(np.argmax(failing))
+        if herm[i] > TOL_NUM:
+            raise ValueError(
+                f"{name.format(i)} is not Hermitian within {TOL_NUM:g}: "
+                f"max|A - A^H| = {herm[i]:.3e}"
+            )
+        raise ValueError(f"{name.format(i)} has eigenvalue {lowest[i]:.3e} below -{TOL_NUM:g}")
+    magnitudes = np.abs(weights)
+    largest = magnitudes.max(axis=-1, keepdims=True, initial=0.0)
+    keep = magnitudes > largest * a.shape[-1] * np.finfo(float).eps
+    return [(w[k], v[:, k]) for w, v, k in zip(weights, vectors, keep)]
 
 
 def povm_from_dense(elements) -> tuple[np.ndarray, ...]:
-    """The factor B_s = V sqrt(diag(lambda)) of each dense element, so that
-    Pi_s = B_s B_s^H, with the element checked by :func:`factor_hermitian`.
+    """The factor B_s = V sqrt(diag(lambda)) of each dense element of an
+    (S, d, d) stack, so that Pi_s = B_s B_s^H, with the elements checked by
+    :func:`factor_hermitians`.
 
     A tolerated negative eigenvalue (at least -TOL_NUM) is dropped: it
     moves the sum the POVM check reads by at most that much.
     """
-    factors = []
-    for i, element in enumerate(elements):
-        weights, vectors = factor_hermitian(element, f"POVM element {i}")
-        positive = weights > 0
-        factors.append(vectors[:, positive] * np.sqrt(weights[positive]))
-    return tuple(factors)
+    return tuple(
+        vectors[:, weights > 0] * np.sqrt(weights[weights > 0])
+        for weights, vectors in factor_hermitians(elements, "POVM element {}")
+    )
 
 
 def validate_density_matrix(weights, vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -295,16 +316,68 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """One (R, C) matrix from its JSON form: a stack of one for
+    :func:`matrices_from_json`."""
+    return matrices_from_json([rows], "matrix JSON")[0]
+
+
+def matrices_from_json(items, name: str) -> np.ndarray:
+    """The (S, R, C) complex stack of a list of S matrices in JSON form,
+    from one ``np.array`` parse; an empty list gives shape (0, 0, 0).
+
+    Each matrix must be a non-empty list of equal-length rows of ``[re,
+    im]`` number pairs, and all must share one shape. A fault raises what
+    ``complex(re, im)`` would for the entry at fault: ValueError for a
+    shape, TypeError for a value that is not a number. The error names the
+    list's first matrix at fault, matrix i as ``name.format(i)``.
+    """
+    if isinstance(items, list) and not items:
+        return np.zeros((0, 0, 0), dtype=np.complex128)
+    try:
+        return _complex_pairs(np.array(items))
+    except ValueError:
+        pass
+    shape = None
+    for i, rows in enumerate(items):  # name the first matrix at fault
+        try:
+            matrix = _complex_pairs(np.array(rows)[None])
+        except ValueError:
+            _refuse_entries(rows, name.format(i))
+        shape = shape or matrix.shape
+        if matrix.shape != shape:
+            raise ValueError(
+                f"{name.format(i)} has shape {matrix.shape[1:]}, expected {shape[1:]}"
+            )
+    raise ValueError(f"expected a list of matrices, got {type(items).__name__}")
+
+
+def _complex_pairs(a: np.ndarray) -> np.ndarray:
+    """The complex (S, R, C) stack of an array parsed from S matrices of
+    ``[re, im]`` number pairs, bit for bit as ``complex(re, im)`` reads
+    each; ValueError for any other array."""
+    if a.ndim != 4 or a.shape[3] != 2 or 0 in a.shape[1:3] or a.dtype.kind not in "biuf":
+        raise ValueError(f"not a stack of matrices of [re, im] number pairs: {a.dtype} {a.shape}")
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _refuse_entries(rows, name: str) -> NoReturn:
+    """Raise for the first fault of a matrix JSON, in row-major order as
+    ``complex(re, im)`` entry by entry meets it: ValueError for a row or
+    pair of the wrong length, TypeError for an entry that is not a pair of
+    numbers."""
     if not isinstance(rows, list) or not rows:
-        raise ValueError("matrix JSON must be a non-empty list of rows")
-    width = None
-    out = []
+        raise ValueError(f"{name} must be a non-empty list of rows")
     for row in rows:
-        if not isinstance(row, list) or (width is not None and len(row) != width):
-            raise ValueError("matrix JSON rows must be lists of equal length")
-        width = len(row)
-        out.append([complex(re, im) for re, im in row])
-    return np.array(out, dtype=np.complex128)
+        if not isinstance(row, list) or len(row) != len(rows[0]):
+            raise ValueError(f"{name} rows must be lists of equal length")
+        for entry in row:
+            try:
+                re, im = entry
+                complex(re, im)
+            except (TypeError, ValueError) as error:
+                message = f"{name} entry {entry!r} is not an [re, im] pair of numbers"
+                raise type(error)(message) from None
+    raise ValueError(f"{name} must hold non-empty rows of [re, im] pairs of float64 numbers")
 
 
 def group_to_json(group: FiniteAbelianGroup) -> list[int]:
@@ -324,3 +397,17 @@ def int_from_json(value) -> int:
     if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def int_from_text(text, what: str) -> int:
+    """An integer read from text only in the plain decimal form ``str``
+    writes, named ``what`` in the error: ``int`` would also read "01",
+    " 1", "0_1" and an Arabic-Indic one as 1, so two spellings of one
+    outcome label key would silently drop a label."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"{what} {text!r} is not a decimal integer")
+    return value

@@ -20,6 +20,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
+from .algebra import int_from_text, matrix_to_json
 from .errors import CapacityError
 from .gallery import entries as gallery_entries
 from .polycompile import (
@@ -135,7 +136,7 @@ def _add_problem_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_accept(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    return [int_from_text(tok, "--accept entry") for tok in text.split(",") if tok]
 
 
 @functools.cache
@@ -260,7 +261,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_simulate(args) -> int:
     alg = _read_input(args.alg, algorithm_from_json)
-    table = [int(tok) for tok in args.oracle.split(",")]
+    table = [int_from_text(tok, "--oracle entry") for tok in args.oracle.split(",")]
     result_obj = run(alg, [table])
     result = {
         "oracle": table,
@@ -270,8 +271,6 @@ def _cmd_simulate(args) -> int:
         else {str(s): j for s, j in alg.outcome_labels.items()},
     }
     if args.state:
-        from .algebra import matrix_to_json
-
         result["final_state"] = matrix_to_json(result_obj.final_states[0])
     _emit(_report({"alg": args.alg, "oracle": args.oracle}, result), args.out)
     return EXIT_OK

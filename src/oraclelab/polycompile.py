@@ -252,10 +252,13 @@ def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]
     """Probability that the compiled sampler outputs 0 on oracle table f."""
     if len(f) != compiled.n:
         raise ValueError(f"table has {len(f)} bits, expected {compiled.n}")
-    bits = [int_from_json(v) for v in f]
-    if any(v not in (0, 1) for v in bits):
-        raise ValueError(f"table entries must be bits, got {bits}")
-    return float(compiled.output_probs[sum(bit << i for i, bit in enumerate(bits))])
+    mask = 0
+    for i, v in enumerate(f):  # one pass: read, check and place each bit
+        bit = int_from_json(v)
+        if bit not in (0, 1):
+            raise ValueError(f"table entries must be bits, got {[int_from_json(v) for v in f]}")
+        mask |= bit << i
+    return float(compiled.output_probs[mask])
 
 
 def bias_certificate(

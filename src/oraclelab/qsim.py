@@ -48,6 +48,8 @@ from .algebra import (
     group_from_json,
     group_to_json,
     int_from_json,
+    int_from_text,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     povm_from_dense,
@@ -277,10 +279,15 @@ def run(alg: QuantumAlgorithm, tables) -> RunResult:
     weights, vectors = alg.state  # (..., R), (..., d, R)
     rank = weights.shape[-1]
     columns = np.broadcast_to(vectors[..., None, :], (*batch, dim, n_tables, rank))
-    # row (i, t) of each algorithm's (d*T, R) view reads row (P[t, i], t)
+    # row (i, t) of each algorithm's (d*T, R) view reads row (P[t, i], t);
+    # the first call reads row P[t, i] of the initial vectors, into a
+    # C-ordered (..., d, T, R) array that the product below reads as a view
     gather = perm.T * n_tables + np.arange(n_tables)
     for i in range(alg.query_count):
-        columns = columns.reshape(*batch, dim * n_tables, rank)[..., gather, :]
+        if i == 0:
+            columns = np.take(vectors, perm.T, axis=-2)
+        else:
+            columns = columns.reshape(*batch, dim * n_tables, rank)[..., gather, :]
         columns = alg.unitaries[..., i, :, :] @ columns.reshape(*batch, dim, n_tables * rank)
         columns = columns.reshape(*batch, dim, n_tables, rank)
     flat = np.ascontiguousarray(columns).reshape(*batch, dim, n_tables * rank)
@@ -450,7 +457,9 @@ def algorithm_to_json(alg: QuantumAlgorithm) -> dict:
 
 
 def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
-    """Read the dense JSON form, factoring rho0 and each POVM element once."""
+    """Read the dense JSON form. The unitaries and the POVM elements are
+    each parsed as one stack, and the elements factored by one stacked
+    ``eigh``; rho0 is read and factored as a stack of one."""
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, Mapping):
         raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
@@ -459,20 +468,9 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
         group=group_from_json(data["group"]),
         z_dim=int_from_json(data["z_dim"]),
         state=factor_hermitian(matrix_from_json(data["rho0"]), "density matrix"),
-        unitaries=tuple(matrix_from_json(u) for u in data["unitaries"]),
-        povm=povm_from_dense(matrix_from_json(e) for e in data["povm"]),
-        outcome_labels=None if labels is None else {_outcome(s): j for s, j in labels.items()},
+        unitaries=matrices_from_json(data["unitaries"], "unitary {}"),
+        povm=povm_from_dense(matrices_from_json(data["povm"], "POVM element {}")),
+        outcome_labels=None
+        if labels is None
+        else {int_from_text(s, "outcome label key"): j for s, j in labels.items()},
     )
-
-
-def _outcome(key) -> int:
-    """The outcome a labels key names, read only in the decimal form
-    :func:`algorithm_to_json` writes: ``int`` would also read "01", " 1"
-    and an Arabic-Indic one as 1, and one outcome keyed twice would drop
-    a label."""
-    try:
-        if str(int(key)) == key:
-            return int(key)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"outcome label key {key!r} is not a decimal outcome index")

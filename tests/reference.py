@@ -6,14 +6,23 @@ These must stay independent of the library code paths they check.
 """
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
 
 import numpy as np
 
+from oraclelab.algebra import (
+    TOL_NUM,
+    as_complex_matrix,
+    group_from_json,
+    int_from_json,
+    int_from_text,
+    max_abs,
+)
 from oraclelab.polycompile import CompiledClassicalAlgorithm
-from oraclelab.qsim import outcome_posteriors, random_algorithm, trial_seeds
+from oraclelab.qsim import QuantumAlgorithm, outcome_posteriors, random_algorithm, trial_seeds
 
 
 def naive_posterior(problem, transcript):
@@ -317,3 +326,61 @@ def dense_part_table(alg, problem, rho0, povm):
     for f, j, w in zip(problem.functions, problem.labels, problem.prior):
         table[parts.index(j)] += float(w) * dense_run(alg, f, rho0, povm)[1]
     return table
+
+
+def per_entry_matrix(rows):
+    """A JSON matrix read one ``complex(re, im)`` call per entry."""
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("matrix JSON must be a non-empty list of rows")
+    width = None
+    out = []
+    for row in rows:
+        if not isinstance(row, list) or (width is not None and len(row) != width):
+            raise ValueError("matrix JSON rows must be lists of equal length")
+        width = len(row)
+        out.append([complex(re, im) for re, im in row])
+    return np.array(out, dtype=np.complex128)
+
+
+def per_matrix_factor(a, name):
+    """(weights, vectors) of one dense Hermitian matrix from its own ``eigh``,
+    with its Hermitian, eigenvalue and square checks, and eigenvalues at or
+    below numpy's ``matrix_rank`` cutoff dropped."""
+    a = as_complex_matrix(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    herm = max_abs(a - a.conj().T)
+    if herm > TOL_NUM:
+        raise ValueError(f"{name} is not Hermitian within {TOL_NUM:g}: max|A - A^H| = {herm:.3e}")
+    weights, vectors = np.linalg.eigh((a + a.conj().T) / 2)
+    if weights[0] < -TOL_NUM:
+        raise ValueError(f"{name} has eigenvalue {weights[0]:.3e} below -{TOL_NUM:g}")
+    cutoff = np.abs(weights).max() * len(a) * np.finfo(float).eps
+    keep = np.abs(weights) > cutoff
+    return weights[keep], vectors[:, keep]
+
+
+def per_element_algorithm_from_json(data):
+    """The dense JSON form read one matrix and one entry at a time: each
+    POVM element parsed, factored and checked before the next is read."""
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, Mapping):
+        raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
+    return QuantumAlgorithm(
+        x_dim=int_from_json(data["x_dim"]),
+        group=group_from_json(data["group"]),
+        z_dim=int_from_json(data["z_dim"]),
+        state=per_matrix_factor(per_entry_matrix(data["rho0"]), "density matrix"),
+        unitaries=tuple(per_entry_matrix(u) for u in data["unitaries"]),
+        povm=tuple(_per_element_povm(data["povm"])),
+        outcome_labels=None
+        if labels is None
+        else {int_from_text(s, "outcome label key"): j for s, j in labels.items()},
+    )
+
+
+def _per_element_povm(elements):
+    for i, element in enumerate(elements):
+        weights, vectors = per_matrix_factor(per_entry_matrix(element), f"POVM element {i}")
+        positive = weights > 0
+        yield vectors[:, positive] * np.sqrt(weights[positive])

@@ -391,6 +391,31 @@ def test_outcome_label_keys_are_read_only_as_written(tmp_path, capsys, labels, k
     assert len(err) == 1 and f"outcome label key {key!r}" in err[0]
 
 
+@pytest.mark.parametrize(
+    "option, tokens, token",
+    [
+        ("--oracle", "\u0660,1", "\u0660"),
+        ("--oracle", "0, 1", " 1"),
+        ("--oracle", "0,01", "01"),
+        ("--accept", "0_0,01", "0_0"),
+        ("--accept", "0, 2", " 2"),
+        ("--accept", "\u0660", "\u0660"),
+    ],
+    ids=["oracle-arabic-indic-zero", "oracle-space", "oracle-leading-zero",
+         "accept-underscore", "accept-space", "accept-arabic-indic-zero"],
+)
+def test_comma_list_tokens_are_read_only_as_written(tmp_path, capsys, option, tokens, token):
+    # int() reads each of these tokens as an integer; the label-key rule does not
+    path = tmp_path / "deutsch.json"
+    path.write_text(json.dumps(ALG_SCHEMA))
+    command = SIMULATE_ALG if option == "--oracle" else COMPILE_ALG
+    argv = [*command, str(path)]
+    argv[argv.index(option) + 1] = tokens
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{option} entry {token!r} is not a decimal integer" in err[0]
+
+
 def test_audit_rejects_mismatched_algorithm(tmp_path, capsys):
     # a Z3-response algorithm cannot query parity-4's Z2 tables
     path = tmp_path / "z3.json"

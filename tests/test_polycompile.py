@@ -207,8 +207,11 @@ def test_classical_output_prob_deutsch_inputs():
     assert classical_output_prob(compiled, (0, 1)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         classical_output_prob(compiled, (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"table entries must be bits, got \[0, 2\]"):
         classical_output_prob(compiled, (0, 2))
+    # a non-integer anywhere in the table is named before a non-bit is
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        classical_output_prob(compiled, (2, 1.5))
 
 
 def test_bias_identity_across_pool():
