@@ -123,15 +123,23 @@ def _load_problem(args) -> tuple:
     return problem, config
 
 
+def _decimal(text: str) -> int:
+    """An integer option, read only in the plain decimal form ``str`` writes."""
+    try:
+        return int_from_text(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_problem_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", help="path to a problem JSON file")
     parser.add_argument(
         "--gen", choices=["parity", "image-parity", "shamir"], help="built-in generator"
     )
-    parser.add_argument("--n", type=int, help="parity: number of points")
-    parser.add_argument("--p", type=int, help="shamir: field prime")
+    parser.add_argument("--n", type=_decimal, help="parity: number of points")
+    parser.add_argument("--p", type=_decimal, help="shamir: field prime")
     parser.add_argument(
-        "--degree", dest="k_degree", type=int, help="shamir: polynomial degree"
+        "--degree", dest="k_degree", type=_decimal, help="shamir: polynomial degree"
     )
 
 
@@ -156,16 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-classical", help="decide k-query uselessness exactly")
     _add_problem_args(p)
-    p.add_argument("--k", type=int, required=True, help="number of classical queries")
+    p.add_argument("--k", type=_decimal, required=True, help="number of classical queries")
     p.add_argument("--out")
     p.add_argument("--csv", help="also append the verdict as a CSV row")
 
     p = sub.add_parser("check-quantum", help="falsify quantum uselessness by sampling")
     _add_problem_args(p)
-    p.add_argument("--queries", type=int, required=True, help="oracle calls per algorithm")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--z-dim", type=int, default=1)
+    p.add_argument("--queries", type=_decimal, required=True, help="oracle calls per algorithm")
+    p.add_argument("--trials", type=_decimal, default=50)
+    p.add_argument("--seed", type=_decimal, default=DEFAULT_SEED)
+    p.add_argument("--z-dim", type=_decimal, default=1)
     p.add_argument("--out")
     p.add_argument("--csv")
 
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("reproduce", help="run the full verification bundle")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_decimal, default=DEFAULT_SEED)
     p.add_argument("--only", help="run only criteria whose tag contains this")
     p.add_argument("--out")
 

@@ -39,12 +39,9 @@ from .errors import CapacityError
 # A transcript is an ordered list of (query point, response) pairs.
 Transcript = Sequence[tuple[int, int]]
 
-# The largest parity class whose every exact check fits the cells-read
-# ceiling (useless.MAX_TABLE_CELLS = 10^8): parity-13 reads at most
-# 7 * C(13, 7) * 2^13 = 98,402,304 cells, parity-14 needs 393,609,216 at k = 7.
-MAX_PARITY_N = 13
 # Cells |C| * |X| of a class; `problem --out` of shamir-157-1 (3.8 * 10^6 cells) takes about 4 s.
 # At most MAX_TABLE_CELLS, as the cheapest exact check at any k >= 1 reads |C| * |X| cells.
+# It bounds parity-N too: 17 * 2^17 cells fit, 18 * 2^18 do not.
 MAX_CLASS_CELLS = 2**22
 
 # Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
@@ -227,8 +224,10 @@ def _digits(base: int, width: int) -> np.ndarray:
 def make_parity(n: int) -> LearningProblem:
     """All functions {1..N} -> Z2, uniform prior, labeled by the mod-2 sum."""
     n = int_from_json(n)
-    if not 1 <= n <= MAX_PARITY_N:
-        raise CapacityError(f"parity needs 1 <= N <= {MAX_PARITY_N}, got {n}")
+    # before 2^N is formed: an N past the ceiling's bit length overflows it
+    if not 1 <= n < MAX_CLASS_CELLS.bit_length():
+        raise CapacityError(f"parity needs 1 <= N < {MAX_CLASS_CELLS.bit_length()}, got {n}")
+    _check_cells(2**n, n)
     functions = _digits(2, n)
     return LearningProblem(
         domain_size=n,

@@ -1,12 +1,17 @@
 """Uselessness certification and query lower bounds.
 
 Classical verdicts are exact: the checker reads the point-sets of the
-query budget's size in batches of 1, 8, 64, ... of them, sorts each
-batch's class rows once by (point-set, restricted table, part), sums the
-integer prior weights of each run of equal rows with ``np.add.reduceat``
-(int64 while the prior's denominator squared is below 2^63, Python ints
-above that), and compares each part's share of every group with its prior
-by integer cross-multiplication.
+query budget's size in batches sized by class rows (about 2^12 rows first,
+then 8 times more a batch up to ``BATCH_ROW_BUDGET``), sorts each batch's
+class rows once by (point-set, restricted table, part), sums the integer
+prior weights of each run of equal rows with ``np.add.reduceat`` (int64
+while the prior's denominator squared is below 2^63, Python ints above
+that), and compares each part's share of every group with its prior by
+integer cross-multiplication. A check is charged on the table cells it
+reads: a witness within ``MAX_TABLE_CELLS`` is reported whatever the
+worst case, and a scan that would pass the ceiling without one stops
+there. The largest useless k is found witness-first: one full useless
+scan at m and one witness at m + 1 certify it.
 Quantum verdicts from sampling are one-sided: a deviation is a proof that
 queries leak information, while the absence of one across random trials is
 evidence only. The proof route for quantum uselessness is the classical
@@ -35,10 +40,16 @@ from .qsim import (
     trial_seeds,
 )
 
-# Ceiling on the table cells an exact check reads, k' * C(|X|, k') * |C|
-# with k' = min(k, |X|). At 10-15 ns per cell (CPython 3.11, numpy 2.4,
-# 2-core box), parity-13 at k = 7 reads 98,402,304 cells in about 1 s.
+# Ceiling on the table cells an exact check reads, k' * |C| a point-set with
+# k' = min(k, |X|), counted as they are read; for max_useless_k, on its whole
+# search. At 10-25 ns per cell (CPython 3.11, numpy 2.4, 2-core box),
+# parity-13 at k = 7 reads 98,402,304 cells in about 1 s, so a scan refused
+# at the ceiling exits after 1 to 2.5 s of reading (shamir-43-2 at k = 2: 2.2 s).
 MAX_TABLE_CELLS = 10**8
+
+# Rows of a scan's first batch of point-sets. A probe for a witness reads
+# this batch alone; the later batches grow 8-fold up to BATCH_ROW_BUDGET.
+FIRST_BATCH_ROWS = 2**12
 
 # Rows one batch of point-sets may stack, bounding memory: a batch's table,
 # sort order and keys grow with it. Checking parity-11 at k = 6 peaks at
@@ -86,29 +97,38 @@ class UselessnessReport:
 CSV_HEADER = ["problem", "k", "verdict", "deviation", "witness"]
 
 
-def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
+def _first_violation(problem: LearningProblem, width: int, budget: int) -> tuple[list | None, int]:
     """(pairs of the first event on ``width`` points moving a part, or None;
     the point-sets read). Point-sets are read in ``combinations`` order, in
-    batches of 1, 8, 64, ... of them, each of at most ``BATCH_ROW_BUDGET``
-    rows or one point-set. Each batch sorts its rows once by (point-set,
-    restricted table, part); the point-set id is unsigned, so it keeps a
-    uint table's dtype (int64 beside uint64 would promote both to float64),
-    and an object table stays object. With integer weights over the prior's
-    denominator D, a group of mass m passes when each part in it has mass
-    times D equal to its prior weight times m; those masses sum to m, so a
-    part absent from it has prior weight 0. The sums are int64 while
-    D^2 < 2^63, as then every product is at most D^2, and Python ints above
-    that. The witness is the failing group whose first row comes earliest in
-    the batch: of the earliest point-set, the group whose first row comes
-    earliest."""
+    batches of rows: the first of about ``FIRST_BATCH_ROWS`` rows, each next
+    one 8 times the last, up to ``BATCH_ROW_BUDGET`` rows, and always at
+    least one point-set. A scan reads at most ``budget`` table cells, width
+    * |C| a point-set: if it has found no witness when the next point-set
+    would pass that, it raises ``CapacityError`` naming the width and the
+    cells read. So the verdict, the witness and the count do not depend on
+    the batches: a witness is reported when its own point-set, and every
+    one before it, fits the budget.
+
+    Each batch sorts its rows once by (point-set, restricted table, part);
+    the point-set id is unsigned, so it keeps a uint table's dtype (int64
+    beside uint64 would promote both to float64), and an object table stays
+    object. With integer weights over the prior's denominator D, a group of
+    mass m passes when each part in it has mass times D equal to its prior
+    weight times m; those masses sum to m, so a part absent from it has
+    prior weight 0. The sums are int64 while D^2 < 2^63, as then every
+    product is at most D^2, and Python ints above that. The witness is the
+    failing group whose first row comes earliest in the batch: of the
+    earliest point-set, the group whose first row comes earliest."""
     size, scale, part_index = problem.size, problem.scale, problem.part_index
     weights, part_masses = problem.weights, problem.part_masses
     if scale * scale < 2**63:
         weights, part_masses = weights.astype(np.int64), part_masses.astype(np.int64)
     point_columns = np.ascontiguousarray(problem.functions.T)  # one row per point
     point_sets = combinations(range(problem.domain_size), width)
-    read, batch_size = 0, 1
-    while batch := list(islice(point_sets, batch_size)):
+    # the point-sets the budget allows; width 0 has one, of no cells
+    allowed = islice(point_sets, budget // (width * size)) if width else point_sets
+    read, batch_size = 0, _first_batch_size(size)
+    while batch := list(islice(allowed, batch_size)):
         ids = np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1))
         parts = np.tile(part_index, len(batch))
         points = np.array(batch, dtype=np.intp).T  # (width, batch size), also at width 0
@@ -128,7 +148,18 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
             return list(zip(batch[i], keys[1:-1, firsts[g]].tolist())), read + i + 1
         read += len(batch)
         batch_size = min(8 * batch_size, max(1, BATCH_ROW_BUDGET // size))
+    if next(point_sets, None) is not None:
+        raise CapacityError(
+            f"classical check at k' = {width} read {width * read * size} table cells "
+            f"without a witness, and its next point-set passes the ceiling "
+            f"MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
+        )
     return None, read
+
+
+def _first_batch_size(size: int) -> int:
+    """Point-sets of a scan's first batch, for a class of ``size`` rows."""
+    return max(1, min(FIRST_BATCH_ROWS, BATCH_ROW_BUDGET) // size)
 
 
 def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
@@ -136,24 +167,21 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
 
     A k-query event fixes responses at k' = min(k, |X|) or fewer points,
     and an event on fewer points is a disjoint union of events on k'
-    points, so only point-sets of size exactly k' are checked, reading
-    k' * C(|X|, k') * |C| table cells (capped by ``MAX_TABLE_CELLS``). A
-    witness is the violating event's k' pairs, unpadded (repeating a query
-    adds nothing), with its posterior replayed by
-    :func:`posterior_classical` and the first part it moves. ``detail``
+    points, so only point-sets of size exactly k' are checked, reading at
+    most k' * C(|X|, k') * |C| table cells. The scan is charged on the
+    cells it reads: a witness found within ``MAX_TABLE_CELLS`` is reported
+    whatever the worst case, and a scan that would read past it without a
+    witness raises ``CapacityError`` there, after up to ``MAX_TABLE_CELLS``
+    cells (1 to 2.5 s). A witness is the violating event's k' pairs,
+    unpadded (repeating a query adds nothing), with its posterior replayed
+    by :func:`posterior_classical` and the first part it moves. ``detail``
     counts the point-sets and table cells read, up to the witness's own.
     """
     k = int_from_json(k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     width = min(k, problem.domain_size)
-    cost = width * math.comb(problem.domain_size, width) * problem.size
-    if cost > MAX_TABLE_CELLS:
-        raise CapacityError(
-            f"classical check reads {cost} table cells, over the ceiling "
-            f"MAX_TABLE_CELLS={MAX_TABLE_CELLS}"
-        )
-    pairs, point_sets = _first_violation(problem, width)
+    pairs, point_sets = _first_violation(problem, width, MAX_TABLE_CELLS)
     witness = None
     if pairs is not None:
         posterior, prior = posterior_classical(problem, pairs), problem.part_prior()
@@ -179,18 +207,66 @@ def max_useless_k(problem: LearningProblem) -> int:
     """Largest k for which k classical queries are useless.
 
     Uselessness is downward monotone (pad a shorter transcript by
-    repeating its first query), so a single upward scan suffices. Events
-    never constrain more than |X| points, so a clean check at k = |X|
+    repeating its first query), and a witness on w points extends to every
+    larger width, so m is certified by one full useless scan at width m and
+    one witness at width m + 1, in whatever order the widths are read.
+    Events never constrain more than |X| points, so a clean scan at |X|
     settles every larger k as well; the return value |X| means all query
     counts are useless.
+
+    Probes first read one first batch at widths lo + 1, lo + 2, lo + 4, ...
+    (at most |X|), lo the largest width known useless, until one finds a
+    witness or costs as much as the full scan at lo + 1 would; a probe that
+    reads every point-set of its width makes that width lo. Full scans then
+    close the bracket between lo and the smallest informative width, each at
+    whichever end is cheaper in the worst case, the upper one on a tie: a
+    scan at w reads at most w * C(|X|, w) * |C| = |X| * C(|X| - 1, w - 1) *
+    |C| cells, least where w - 1 lies farthest from (|X| - 1) / 2. So
+    parity-13 and parity-17 read full scans at k = 1 and N - 1 only, and a
+    class whose witnesses come at the first point-set reads about what the
+    upward scan reads. Probes and scans together read at most
+    ``MAX_TABLE_CELLS`` cells; a scan that would pass them raises
+    ``CapacityError``.
     """
-    k = 0
-    while k < problem.domain_size:
-        report = classical_useless(problem, k + 1)
-        if report.verdict == VERDICT_NOT_USELESS:
-            return k
-        k += 1
-    return k
+    n, size = problem.domain_size, problem.size
+    budget = MAX_TABLE_CELLS
+    lo, hi = 0, n + 1  # width lo is useless, as width 0 is; width hi is not, if at most n
+
+    def scan(width: int, probe: int = 0) -> bool | None:
+        """Whether ``width`` is useless: by a full scan, or by a probe of at
+        most ``probe`` cells, None when they run out without a witness."""
+        nonlocal budget
+        cells = min(budget, probe) if probe else budget
+        try:
+            pairs, read = _first_violation(problem, width, cells)
+        except CapacityError as exc:
+            if not probe:
+                spent = MAX_TABLE_CELLS - budget
+                raise CapacityError(f"{exc}; the search read {spent} cells at other widths first") from None
+            budget -= cells // (width * size) * width * size
+            return None
+        budget -= width * read * size
+        return pairs is None
+
+    step = width = 1
+    while width <= n:
+        probe = _first_batch_size(size) * width * size
+        useless = scan(width, probe)
+        if useless is None:
+            # lo > 0 only once all C(|X|, lo) point-sets fit one batch, so this comb stays small
+            if width == n or probe >= (lo + 1) * math.comb(n, lo + 1) * size:
+                break
+            step *= 2
+            width = min(lo + step, n)
+        elif useless:
+            lo, step, width = width, 1, width + 1  # the probe read every point-set
+        else:
+            hi = width
+            break
+    while hi - lo > 1:
+        width = hi - 1 if abs(2 * lo - n + 1) <= abs(2 * hi - n - 3) else lo + 1
+        lo, hi = (width, hi) if scan(width) else (lo, width)
+    return lo
 
 
 def quantum_useless_up_to(m: int) -> int:

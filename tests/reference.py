@@ -86,6 +86,16 @@ def dict_loop_first_violation(problem, width):
     return None
 
 
+def upward_max_useless_k(problem):
+    """Largest k for which k classical queries are useless, by the upward
+    scan: a full check of k = 1, 2, ... in turn, each by the dict loop,
+    until one is informative, or |X| when none is."""
+    k = 0
+    while k < problem.domain_size and dict_loop_first_violation(problem, k + 1) is None:
+        k += 1
+    return k
+
+
 def brute_interp_coeffs(values):
     """Multilinear coefficients by the explicit inclusion-exclusion sum."""
     n = (len(values) - 1).bit_length()

@@ -416,6 +416,30 @@ def test_comma_list_tokens_are_read_only_as_written(tmp_path, capsys, option, to
     assert len(err) == 1 and f"{option} entry {token!r} is not a decimal integer" in err[0]
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check-classical", "--gen", "parity", "--n", "0_4", "--k", "2"], "0_4"),
+        (["check-classical", "--gen", "parity", "--n", "4", "--k", " \u0662"], " \u0662"),
+        (["bound", "--gen", "shamir", "--p", "+5", "--degree", "2"], "+5"),
+        (["bound", "--gen", "shamir", "--p", "5", "--degree", "02"], "02"),
+        (["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1 "], "1 "),
+        (["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--trials", "\uff12"],
+         "\uff12"),
+        (["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--seed", "7_0"], "7_0"),
+        (["check-quantum", "--gen", "parity", "--n", "2", "--queries", "1", "--z-dim", "0_1"], "0_1"),
+        (["reproduce", "--seed", "1_0", "--only", "parity-classical"], "1_0"),
+    ],
+    ids=["n", "k", "p", "degree", "queries", "trials", "check-quantum-seed", "z-dim", "reproduce-seed"],
+)
+def test_integer_options_are_read_only_as_written(capsys, argv, text):
+    # int() reads each of these as an integer; an option reads only the decimal form str writes
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"value {text!r} is not a decimal integer" in capsys.readouterr().err
+
+
 def test_audit_rejects_mismatched_algorithm(tmp_path, capsys):
     # a Z3-response algorithm cannot query parity-4's Z2 tables
     path = tmp_path / "z3.json"
@@ -520,21 +544,39 @@ def test_bound_report(tmp_path):
 
 
 def test_bound_scans_each_k_once(tmp_path, monkeypatch):
+    # a probe reads one first batch, 11 point-sets of shamir-7-2's 343 rows:
+    # all 6 at k = 1, 11 of 15 at k = 2, and the witness at k = 3; one full
+    # scan then settles k = 2, so no k is scanned in full twice
     scanned = []
-    check = useless.classical_useless
+    kernel = useless._first_violation
 
-    def counting_check(problem, k, **kwargs):
-        scanned.append(k)
-        return check(problem, k, **kwargs)
+    def counting_kernel(problem, width, budget):
+        scanned.append((width, budget))
+        return kernel(problem, width, budget)
 
-    monkeypatch.setattr(useless, "classical_useless", counting_check)
+    monkeypatch.setattr(useless, "_first_violation", counting_kernel)
     out = tmp_path / "b.json"
     argv = ["bound", "--gen", "shamir", "--p", "7", "--degree", "2", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    assert scanned == [1, 2, 3]
+    assert scanned[:3] == [(k, 11 * k * 343) for k in (1, 2, 3)]
+    assert [k for k, _ in scanned[3:]] == [2]
     monkeypatch.undo()
     result = _read_report(out)["result"]
     assert result["quantum_lower_bound"] == useless.quantum_lower_bound(make_shamir(7, 2))
+
+
+@pytest.mark.parametrize(
+    "gen, m",
+    [(["--gen", "parity", "--n", "17"], 16), (["--gen", "shamir", "--p", "157", "--degree", "1"], 1)],
+    ids=["parity-17", "shamir-157-1"],
+)
+def test_bound_answers_classes_whose_upward_scan_passes_the_ceiling(tmp_path, gen, m):
+    # the upward scan reads 4.4 * 10^9 cells on parity-17; shamir-157-1's
+    # k = 2 could read 6 * 10^8 but finds its witness at the first point-set
+    out = tmp_path / "b.json"
+    assert main(["bound", *gen, "--out", str(out)]) == EXIT_OK
+    result = _read_report(out)["result"]
+    assert (result["max_useless_k"], result["quantum_lower_bound"]) == (m, m // 2 + 1)
 
 
 def test_simulate_rejects_wrong_table_width(tmp_path, capsys):

@@ -11,9 +11,12 @@ from oraclelab.gallery import (
     pairwise_parity,
     parity_with_padding,
 )
-from oraclelab.problems import MAX_PARITY_N, make_parity
+from oraclelab.problems import MAX_CLASS_CELLS, make_parity
 from oraclelab.qsim import random_algorithm, run, success_probability, trial_seeds
 from reference import dense_run
+
+# the largest parity-N class, N * 2^N <= MAX_CLASS_CELLS: N = 17
+LARGEST_PARITY_N = max(n for n in range(1, 64) if n << n <= MAX_CLASS_CELLS)
 
 
 def test_deutsch_per_function_outcomes():
@@ -65,13 +68,15 @@ def test_pairwise_parity_rejects_bad_n():
     with pytest.raises(ValueError):
         pairwise_parity(0)
     with pytest.raises(CapacityError):
-        pairwise_parity((MAX_PARITY_N + 3) // 2 * 2)  # the first even n past MAX_PARITY_N + 1
+        pairwise_parity((LARGEST_PARITY_N + 3) // 2 * 2)  # the first even n past its padded size
 
 
 def test_parity_with_padding_at_the_parity_ceiling():
-    # the largest parity problem, padded to MAX_PARITY_N + 1 points
-    problem, alg = parity_with_padding(MAX_PARITY_N)
-    assert alg.x_dim == MAX_PARITY_N + 1
+    # the largest parity problem, padded to LARGEST_PARITY_N + 1 points
+    assert LARGEST_PARITY_N == 17
+    pairwise_parity(LARGEST_PARITY_N + 1)
+    problem, alg = parity_with_padding(LARGEST_PARITY_N)
+    assert alg.x_dim == LARGEST_PARITY_N + 1
     assert success_probability(alg, problem) == pytest.approx(1.0, abs=1e-9)
     # the kickback state on points 0 and 1 and the query-parity projectors,
     # written out densely over basis index 2x + y

@@ -54,11 +54,15 @@ def test_make_parity_two_is_deutsch_problem():
 
 
 def test_make_parity_capacity():
-    assert make_parity(problems.MAX_PARITY_N).size == 2**problems.MAX_PARITY_N
+    # N * 2^N cells: 17 * 2^17 fit MAX_CLASS_CELLS = 2^22, 18 * 2^18 do not
+    assert 17 << 17 <= problems.MAX_CLASS_CELLS < 18 << 18
+    assert make_parity(17).size == 2**17
+    with pytest.raises(CapacityError, match="4718592 table cells exceed MAX_CLASS_CELLS"):
+        make_parity(18)
     with pytest.raises(CapacityError):
-        make_parity(problems.MAX_PARITY_N + 1)
+        make_parity(19)
     with pytest.raises(CapacityError):
-        make_parity(problems.MAX_PARITY_N + 2)
+        make_parity(10**9)  # refused before 2^N is formed
     with pytest.raises(CapacityError):
         make_parity(0)
 

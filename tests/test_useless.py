@@ -16,7 +16,6 @@ from oraclelab.algebra import FiniteAbelianGroup, cyclic, factor_hermitian, rand
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch, pairwise_parity
 from oraclelab.problems import (
-    MAX_PARITY_N,
     LearningProblem,
     _group_rows,
     make_image_parity,
@@ -49,6 +48,7 @@ from reference import (
     naive_classical_useless,
     naive_posterior,
     per_algorithm_falsify,
+    upward_max_useless_k,
 )
 
 
@@ -259,14 +259,15 @@ def _parity_of(points, n):
     return LearningProblem(n, cyclic(2), tables, labels, (Fraction(1, 2**n),) * 2**n)
 
 
-# With 512 rows the batches hold 1, 8, 64, ... point-sets, so the first
-# three batches of the 3-point sets of 9 points start at 0, 1, 9 and end
-# at 0, 8, 72 in ``combinations`` order.
-@pytest.mark.parametrize("position", [0, 1, 8, 9, 72])
+# With 512 rows the batches hold 8 (2^12 rows), 64 and the last 12 point-sets,
+# so the 3-point sets of 9 points start batches at 0, 8 and 72 and end them
+# at 7, 71 and 83 in ``combinations`` order; 1 and 9 follow a batch's first.
+@pytest.mark.parametrize("position", [0, 1, 7, 8, 9, 71, 72, 83])
 def test_the_only_informative_point_set_at_a_batch_edge(position):
     points = list(combinations(range(9), 3))[position]
     problem = _parity_of(points, 9)
     assert problem.size * 64 <= useless.BATCH_ROW_BUDGET
+    assert problem.size * 8 == useless.FIRST_BATCH_ROWS
     assert classical_useless(problem, 2).verdict == VERDICT_USELESS
     report = classical_useless(problem, 3)
     transcript = [tuple(pair) for pair in report.witness["transcript"]]
@@ -276,7 +277,7 @@ def test_the_only_informative_point_set_at_a_batch_edge(position):
 
 
 def test_each_batch_sorts_once(monkeypatch):
-    # 84 point-sets of 512 rows: batches of 1, 8, 64 and the last 11
+    # 84 point-sets of 512 rows: batches of 8, 64 and the last 12
     calls = []
 
     def counted(table):
@@ -285,7 +286,7 @@ def test_each_batch_sorts_once(monkeypatch):
 
     monkeypatch.setattr(useless, "_group_rows", counted)
     assert classical_useless(make_parity(9), 3).verdict == VERDICT_USELESS
-    assert calls == [512 * b for b in (1, 8, 64, 11)]
+    assert calls == [512 * b for b in (8, 64, 12)]
 
 
 @pytest.mark.parametrize("budget", ["size", 1])
@@ -391,28 +392,46 @@ def test_max_useless_k_parity_8_under_default_ceiling():
     assert max_useless_k(make_parity(8)) == 7
 
 
+def _counting_kernel(monkeypatch) -> list:
+    """Record the cells each ``_first_violation`` call reads, a probe that
+    stops at its budget included, as (width, cells)."""
+    kernel, calls = useless._first_violation, []
+
+    def counted(problem, width, budget):
+        try:
+            pairs, read = kernel(problem, width, budget)
+        except CapacityError:
+            calls.append((width, budget // (width * problem.size) * width * problem.size))
+            raise
+        calls.append((width, width * read * problem.size))
+        return pairs, read
+
+    monkeypatch.setattr(useless, "_first_violation", counted)
+    return calls
+
+
 def test_parity_ceiling_fits_the_cells_read_ceiling(monkeypatch):
-    # the checker raises one cell below each count, so it reads as many as
-    # the formula says; every k of the largest parity class then fits
-    problem = make_parity(MAX_PARITY_N)
-    costs = [k * math.comb(MAX_PARITY_N, k) * problem.size for k in range(1, MAX_PARITY_N + 1)]
-    for k, cost in enumerate(costs, start=1):
-        monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cost - 1)
-        with pytest.raises(CapacityError):
-            classical_useless(problem, k)
-    assert max(costs) <= MAX_TABLE_CELLS
-    n = MAX_PARITY_N + 1
-    assert max(k * math.comb(n, k) for k in range(1, n + 1)) * 2**n > MAX_TABLE_CELLS
+    # the largest parity class, N * 2^N <= MAX_CLASS_CELLS, is parity-17; its
+    # search reads one-batch probes and full scans at k = 1 and k = 16 only,
+    # where the upward scan would read every k up to 16
+    problem = make_parity(17)
+    calls = _counting_kernel(monkeypatch)
+    assert max_useless_k(problem) == 16
+    scans = [(1, 17 * 2**17), (16, 16 * 17 * 2**17)]
+    assert calls[-2:] == scans
+    assert all(cells == width * 2**17 for width, cells in calls[:-2])  # one point-set a probe
+    assert sum(cells for _, cells in calls) <= MAX_TABLE_CELLS
+    assert sum(k * math.comb(17, k) for k in range(1, 17)) * 2**17 > MAX_TABLE_CELLS
 
 
 def test_parity_at_the_ceiling_matches_the_reference_scans():
-    # every 12-point event of parity-13 keeps the prior; the one 13-point
-    # set is informative, and its witness replays by the literal filter
-    problem = make_parity(MAX_PARITY_N)
+    # every 16-point event of parity-17 keeps the prior (the known truth:
+    # the dict loop takes seconds there); the one 17-point set is
+    # informative, and its witness replays by the literal filter
+    problem = make_parity(17)
     n = problem.domain_size
     report = classical_useless(problem, n - 1)
     assert report.verdict == VERDICT_USELESS
-    assert dict_loop_first_violation(problem, n - 1) is None
     assert report.detail == {"point_sets": n, "cells_read": (n - 1) * n * problem.size}
     report = classical_useless(problem, n)
     transcript = [tuple(pair) for pair in report.witness["transcript"]]
@@ -420,6 +439,49 @@ def test_parity_at_the_ceiling_matches_the_reference_scans():
     j = report.witness["part"]
     assert naive_posterior(problem, transcript)[j] == Fraction(*report.witness["posterior"])
     assert report.detail == {"point_sets": 1, "cells_read": n * problem.size}
+
+
+@pytest.mark.parametrize("position", [0, 9, 83])
+def test_a_witness_fits_the_ceiling_at_exactly_its_cells(monkeypatch, position):
+    # the witness is reported when its own point-set and those before it fit,
+    # and refused one cell below, having read the point-sets before it
+    points = list(combinations(range(9), 3))[position]
+    problem = _parity_of(points, 9)
+    cells = 3 * (position + 1) * problem.size
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cells)
+    report = classical_useless(problem, 3)
+    assert [x for x, _ in report.witness["transcript"]] == list(points)
+    assert report.detail == {"point_sets": position + 1, "cells_read": cells}
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", cells - 1)
+    with pytest.raises(CapacityError, match=f"k' = 3 read {cells - 3 * 512} table cells without"):
+        classical_useless(problem, 3)
+
+
+def test_a_witness_within_the_ceiling_is_reported_whatever_the_worst_case():
+    # k = 2 could read 2 * C(156, 2) * 157^2 cells, but its first point-set is a witness
+    problem = make_shamir(157, 1)
+    assert 2 * math.comb(156, 2) * problem.size > MAX_TABLE_CELLS
+    report = classical_useless(problem, 2)
+    assert report.witness["transcript"] == [[0, 0], [1, 0]]
+    assert report.detail == {"point_sets": 1, "cells_read": 2 * problem.size}
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [make_parity(9), make_shamir(7, 2), _parity_of((3, 7), 9)],
+    ids=["parity-9", "shamir-7-2", "xor-3-7-of-9"],
+)
+def test_max_useless_k_fits_the_ceiling_at_exactly_the_cells_of_its_search(monkeypatch, problem):
+    # the ceiling bounds the whole search, probes included
+    calls = _counting_kernel(monkeypatch)
+    m = max_useless_k(problem)
+    total = sum(cells for _, cells in calls)
+    assert m == upward_max_useless_k(problem)
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", total)
+    assert max_useless_k(problem) == m
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", total - 1)
+    with pytest.raises(CapacityError, match="MAX_TABLE_CELLS="):
+        max_useless_k(problem)
 
 
 def test_max_useless_k_values():
@@ -438,6 +500,83 @@ def test_max_useless_k_single_function_class():
         name="singleton",
     )
     assert max_useless_k(problem) == problem.domain_size
+
+
+def test_probes_stop_once_one_costs_the_full_scan_above_lo(monkeypatch):
+    # two tables on 5000 points that differ at the last one: m = 0, but a
+    # first batch holds 2048 point-sets, so probes at wide widths would read
+    # far more than the 10,000 cells of the full scan at k = 1
+    n = 5000
+    functions = np.zeros((2, n), dtype=np.uint8)
+    functions[1, -1] = 1
+    problem = LearningProblem(n, cyclic(2), functions, (0, 1), (Fraction(1, 2),) * 2)
+    calls = _counting_kernel(monkeypatch)
+    assert max_useless_k(problem) == upward_max_useless_k(problem) == 0
+    assert [width for width, _ in calls] == [1, 2, 4, n, 1]
+    assert sum(cells for _, cells in calls) <= 5 * n * problem.size
+
+
+def _shuffled(problem, seed):
+    """The same class with its rows and query points in a seeded order."""
+    rng = np.random.default_rng(seed)
+    rows, points = rng.permutation(problem.size), rng.permutation(problem.domain_size)
+    return LearningProblem(
+        problem.domain_size,
+        problem.group,
+        problem.functions[rows][:, points],
+        problem.labels[rows],
+        tuple(problem.prior[i] for i in rows),
+        name=problem.name,
+    )
+
+
+GENERATED = [
+    *(make_parity(n) for n in range(1, 9)),
+    make_image_parity(),
+    *(make_shamir(p, k) for p, k in ((3, 1), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (11, 2))),
+]
+
+
+@pytest.mark.parametrize("problem", GENERATED, ids=lambda p: p.name)
+def test_max_useless_k_matches_the_upward_scan_on_every_generator(problem):
+    m = upward_max_useless_k(problem)
+    for seed in (None, 1, 2):
+        assert max_useless_k(problem if seed is None else _shuffled(problem, seed)) == m
+
+
+@st.composite
+def rare_witness_classes(draw):
+    """Every table on n Boolean points, labeled by the xor of f on 2 or 3 of
+    them, in a seeded order: only point-sets holding those points are
+    informative, so a witness at the first informative width is rare."""
+    n = draw(st.integers(2, 7))
+    points = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=min(3, n), unique=True))
+    return _shuffled(_parity_of(sorted(points), n), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_problems(), rare_witness_classes()), st.integers(0, 2**32 - 1))
+def test_max_useless_k_matches_the_upward_scan(problem, seed):
+    m = upward_max_useless_k(problem)
+    assert max_useless_k(problem) == m
+    assert max_useless_k(_shuffled(problem, seed)) == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(small_problems(), rare_witness_classes()),
+    st.integers(1, 2**7),
+    st.integers(1, 2**9),
+)
+def test_reports_do_not_depend_on_the_batch_schedule(problem, first_rows, budget_rows):
+    # verdict, witness and detail, and m, under a tiny first batch and batch
+    # ceiling, down to one point-set a batch
+    ks = range(problem.domain_size + 2)
+    expected = [asdict(classical_useless(problem, k)) for k in ks], max_useless_k(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(useless, "FIRST_BATCH_ROWS", first_rows)
+        patch.setattr(useless, "BATCH_ROW_BUDGET", budget_rows)
+        assert ([asdict(classical_useless(problem, k)) for k in ks], max_useless_k(problem)) == expected
 
 
 def test_quantum_lower_bound_values():
