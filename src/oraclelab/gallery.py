@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import cyclic
 from .errors import CapacityError
-from .problems import MAX_CLASS_CELLS, LearningProblem, make_parity
+from .problems import LARGEST_PARITY_N, LearningProblem, make_parity
 from .qsim import QuantumAlgorithm
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
@@ -82,10 +82,9 @@ def pairwise_parity(n: int) -> QuantumAlgorithm:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    # the padded size of the largest parity problem, N * 2^N <= MAX_CLASS_CELLS cells
-    largest = max(m for m in range(1, MAX_CLASS_CELLS.bit_length()) if m << m <= MAX_CLASS_CELLS)
-    if n > largest + largest % 2:
-        raise CapacityError(f"pairwise parity supports n <= {largest + largest % 2}, got {n}")
+    padded = LARGEST_PARITY_N + LARGEST_PARITY_N % 2  # the largest parity problem's padded size
+    if n > padded:
+        raise CapacityError(f"pairwise parity supports n <= {padded}, got {n}")
     k = n // 2
     identity_y = np.eye(2)
     unitaries = []

@@ -41,8 +41,9 @@ Transcript = Sequence[tuple[int, int]]
 
 # Cells |C| * |X| of a class; `problem --out` of shamir-157-1 (3.8 * 10^6 cells) takes about 4 s.
 # At most MAX_TABLE_CELLS, as the cheapest exact check at any k >= 1 reads |C| * |X| cells.
-# It bounds parity-N too: 17 * 2^17 cells fit, 18 * 2^18 do not.
 MAX_CLASS_CELLS = 2**22
+# The largest N whose parity class, N * 2^N cells, fits MAX_CLASS_CELLS: 17.
+LARGEST_PARITY_N = max(n for n in range(1, MAX_CLASS_CELLS.bit_length()) if n << n <= MAX_CLASS_CELLS)
 
 # Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
 # below psi_13 (Sorenson and Webster, 2015), so is_prime is exact there.
@@ -224,10 +225,11 @@ def _digits(base: int, width: int) -> np.ndarray:
 def make_parity(n: int) -> LearningProblem:
     """All functions {1..N} -> Z2, uniform prior, labeled by the mod-2 sum."""
     n = int_from_json(n)
-    # before 2^N is formed: an N past the ceiling's bit length overflows it
-    if not 1 <= n < MAX_CLASS_CELLS.bit_length():
-        raise CapacityError(f"parity needs 1 <= N < {MAX_CLASS_CELLS.bit_length()}, got {n}")
-    _check_cells(2**n, n)
+    if not 1 <= n <= LARGEST_PARITY_N:  # before 2^N is formed
+        raise CapacityError(
+            f"parity-N needs 1 <= N <= {LARGEST_PARITY_N}, as N * 2^N table cells "
+            f"must fit MAX_CLASS_CELLS={MAX_CLASS_CELLS}; got {n}"
+        )
     functions = _digits(2, n)
     return LearningProblem(
         domain_size=n,

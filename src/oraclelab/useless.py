@@ -41,10 +41,11 @@ from .qsim import (
 )
 
 # Ceiling on the table cells an exact check reads, k' * |C| a point-set with
-# k' = min(k, |X|), counted as they are read; for max_useless_k, on its whole
-# search. At 10-25 ns per cell (CPython 3.11, numpy 2.4, 2-core box),
-# parity-13 at k = 7 reads 98,402,304 cells in about 1 s, so a scan refused
-# at the ceiling exits after 1 to 2.5 s of reading (shamir-43-2 at k = 2: 2.2 s).
+# k' = min(k, |X|), counted as they are read; for max_useless_k, on each full
+# scan, and on its probes together. At 10-25 ns per cell (CPython 3.11,
+# numpy 2.4, 2-core box), parity-13 at k = 7 reads 98,402,304 cells in about
+# 1 s, so a scan refused at the ceiling exits after 1 to 2.5 s of reading
+# (shamir-43-2 at k = 2: 2.2 s).
 MAX_TABLE_CELLS = 10**8
 
 # Rows of a scan's first batch of point-sets. A probe for a witness reads
@@ -224,48 +225,41 @@ def max_useless_k(problem: LearningProblem) -> int:
     |C| cells, least where w - 1 lies farthest from (|X| - 1) / 2. So
     parity-13 and parity-17 read full scans at k = 1 and N - 1 only, and a
     class whose witnesses come at the first point-set reads about what the
-    upward scan reads. Probes and scans together read at most
-    ``MAX_TABLE_CELLS`` cells; a scan that would pass them raises
-    ``CapacityError``.
+    upward scan reads.
+
+    Each full scan may read ``MAX_TABLE_CELLS`` cells, and the probes
+    together as many; a full scan that would pass them without a witness
+    raises ``CapacityError``, after up to 1 to 2.5 s of reading at that
+    width. The end scanned is never dearer in the worst case than the lower
+    end, lo + 1, and lo + 1 <= m + 1, so every class whose widths up to
+    m + 1 each fit the ceiling is answered, as by the upward scan.
     """
     n, size = problem.domain_size, problem.size
-    budget = MAX_TABLE_CELLS
+    probe_budget = MAX_TABLE_CELLS
     lo, hi = 0, n + 1  # width lo is useless, as width 0 is; width hi is not, if at most n
-
-    def scan(width: int, probe: int = 0) -> bool | None:
-        """Whether ``width`` is useless: by a full scan, or by a probe of at
-        most ``probe`` cells, None when they run out without a witness."""
-        nonlocal budget
-        cells = min(budget, probe) if probe else budget
-        try:
-            pairs, read = _first_violation(problem, width, cells)
-        except CapacityError as exc:
-            if not probe:
-                spent = MAX_TABLE_CELLS - budget
-                raise CapacityError(f"{exc}; the search read {spent} cells at other widths first") from None
-            budget -= cells // (width * size) * width * size
-            return None
-        budget -= width * read * size
-        return pairs is None
 
     step = width = 1
     while width <= n:
         probe = _first_batch_size(size) * width * size
-        useless = scan(width, probe)
-        if useless is None:
+        try:
+            pairs, read = _first_violation(problem, width, min(probe, probe_budget))
+        except CapacityError:  # no witness in the probe's cells
+            probe_budget -= min(probe, probe_budget) // (width * size) * width * size
             # lo > 0 only once all C(|X|, lo) point-sets fit one batch, so this comb stays small
             if width == n or probe >= (lo + 1) * math.comb(n, lo + 1) * size:
                 break
             step *= 2
             width = min(lo + step, n)
-        elif useless:
-            lo, step, width = width, 1, width + 1  # the probe read every point-set
-        else:
+            continue
+        probe_budget -= width * read * size
+        if pairs is not None:
             hi = width
             break
+        lo, step, width = width, 1, width + 1  # the probe read every point-set
     while hi - lo > 1:
         width = hi - 1 if abs(2 * lo - n + 1) <= abs(2 * hi - n - 3) else lo + 1
-        lo, hi = (width, hi) if scan(width) else (lo, width)
+        pairs, _ = _first_violation(problem, width, MAX_TABLE_CELLS)
+        lo, hi = (width, hi) if pairs is None else (lo, width)
     return lo
 
 

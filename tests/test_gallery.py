@@ -11,12 +11,9 @@ from oraclelab.gallery import (
     pairwise_parity,
     parity_with_padding,
 )
-from oraclelab.problems import MAX_CLASS_CELLS, make_parity
+from oraclelab.problems import LARGEST_PARITY_N, make_parity
 from oraclelab.qsim import random_algorithm, run, success_probability, trial_seeds
 from reference import dense_run
-
-# the largest parity-N class, N * 2^N <= MAX_CLASS_CELLS: N = 17
-LARGEST_PARITY_N = max(n for n in range(1, 64) if n << n <= MAX_CLASS_CELLS)
 
 
 def test_deutsch_per_function_outcomes():

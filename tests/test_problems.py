@@ -56,8 +56,9 @@ def test_make_parity_two_is_deutsch_problem():
 def test_make_parity_capacity():
     # N * 2^N cells: 17 * 2^17 fit MAX_CLASS_CELLS = 2^22, 18 * 2^18 do not
     assert 17 << 17 <= problems.MAX_CLASS_CELLS < 18 << 18
+    assert problems.LARGEST_PARITY_N == 17
     assert make_parity(17).size == 2**17
-    with pytest.raises(CapacityError, match="4718592 table cells exceed MAX_CLASS_CELLS"):
+    with pytest.raises(CapacityError, match="needs 1 <= N <= 17, as N . 2.N table cells must fit"):
         make_parity(18)
     with pytest.raises(CapacityError):
         make_parity(19)

@@ -424,6 +424,16 @@ def test_parity_ceiling_fits_the_cells_read_ceiling(monkeypatch):
     assert sum(k * math.comb(17, k) for k in range(1, 17)) * 2**17 > MAX_TABLE_CELLS
 
 
+def test_parity_13_useless_scan_matches_the_dict_loop():
+    # the largest parity class whose widest useless scan the dict loop
+    # checks in about a second: every 12-point event of parity-13 keeps the prior
+    problem = make_parity(13)
+    report = classical_useless(problem, 12)
+    assert report.verdict == VERDICT_USELESS
+    assert dict_loop_first_violation(problem, 12) is None
+    assert report.detail == {"point_sets": 13, "cells_read": 12 * 13 * problem.size}
+
+
 def test_parity_at_the_ceiling_matches_the_reference_scans():
     # every 16-point event of parity-17 keeps the prior (the known truth:
     # the dict loop takes seconds there); the one 17-point set is
@@ -471,17 +481,37 @@ def test_a_witness_within_the_ceiling_is_reported_whatever_the_worst_case():
     [make_parity(9), make_shamir(7, 2), _parity_of((3, 7), 9)],
     ids=["parity-9", "shamir-7-2", "xor-3-7-of-9"],
 )
-def test_max_useless_k_fits_the_ceiling_at_exactly_the_cells_of_its_search(monkeypatch, problem):
-    # the ceiling bounds the whole search, probes included
-    calls = _counting_kernel(monkeypatch)
+def test_max_useless_k_fits_the_ceiling_at_exactly_its_largest_scan(monkeypatch, problem):
+    # the ceiling bounds each full scan on its own, and the probes together
+    kernel, scans, probes = useless._first_violation, [], []
+
+    def counted(problem, width, budget):
+        pairs, read = kernel(problem, width, budget)  # a probe that runs out raises before it counts
+        (scans if budget == useless.MAX_TABLE_CELLS else probes).append(width * read * problem.size)
+        return pairs, read
+
+    monkeypatch.setattr(useless, "_first_violation", counted)
     m = max_useless_k(problem)
-    total = sum(cells for _, cells in calls)
     assert m == upward_max_useless_k(problem)
-    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", total)
+    largest = max(scans)
+    assert sum(probes) < largest
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", largest)
     assert max_useless_k(problem) == m
-    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", total - 1)
+    monkeypatch.setattr(useless, "MAX_TABLE_CELLS", largest - 1)
     with pytest.raises(CapacityError, match="MAX_TABLE_CELLS="):
         max_useless_k(problem)
+
+
+def test_max_useless_k_answers_a_class_whose_scans_together_pass_the_ceiling():
+    # all tables on 13 points, labeled by the xor of f on points 0..6: every
+    # 6-point event keeps the prior and {0, ..., 6} moves it, so m = 6 (the
+    # dict-loop upward scan agrees in 27 s, too slow for this suite). Each
+    # width up to 7 fits the ceiling, and the search's full scans at 1..6
+    # read 1.7 * 10^8 cells together
+    problem = _parity_of(range(7), 13)
+    assert _upward_ceiling(problem, 6) <= MAX_TABLE_CELLS
+    assert sum(w * math.comb(13, w) for w in range(1, 7)) * problem.size > MAX_TABLE_CELLS
+    assert max_useless_k(problem) == 6
 
 
 def test_max_useless_k_values():
@@ -560,6 +590,30 @@ def test_max_useless_k_matches_the_upward_scan(problem, seed):
     m = upward_max_useless_k(problem)
     assert max_useless_k(problem) == m
     assert max_useless_k(_shuffled(problem, seed)) == m
+
+
+def _upward_ceiling(problem, m):
+    """The least ceiling under which the upward scan answers m: each width
+    up to m + 1 fits it in the worst case."""
+    n = problem.domain_size
+    return max(w * math.comb(n, w) * problem.size for w in range(1, min(m + 1, n) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_problems(), rare_witness_classes()), st.data())
+def test_max_useless_k_answers_wherever_the_upward_scan_does(problem, data):
+    # and under a lower ceiling it answers m or refuses
+    m = upward_max_useless_k(problem)
+    ceiling = _upward_ceiling(problem, m)
+    lower = data.draw(st.integers(0, ceiling - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(useless, "MAX_TABLE_CELLS", ceiling)
+        assert max_useless_k(problem) == m
+        patch.setattr(useless, "MAX_TABLE_CELLS", lower)
+        try:
+            assert max_useless_k(problem) == m
+        except CapacityError:
+            pass
 
 
 @settings(max_examples=40, deadline=None)
