@@ -93,7 +93,7 @@ def _read_input(path: str, decode):
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return decode(data)
-    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: malformed input: {exc!r}") from exc
 
 

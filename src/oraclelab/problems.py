@@ -157,7 +157,9 @@ def _integer_array(values, width: int | None = None) -> np.ndarray:
     if integer:
         return array
     try:
-        ints = np.fromiter(map(int_from_json, array.flat), object, array.size).reshape(array.shape)
+        # not .flat, which refuses an array of over 32 dimensions (a deeply nested input)
+        entries = map(int_from_json, array.reshape(-1))
+        ints = np.fromiter(entries, object, array.size).reshape(array.shape)
         return ints.astype(np.int64)
     except OverflowError:  # an entry past int64
         return ints
@@ -261,6 +263,7 @@ def make_image_parity() -> LearningProblem:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over the bases 2..41, exact below ``PRIMALITY_CEILING``."""
+    n = int_from_json(n)
     if n >= PRIMALITY_CEILING:
         raise CapacityError(f"is_prime is exact only below PRIMALITY_CEILING={PRIMALITY_CEILING}")
     if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
@@ -316,6 +319,7 @@ def shamir_reconstruct(p: int, k: int, shares: Iterable[tuple[int, int]]) -> int
     Shares are (x, y) pairs at distinct field points x in {1..p-1}.
     Lagrange interpolation evaluated at 0 over Z_p.
     """
+    p, k = int_from_json(p), int_from_json(k)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 0:

@@ -10,8 +10,9 @@ that), and compares each part's share of every group with its prior by
 integer cross-multiplication. A check is charged on the table cells it
 reads: a witness within ``MAX_TABLE_CELLS`` is reported whatever the
 worst case, and a scan that would pass the ceiling without one stops
-there. The largest useless k is found witness-first: one full useless
-scan at m and one witness at m + 1 certify it.
+there. The largest useless k is found by full scans that close a bracket
+at its cheaper end: one useless scan at m and one witness at m + 1
+certify it.
 Quantum verdicts from sampling are one-sided: a deviation is a proof that
 queries leak information, while the absence of one across random trials is
 evidence only. The proof route for quantum uselessness is the classical
@@ -20,7 +21,6 @@ certificate: if 2q classical queries are useless, q quantum queries are.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Sequence
@@ -41,15 +41,19 @@ from .qsim import (
 )
 
 # Ceiling on the table cells an exact check reads, k' * |C| a point-set with
-# k' = min(k, |X|), counted as they are read; for max_useless_k, on each full
-# scan, and on its probes together. At 10-25 ns per cell (CPython 3.11,
-# numpy 2.4, 2-core box), parity-13 at k = 7 reads 98,402,304 cells in about
-# 1 s, so a scan refused at the ceiling exits after 1 to 2.5 s of reading
-# (shamir-43-2 at k = 2: 2.2 s).
+# k' = min(k, |X|), counted as they are read; for max_useless_k, on each
+# scan on its own. At 10-25 ns per cell (CPython 3.11, numpy 2.4, 2-core
+# box), parity-13 at k = 7 reads 98,402,304 cells in about 1 s, so a scan
+# refused at the ceiling exits after 1 to 2.5 s of reading (shamir-43-2 at
+# k = 2: 2.2 s).
 MAX_TABLE_CELLS = 10**8
 
-# Rows of a scan's first batch of point-sets. A probe for a witness reads
-# this batch alone; the later batches grow 8-fold up to BATCH_ROW_BUDGET.
+# Rows of a scan's first batch of point-sets, so a witness among the first
+# point-sets costs one small sort; the later batches grow 8-fold up to
+# BATCH_ROW_BUDGET. On a 2-core box, a first batch of one point-set made
+# parity-4's max_useless_k slower (0.17-0.22 -> 0.23-0.35 ms), and batches
+# of BATCH_ROW_BUDGET rows from the start made shamir-157-1's slower
+# (0.21-0.28 -> 0.25-0.32 s).
 FIRST_BATCH_ROWS = 2**12
 
 # Rows one batch of point-sets may stack, bounding memory: a batch's table,
@@ -98,17 +102,17 @@ class UselessnessReport:
 CSV_HEADER = ["problem", "k", "verdict", "deviation", "witness"]
 
 
-def _first_violation(problem: LearningProblem, width: int, budget: int) -> tuple[list | None, int]:
+def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
     """(pairs of the first event on ``width`` points moving a part, or None;
     the point-sets read). Point-sets are read in ``combinations`` order, in
     batches of rows: the first of about ``FIRST_BATCH_ROWS`` rows, each next
     one 8 times the last, up to ``BATCH_ROW_BUDGET`` rows, and always at
-    least one point-set. A scan reads at most ``budget`` table cells, width
-    * |C| a point-set: if it has found no witness when the next point-set
-    would pass that, it raises ``CapacityError`` naming the width and the
-    cells read. So the verdict, the witness and the count do not depend on
-    the batches: a witness is reported when its own point-set, and every
-    one before it, fits the budget.
+    least one point-set. A scan reads at most ``MAX_TABLE_CELLS`` table
+    cells, width * |C| a point-set: if it has found no witness when the next
+    point-set would pass that, it raises ``CapacityError`` naming the width
+    and the cells read. So the verdict, the witness and the count do not
+    depend on the batches: a witness is reported when its own point-set, and
+    every one before it, fits the ceiling.
 
     Each batch sorts its rows once by (point-set, restricted table, part);
     the point-set id is unsigned, so it keeps a uint table's dtype (int64
@@ -126,9 +130,9 @@ def _first_violation(problem: LearningProblem, width: int, budget: int) -> tuple
         weights, part_masses = weights.astype(np.int64), part_masses.astype(np.int64)
     point_columns = np.ascontiguousarray(problem.functions.T)  # one row per point
     point_sets = combinations(range(problem.domain_size), width)
-    # the point-sets the budget allows; width 0 has one, of no cells
-    allowed = islice(point_sets, budget // (width * size)) if width else point_sets
-    read, batch_size = 0, _first_batch_size(size)
+    # the point-sets the ceiling allows; width 0 has one, of no cells
+    allowed = islice(point_sets, MAX_TABLE_CELLS // (width * size)) if width else point_sets
+    read, batch_size = 0, max(1, min(FIRST_BATCH_ROWS, BATCH_ROW_BUDGET) // size)
     while batch := list(islice(allowed, batch_size)):
         ids = np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1))
         parts = np.tile(part_index, len(batch))
@@ -158,11 +162,6 @@ def _first_violation(problem: LearningProblem, width: int, budget: int) -> tuple
     return None, read
 
 
-def _first_batch_size(size: int) -> int:
-    """Point-sets of a scan's first batch, for a class of ``size`` rows."""
-    return max(1, min(FIRST_BATCH_ROWS, BATCH_ROW_BUDGET) // size)
-
-
 def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     """Decide exactly whether k classical queries are useless.
 
@@ -182,7 +181,7 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     width = min(k, problem.domain_size)
-    pairs, point_sets = _first_violation(problem, width, MAX_TABLE_CELLS)
+    pairs, point_sets = _first_violation(problem, width)
     witness = None
     if pairs is not None:
         posterior, prior = posterior_classical(problem, pairs), problem.part_prior()
@@ -215,50 +214,27 @@ def max_useless_k(problem: LearningProblem) -> int:
     settles every larger k as well; the return value |X| means all query
     counts are useless.
 
-    Probes first read one first batch at widths lo + 1, lo + 2, lo + 4, ...
-    (at most |X|), lo the largest width known useless, until one finds a
-    witness or costs as much as the full scan at lo + 1 would; a probe that
-    reads every point-set of its width makes that width lo. Full scans then
-    close the bracket between lo and the smallest informative width, each at
-    whichever end is cheaper in the worst case, the upper one on a tie: a
-    scan at w reads at most w * C(|X|, w) * |C| = |X| * C(|X| - 1, w - 1) *
-    |C| cells, least where w - 1 lies farthest from (|X| - 1) / 2. So
-    parity-13 and parity-17 read full scans at k = 1 and N - 1 only, and a
-    class whose witnesses come at the first point-set reads about what the
-    upward scan reads.
+    Scans close the bracket between lo, the largest width known useless
+    (0 at first), and hi, the smallest known informative one (|X| + 1 at
+    first), each at whichever end is cheaper in the worst case, the upper
+    one on a tie: a scan at w reads at most w * C(|X|, w) * |C| = |X| *
+    C(|X| - 1, w - 1) * |C| cells, least where w - 1 lies farthest from
+    (|X| - 1) / 2, and a scan that meets a witness stops there. So parity-13
+    and parity-17 read one point-set at k = N and full scans at k = 1 and
+    N - 1 only.
 
-    Each full scan may read ``MAX_TABLE_CELLS`` cells, and the probes
-    together as many; a full scan that would pass them without a witness
-    raises ``CapacityError``, after up to 1 to 2.5 s of reading at that
-    width. The end scanned is never dearer in the worst case than the lower
-    end, lo + 1, and lo + 1 <= m + 1, so every class whose widths up to
-    m + 1 each fit the ceiling is answered, as by the upward scan.
+    Each scan may read ``MAX_TABLE_CELLS`` cells; one that would pass them
+    without a witness raises ``CapacityError``, after up to 1 to 2.5 s of
+    reading at that width. The end scanned is never dearer in the worst
+    case than the lower end, lo + 1, and lo + 1 <= m + 1, so every class
+    whose widths up to m + 1 each fit the ceiling is answered, as by the
+    upward scan.
     """
-    n, size = problem.domain_size, problem.size
-    probe_budget = MAX_TABLE_CELLS
+    n = problem.domain_size
     lo, hi = 0, n + 1  # width lo is useless, as width 0 is; width hi is not, if at most n
-
-    step = width = 1
-    while width <= n:
-        probe = _first_batch_size(size) * width * size
-        try:
-            pairs, read = _first_violation(problem, width, min(probe, probe_budget))
-        except CapacityError:  # no witness in the probe's cells
-            probe_budget -= min(probe, probe_budget) // (width * size) * width * size
-            # lo > 0 only once all C(|X|, lo) point-sets fit one batch, so this comb stays small
-            if width == n or probe >= (lo + 1) * math.comb(n, lo + 1) * size:
-                break
-            step *= 2
-            width = min(lo + step, n)
-            continue
-        probe_budget -= width * read * size
-        if pairs is not None:
-            hi = width
-            break
-        lo, step, width = width, 1, width + 1  # the probe read every point-set
     while hi - lo > 1:
         width = hi - 1 if abs(2 * lo - n + 1) <= abs(2 * hi - n - 3) else lo + 1
-        pairs, _ = _first_violation(problem, width, MAX_TABLE_CELLS)
+        pairs, _ = _first_violation(problem, width)
         lo, hi = (width, hi) if pairs is None else (lo, width)
     return lo
 

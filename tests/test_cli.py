@@ -190,6 +190,11 @@ def _fractional_label(schema):
     schema["labels"]["0"] = 0.5
 
 
+def _deeply_nested_label(schema):
+    for _ in range(40):  # past numpy's 32-dimension iterators
+        schema["labels"] = [schema["labels"]]
+
+
 def _huge_int_in_complex(schema):
     schema["unitaries"][0][0][0] = [10**400, 0]  # no float holds it
 
@@ -216,6 +221,7 @@ COMPILE_ALG = ["compile", "--accept", "0", "--alg"]
         (EMIT_ALG, _fractional_z_dim, SIMULATE_ALG),
         (EMIT_ALG, _fractional_label, SIMULATE_ALG),
         (EMIT_ALG, _huge_int_in_complex, SIMULATE_ALG),
+        (EMIT_PROBLEM, _deeply_nested_label, CHECK_PROBLEM),
     ],
     ids=[
         "zero-denominator",
@@ -230,6 +236,7 @@ COMPILE_ALG = ["compile", "--accept", "0", "--alg"]
         "fractional-z-dim",
         "fractional-label",
         "huge-int-in-complex",
+        "deeply-nested-label",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command):
@@ -245,7 +252,14 @@ def test_malformed_input_exits_two(tmp_path, capsys, emit, break_schema, command
     assert err[0].startswith("error: ") and str(path) in err[0]
 
 
-@pytest.mark.parametrize("text", ["", '{"x_dim": ', "[1, 2]"], ids=["empty", "cut", "list"])
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", '{"x_dim": ', "[1, 2]", DEEP, '{"x_dim": ' + DEEP + "}"],
+    ids=["empty", "cut", "list", "deep", "deep-x-dim"],
+)
 @pytest.mark.parametrize("command", [CHECK_PROBLEM, SIMULATE_ALG, COMPILE_ALG])
 def test_input_that_is_no_json_object_exits_two(tmp_path, capsys, text, command):
     path = tmp_path / "input.json"
@@ -544,22 +558,20 @@ def test_bound_report(tmp_path):
 
 
 def test_bound_scans_each_k_once(tmp_path, monkeypatch):
-    # a probe reads one first batch, 11 point-sets of shamir-7-2's 343 rows:
-    # all 6 at k = 1, 11 of 15 at k = 2, and the witness at k = 3; one full
-    # scan then settles k = 2, so no k is scanned in full twice
+    # shamir-7-2 has 6 points and m = 2: the search alternates the ends of
+    # the bracket, witnesses at 6, 5, 4 and 3 and useless scans at 1 and 2
     scanned = []
     kernel = useless._first_violation
 
-    def counting_kernel(problem, width, budget):
-        scanned.append((width, budget))
-        return kernel(problem, width, budget)
+    def counting_kernel(problem, width):
+        scanned.append(width)
+        return kernel(problem, width)
 
     monkeypatch.setattr(useless, "_first_violation", counting_kernel)
     out = tmp_path / "b.json"
     argv = ["bound", "--gen", "shamir", "--p", "7", "--degree", "2", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    assert scanned[:3] == [(k, 11 * k * 343) for k in (1, 2, 3)]
-    assert [k for k, _ in scanned[3:]] == [2]
+    assert scanned == [6, 1, 5, 2, 4, 3]
     monkeypatch.undo()
     result = _read_report(out)["result"]
     assert result["quantum_lower_bound"] == useless.quantum_lower_bound(make_shamir(7, 2))

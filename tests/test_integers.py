@@ -57,6 +57,9 @@ ENTRY_POINTS = {
     "response": lambda v: event_indices(BIG_CLASS, [(0, v)]),
     "share point": lambda v: shamir_reconstruct(BIG_PRIME, 1, [(v, 4), (1, 5)]),
     "share value": lambda v: shamir_reconstruct(BIG_PRIME, 1, [(1, v), (2, 5)]),
+    "reconstruct p": lambda v: shamir_reconstruct(v, 1, [(1, 2), (2, 1)]),
+    "reconstruct k": lambda v: shamir_reconstruct(BIG_PRIME, v, [(x, 7 * x) for x in (1, 2, 3, 4)]),
+    "is_prime n": lambda v: is_prime(v),
     "outcome": lambda v: dataclasses.replace(FOUR_OUTCOMES, outcome_labels={v: 0}).outcome_labels,
     "outcome label": lambda v: dataclasses.replace(deutsch(), outcome_labels={0: v}).outcome_labels,
     "labels_cycle": lambda v: random_algorithm(

@@ -393,16 +393,12 @@ def test_max_useless_k_parity_8_under_default_ceiling():
 
 
 def _counting_kernel(monkeypatch) -> list:
-    """Record the cells each ``_first_violation`` call reads, a probe that
-    stops at its budget included, as (width, cells)."""
+    """Record the cells each ``_first_violation`` call that answers reads, as
+    (width, cells)."""
     kernel, calls = useless._first_violation, []
 
-    def counted(problem, width, budget):
-        try:
-            pairs, read = kernel(problem, width, budget)
-        except CapacityError:
-            calls.append((width, budget // (width * problem.size) * width * problem.size))
-            raise
+    def counted(problem, width):
+        pairs, read = kernel(problem, width)
         calls.append((width, width * read * problem.size))
         return pairs, read
 
@@ -412,14 +408,12 @@ def _counting_kernel(monkeypatch) -> list:
 
 def test_parity_ceiling_fits_the_cells_read_ceiling(monkeypatch):
     # the largest parity class, N * 2^N <= MAX_CLASS_CELLS, is parity-17; its
-    # search reads one-batch probes and full scans at k = 1 and k = 16 only,
-    # where the upward scan would read every k up to 16
+    # search reads the one point-set at k = 17, a witness, and full scans at
+    # k = 1 and k = 16 only, where the upward scan would read every k up to 16
     problem = make_parity(17)
     calls = _counting_kernel(monkeypatch)
     assert max_useless_k(problem) == 16
-    scans = [(1, 17 * 2**17), (16, 16 * 17 * 2**17)]
-    assert calls[-2:] == scans
-    assert all(cells == width * 2**17 for width, cells in calls[:-2])  # one point-set a probe
+    assert calls == [(17, 17 * 2**17), (1, 17 * 2**17), (16, 16 * 17 * 2**17)]
     assert sum(cells for _, cells in calls) <= MAX_TABLE_CELLS
     assert sum(k * math.comb(17, k) for k in range(1, 17)) * 2**17 > MAX_TABLE_CELLS
 
@@ -482,19 +476,11 @@ def test_a_witness_within_the_ceiling_is_reported_whatever_the_worst_case():
     ids=["parity-9", "shamir-7-2", "xor-3-7-of-9"],
 )
 def test_max_useless_k_fits_the_ceiling_at_exactly_its_largest_scan(monkeypatch, problem):
-    # the ceiling bounds each full scan on its own, and the probes together
-    kernel, scans, probes = useless._first_violation, [], []
-
-    def counted(problem, width, budget):
-        pairs, read = kernel(problem, width, budget)  # a probe that runs out raises before it counts
-        (scans if budget == useless.MAX_TABLE_CELLS else probes).append(width * read * problem.size)
-        return pairs, read
-
-    monkeypatch.setattr(useless, "_first_violation", counted)
+    # the ceiling bounds each scan on its own
+    calls = _counting_kernel(monkeypatch)
     m = max_useless_k(problem)
     assert m == upward_max_useless_k(problem)
-    largest = max(scans)
-    assert sum(probes) < largest
+    largest = max(cells for _, cells in calls)
     monkeypatch.setattr(useless, "MAX_TABLE_CELLS", largest)
     assert max_useless_k(problem) == m
     monkeypatch.setattr(useless, "MAX_TABLE_CELLS", largest - 1)
@@ -532,18 +518,17 @@ def test_max_useless_k_single_function_class():
     assert max_useless_k(problem) == problem.domain_size
 
 
-def test_probes_stop_once_one_costs_the_full_scan_above_lo(monkeypatch):
-    # two tables on 5000 points that differ at the last one: m = 0, but a
-    # first batch holds 2048 point-sets, so probes at wide widths would read
-    # far more than the 10,000 cells of the full scan at k = 1
+def test_two_tables_on_5000_points_read_the_one_wide_set_and_k_1(monkeypatch):
+    # two tables on 5000 points that differ at the last one: m = 0. The
+    # search reads the one point-set at k = |X|, a witness, and then k = 1,
+    # whose witness is its last point-set: the 10,000 cells the upward scan reads
     n = 5000
     functions = np.zeros((2, n), dtype=np.uint8)
     functions[1, -1] = 1
     problem = LearningProblem(n, cyclic(2), functions, (0, 1), (Fraction(1, 2),) * 2)
     calls = _counting_kernel(monkeypatch)
     assert max_useless_k(problem) == upward_max_useless_k(problem) == 0
-    assert [width for width, _ in calls] == [1, 2, 4, n, 1]
-    assert sum(cells for _, cells in calls) <= 5 * n * problem.size
+    assert calls == [(n, n * problem.size), (1, n * problem.size)]
 
 
 def _shuffled(problem, seed):
