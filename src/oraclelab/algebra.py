@@ -241,15 +241,30 @@ def validate_povm(factors: Sequence[np.ndarray]) -> np.ndarray:
 # seeded random generation
 
 
+def _dimension(dim) -> int:
+    """A draw's dimension, read by the integer rule and at least 1."""
+    dim = int_from_json(dim)
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return dim
+
+
 def _complex_gaussians(seeds, shape: tuple[int, ...]) -> np.ndarray:
     """An i.i.d. complex standard Gaussian array of ``shape`` for each seed,
-    drawn from its own stream, stacked at the seeds' shape."""
+    drawn from its own stream, stacked at the seeds' shape.
+
+    Each seed, read by :func:`seed_from_json`, fills its row of one real
+    (seeds, 2, prod(shape)) buffer with one ``standard_normal`` call: the real
+    parts, then the imaginary parts, in the order two calls of ``shape``
+    draw them. The stack is combined once, with the ufuncs and operands of
+    ``re + 1j * im``, so each seed's array equals its own draw bit for bit.
+    """
     seeds = np.asarray(seeds, dtype=object)
-    out = np.empty(seeds.shape + shape, dtype=np.complex128)
-    for index, seed in np.ndenumerate(seeds):
-        rng = np.random.default_rng(seed)
-        out[index] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return out
+    parts = np.empty((seeds.size, 2, math.prod(shape)))
+    for row, seed in zip(parts, seeds.flat):
+        np.random.default_rng(seed_from_json(seed)).standard_normal(out=row)
+    out = np.multiply(parts[:, 1], 1j)
+    return np.add(parts[:, 0], out, out=out).reshape(seeds.shape + shape)
 
 
 def random_unitary(dim: int, seeds) -> np.ndarray:
@@ -263,8 +278,7 @@ def random_unitary(dim: int, seeds) -> np.ndarray:
     orthonormalized by one stacked QR, so a stack's unitaries equal the
     one-seed ones bit for bit.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _dimension(dim)
     q, r = np.linalg.qr(_complex_gaussians(seeds, (dim, dim)))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -278,8 +292,7 @@ def random_povm(dim: int, n_outcomes: int, seeds) -> tuple[np.ndarray, ...]:
     returned as its factor: the group's columns. Each factor leads with
     the seeds' shape, one basis per seed, as in :func:`random_unitary`.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim, n_outcomes = _dimension(dim), int_from_json(n_outcomes)
     if not 1 <= n_outcomes <= dim:
         raise ValueError(f"need 1 <= n_outcomes <= dim, got n_outcomes={n_outcomes}, dim={dim}")
     u = random_unitary(dim, seeds)
@@ -295,12 +308,14 @@ def random_povm(dim: int, n_outcomes: int, seeds) -> tuple[np.ndarray, ...]:
 
 def random_pure_state(dim: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Haar-random pure state as the factor (weights [1], vectors [v]), one
-    per seed: both lead with the seeds' shape, as in :func:`random_unitary`."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    v = _complex_gaussians(seeds, (dim,))
-    for index in np.ndindex(v.shape[:-1]):  # a norm along an axis would sum in another order
-        v[index] /= np.linalg.norm(v[index])
+    per seed: both lead with the seeds' shape, as in :func:`random_unitary`.
+    Each vector takes one ``np.linalg.norm`` of its own, and the stack is
+    divided by its norms at once."""
+    v = _complex_gaussians(seeds, (_dimension(dim),))
+    norms = np.empty(v.shape[:-1])
+    for index in np.ndindex(norms.shape):  # a norm along an axis would sum in another order
+        norms[index] = np.linalg.norm(v[index])
+    v /= norms[..., None]
     return np.ones(v.shape[:-1] + (1,)), v[..., None]
 
 
@@ -397,6 +412,16 @@ def int_from_json(value) -> int:
     if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def seed_from_json(value) -> int:
+    """A random seed, read by :func:`int_from_json`. A negative seed is
+    refused here, by name, before numpy's seeding refuses it in its own
+    words."""
+    seed = int_from_json(value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def int_from_text(text, what: str) -> int:

@@ -56,6 +56,7 @@ from .algebra import (
     random_povm,
     random_pure_state,
     random_unitary,
+    seed_from_json,
     validate_density_matrix,
     validate_povm,
     validate_unitary,
@@ -388,10 +389,10 @@ def trial_seeds(seed: int, n: int) -> list[int]:
 
     The seeds for n trials are a prefix of the seeds for any larger n.
     """
-    seed, n = int_from_json(seed), int_from_json(n)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
+    seed, n = seed_from_json(seed), int_from_json(n)
+    if n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n}")
+    return np.random.SeedSequence(seed).generate_state(n).tolist()
 
 
 def random_algorithm(
@@ -416,6 +417,8 @@ def random_algorithm(
     probability is wanted.
     """
     x_dim, z_dim, queries = map(int_from_json, (x_dim, z_dim, queries))
+    if queries < 0:
+        raise ValueError(f"queries must be >= 0, got {queries}")
     seeds = np.asarray(seed, dtype=object)  # each seed as given, for the integer rule
     streams = np.empty(seeds.shape + (queries + 2,), dtype=object)
     for index, s in np.ndenumerate(seeds):
@@ -423,6 +426,8 @@ def random_algorithm(
     dim = x_dim * group.order * z_dim
     labels = None
     if labels_cycle is not None:
+        if not len(labels_cycle):
+            raise ValueError("labels_cycle must hold at least one label")
         labels = {s: labels_cycle[s % len(labels_cycle)] for s in range(dim)}
     return QuantumAlgorithm(
         x_dim=x_dim,

@@ -91,11 +91,13 @@ def _accept_set(alg) -> list[int]:
 
 def _draws_sha256(algorithms: QuantumAlgorithm) -> str:
     """Short SHA-256 of each algorithm's factor arrays, in draw order: the
-    state's weights and vectors, the unitaries and the POVM factors."""
+    state's weights and vectors, the unitaries and the POVM factors, read
+    as rows of the batch's arrays."""
+    arrays = (*algorithms.state, algorithms.unitaries, *algorithms.povm)
     digest = hashlib.sha256()
-    for alg in algorithms:
-        for array in (*alg.state, *alg.unitaries, *alg.povm):
-            digest.update(array.tobytes())  # C order, whatever the strides
+    for a in range(len(algorithms)):
+        for array in arrays:
+            digest.update(array[a].tobytes())  # C order, whatever the strides
     return digest.hexdigest()[:16]
 
 

@@ -268,22 +268,33 @@ def dense_run(alg, f, rho0, povm):
     return rho, np.clip(probs, 0.0, 1.0)
 
 
+def one_seed_state(dim, seed):
+    """The unit vector one seed draws: its stream's real parts, then its
+    imaginary parts, each by its own call, normalized in place."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    return v
+
+
+def one_seed_unitary(dim, seed):
+    """The unitary one seed draws, from one 2-d QR of its stream's
+    Gaussians with the phases of R's diagonal divided out."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def one_seed_draw(dim, queries, seed):
     """The factor arrays of a seeded random algorithm, drawn matrix by matrix:
     [state weights, state vector, unitaries..., POVM columns...], each
     unitary from one 2-d QR of its own stream's Gaussians."""
     streams = [int(s) for s in np.random.SeedSequence(seed).generate_state(queries + 2)]
-    rng = np.random.default_rng(streams[0])
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    unitaries = []
-    for s in streams[1:]:
-        rng = np.random.default_rng(s)
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(a)
-        d = np.diagonal(r)
-        unitaries.append(q * (d / np.abs(d)))
+    unitaries = [one_seed_unitary(dim, s) for s in streams[1:]]
     basis = unitaries.pop()
+    v = one_seed_state(dim, streams[0])
     return [np.ones(1), v[:, None], *unitaries, *(basis[:, [i]] for i in range(dim))]
 
 

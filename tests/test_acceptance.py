@@ -6,6 +6,7 @@ Seeds are fixed so the whole gate is reproducible byte for byte.
 
 import dataclasses
 import functools
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -41,6 +42,7 @@ from oraclelab.useless import (
     quantum_lower_bound,
     quantum_useless_falsify,
 )
+from reference import one_seed_draw
 
 SEED = 20100325
 TRIALS = 50
@@ -297,6 +299,19 @@ def test_criterion_10_sees_a_change_of_draws(monkeypatch, only):
     assert digested == ([2, 9] if only is None else [])
     row = payload["criteria"][-1]
     assert row["id"] == 10 and row["observed"] == "divergent" and not payload["all_pass"]
+
+
+def test_draw_digests_hash_the_one_seed_draws():
+    # rows 2 and 9 digest the first 50 and 20 labelled parity-4 draws (d = 8,
+    # one query), each algorithm's arrays in draw order, as one_seed_draw
+    # gives them one seed at a time
+    rows = {row["id"]: row for row in run_all(seed=reproduce.DEFAULT_SEED)["criteria"]}
+    for cid, trials in ((2, TRIALS), (9, reproduce.COMPILE_TRIALS)):
+        digest = hashlib.sha256()
+        for seed in trial_seeds(reproduce.DEFAULT_SEED, trials):
+            for array in one_seed_draw(8, 1, seed):
+                digest.update(array.tobytes())
+        assert rows[cid]["draws_sha256"] == digest.hexdigest()[:16]
 
 
 _COUNTED = {

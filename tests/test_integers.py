@@ -10,7 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oraclelab.algebra import FiniteAbelianGroup, cyclic, int_from_json
+from oraclelab.algebra import (
+    FiniteAbelianGroup,
+    cyclic,
+    int_from_json,
+    random_povm,
+    random_pure_state,
+    random_unitary,
+)
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch
 from oraclelab.polycompile import classical_output_prob, compile_classical
@@ -44,6 +51,11 @@ def _algorithm_text(alg):
     return json.dumps(algorithm_to_json(alg))
 
 
+def _bytes(arrays):
+    """A draw's arrays as bytes, which compare by value."""
+    return [a.tobytes() for a in arrays]
+
+
 # Each reads one integer v; where 3 or 2^65 is outside its range it raises
 # a range error, which is not the rule's.
 ENTRY_POINTS = {
@@ -69,6 +81,13 @@ ENTRY_POINTS = {
     "table bit": lambda v: classical_output_prob(SAMPLER, [v, 1]),
     "classical_useless k": lambda v: dataclasses.asdict(classical_useless(make_parity(4), v)),
     "falsifier seed": lambda v: dataclasses.asdict(quantum_useless_falsify(make_parity(2), 1, 1, v)),
+    "unitary dim": lambda v: _bytes([random_unitary(v, 1)]),
+    "unitary seed": lambda v: _bytes([random_unitary(2, v)]),
+    "povm dim": lambda v: _bytes(random_povm(v, 1, 1)),
+    "povm n_outcomes": lambda v: _bytes(random_povm(3, v, 1)),
+    "povm seed": lambda v: _bytes(random_povm(2, 2, v)),
+    "state dim": lambda v: _bytes(random_pure_state(v, 1)),
+    "state seed": lambda v: _bytes(random_pure_state(2, [0, v])),
 }
 
 # Size parameters, compared as written JSON so that a kept 3.0 or True

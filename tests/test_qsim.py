@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -40,6 +41,8 @@ from reference import (
     dense_run,
     group_add,
     one_seed_draw,
+    one_seed_state,
+    one_seed_unitary,
 )
 
 
@@ -548,7 +551,7 @@ def _batch(algs):
 DRAW_SHAPES = [(2, 2, 1), (3, 2, 1), (4, 2, 1), (3, 3, 1), (4, 2, 4), (3, 3, 4), (4, 2, 12), (3, 3, 12)]
 
 
-@pytest.mark.parametrize("queries", [1, 2])
+@pytest.mark.parametrize("queries", [0, 1, 2, 3])
 @pytest.mark.parametrize("x_dim, order, z_dim", DRAW_SHAPES)
 def test_random_algorithms_equal_the_one_seed_draws_bit_for_bit(x_dim, order, z_dim, queries):
     seeds = trial_seeds(x_dim * order * z_dim + queries, 5)
@@ -564,6 +567,19 @@ def test_random_algorithms_equal_the_one_seed_draws_bit_for_bit(x_dim, order, z_
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert alone.povm_factor.tobytes() == alg.povm_factor.tobytes()
         assert alg.outcome_labels == alone.outcome_labels == {s: s % 2 for s in range(alg.dim)}
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 2)])
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_seeded_draws_equal_the_per_seed_draws_bit_for_bit(dim, shape):
+    seeds = np.array(trial_seeds(dim, math.prod(shape)), dtype=object).reshape(shape)
+    unitaries = random_unitary(dim, seeds.tolist())
+    weights, vectors = random_pure_state(dim, seeds.tolist())
+    assert unitaries.shape == shape + (dim, dim) and vectors.shape == shape + (dim, 1)
+    assert weights.tobytes() == np.ones(shape + (1,)).tobytes()
+    for index, seed in np.ndenumerate(seeds):
+        assert unitaries[index].tobytes() == one_seed_unitary(dim, seed).tobytes()
+        assert vectors[index][:, 0].tobytes() == one_seed_state(dim, seed).tobytes()
 
 
 @st.composite

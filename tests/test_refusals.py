@@ -19,7 +19,7 @@ from oraclelab.algebra import (
 from oraclelab.cli import _load_problem, build_parser
 from oraclelab.polycompile import MultilinearPolynomial, _butterfly
 from oraclelab.problems import LearningProblem, make_parity, shamir_reconstruct
-from oraclelab.qsim import QuantumAlgorithm, algorithm_to_json, random_algorithm
+from oraclelab.qsim import QuantumAlgorithm, algorithm_to_json, random_algorithm, trial_seeds
 from oraclelab.useless import classical_useless, quantum_useless_falsify
 
 Z2 = cyclic(2)
@@ -55,6 +55,15 @@ REFUSALS = {
         lambda: algorithm_to_json(random_algorithm(2, Z2, 1, 1, [0, 1])),
         "algorithm_to_json writes one algorithm",
     ),
+    "qsim-random-queries": (
+        lambda: random_algorithm(2, Z2, 1, -1, 3),
+        "queries must be >= 0, got -1",
+    ),
+    "qsim-empty-labels-cycle": (
+        lambda: random_algorithm(2, Z2, 1, 1, 3, labels_cycle=()),
+        "labels_cycle must hold at least one label",
+    ),
+    "qsim-trial-count": (lambda: trial_seeds(1, -1), "n must be a non-negative integer, got -1"),
     "useless-k": (lambda: classical_useless(make_parity(2), -1), "k must be >= 0"),
     "useless-queries": (
         lambda: quantum_useless_falsify(make_parity(2), 0, 1, 0),
@@ -85,6 +94,14 @@ REFUSALS = {
     "algebra-unitary-dim": (lambda: random_unitary(0, 1), "dim must be >= 1, got 0"),
     "algebra-povm-dim": (lambda: random_povm(0, 1, 1), "dim must be >= 1, got 0"),
     "algebra-state-dim": (lambda: random_pure_state(0, 1), "dim must be >= 1, got 0"),
+    "algebra-negative-seed": (
+        lambda: random_unitary(3, -5),
+        "seed must be a non-negative integer, got -5",
+    ),
+    "algebra-negative-seed-in-a-stack": (
+        lambda: random_pure_state(2, [[1, 2], [3, -4]]),
+        "seed must be a non-negative integer, got -4",
+    ),
     "algebra-json-of-a-stack": (
         lambda: matrix_to_json(np.zeros((2, 2, 2))),
         "matrix JSON holds one matrix, got shape (2, 2, 2)",
