@@ -109,29 +109,21 @@ def _refuse_first(values: np.ndarray, failing: np.ndarray, message: str) -> None
         raise ValueError(message.format(float(values.flat[np.argmax(failing)]), tol=TOL_NUM))
 
 
-def unitary_defect(u: np.ndarray) -> np.ndarray:
-    """Max entrywise |U^H U - I|, of a unitary or of each in a stack."""
-    u = as_complex_matrix(u)
-    if u.shape[-2] != u.shape[-1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
-    return max_abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))
+def _refuse_non_identity(gram: np.ndarray, message: str) -> None:
+    """Refuse the first Gram matrix of a stack whose entrywise max|G - I|
+    is above TOL_NUM: the one identity rule every algorithm factor meets."""
+    defects = max_abs(gram - np.eye(gram.shape[-1]))
+    _refuse_first(defects, defects > TOL_NUM, message)
 
 
 def validate_unitary(u) -> np.ndarray:
     """Check a unitary, or a stack of them along leading axes."""
     u = as_complex_matrix(u)
-    defects = unitary_defect(u)
-    _refuse_first(defects, defects > TOL_NUM, "not unitary: max|U^H U - I| = {:.3e} > {tol:g}")
+    if u.shape[-2] != u.shape[-1]:
+        raise ValueError(f"unitary must be square, got shape {u.shape}")
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    _refuse_non_identity(gram, "not unitary: max|U^H U - I| = {:.3e} > {tol:g}")
     return u
-
-
-def factor_hermitian(a, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, vectors) with a = V diag(weights) V^H, for one matrix: a
-    stack of one for :func:`factor_hermitians`."""
-    a = as_complex_matrix(a)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return factor_hermitians(a[None], name)[0]
 
 
 def factor_hermitians(stack, name: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -202,9 +194,8 @@ def validate_density_matrix(weights, vectors) -> tuple[np.ndarray, np.ndarray]:
     weights = weights.astype(float)
     if not np.isfinite(weights).all():
         raise ValueError("state weights are not finite")
-    defects = max_abs(np.swapaxes(vectors.conj(), -1, -2) @ vectors - np.eye(vectors.shape[-1]))
-    message = "state vectors are not orthonormal: max|V^H V - I| = {:.3e} > {tol:g}"
-    _refuse_first(defects, defects > TOL_NUM, message)
+    gram = np.swapaxes(vectors.conj(), -1, -2) @ vectors
+    _refuse_non_identity(gram, "state vectors are not orthonormal: max|V^H V - I| = {:.3e} > {tol:g}")
     lowest = weights.min(axis=-1, initial=np.inf)
     _refuse_first(lowest, lowest < -TOL_NUM, "density matrix has eigenvalue {:.3e} below -{tol:g}")
     traces = weights.sum(axis=-1)
@@ -232,8 +223,8 @@ def validate_povm(factors: Sequence[np.ndarray]) -> np.ndarray:
         if b.shape[-2] != dim:
             raise ValueError(f"POVM element {i} has {b.shape[-2]} rows, expected {dim}")
     stacked = as_complex_matrix(np.concatenate(mats, axis=-1))
-    defects = max_abs(stacked @ np.swapaxes(stacked.conj(), -1, -2) - np.eye(dim))
-    _refuse_first(defects, defects > TOL_NUM, "POVM does not sum to identity: defect {:.3e} > {tol:g}")
+    gram = stacked @ np.swapaxes(stacked.conj(), -1, -2)
+    _refuse_non_identity(gram, "POVM does not sum to identity: defect {:.3e} > {tol:g}")
     return stacked
 
 
@@ -328,12 +319,6 @@ def matrix_to_json(a: np.ndarray) -> list:
     if a.ndim != 2:
         raise ValueError(f"matrix JSON holds one matrix, got shape {a.shape}")
     return np.stack((a.real, a.imag), axis=-1).tolist()
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    """One (R, C) matrix from its JSON form: a stack of one for
-    :func:`matrices_from_json`."""
-    return matrices_from_json([rows], "matrix JSON")[0]
 
 
 def matrices_from_json(items, name: str) -> np.ndarray:

@@ -39,7 +39,7 @@ from .problems import (
     problem_to_json,
 )
 from .qsim import EPS_COND, algorithm_from_json, algorithm_to_json, run
-from .reproduce import DEFAULT_SEED, format_table, run_all
+from .reproduce import DEFAULT_SEED, DEFAULT_TRIALS, format_table, run_all
 from .useless import (
     CSV_HEADER,
     FALSIFY_TOL,
@@ -53,6 +53,8 @@ from .useless import (
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+
+_CSV_HELP = "also write the verdict to this file, overwritten with a header and one row"
 
 
 def _report(config: dict, result: dict, tolerances: dict | None = None) -> dict:
@@ -166,16 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     p.add_argument("--k", type=_decimal, required=True, help="number of classical queries")
     p.add_argument("--out")
-    p.add_argument("--csv", help="also append the verdict as a CSV row")
+    p.add_argument("--csv", help=_CSV_HELP)
 
     p = sub.add_parser("check-quantum", help="falsify quantum uselessness by sampling")
     _add_problem_args(p)
     p.add_argument("--queries", type=_decimal, required=True, help="oracle calls per algorithm")
-    p.add_argument("--trials", type=_decimal, default=50)
+    p.add_argument("--trials", type=_decimal, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=_decimal, default=DEFAULT_SEED)
     p.add_argument("--z-dim", type=_decimal, default=1)
     p.add_argument("--out")
-    p.add_argument("--csv")
+    p.add_argument("--csv", help=_CSV_HELP)
 
     p = sub.add_parser("bound", help="quantum query lower bound from the classical scan")
     _add_problem_args(p)

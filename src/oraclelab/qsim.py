@@ -44,13 +44,12 @@ import numpy as np
 from .algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
-    factor_hermitian,
+    factor_hermitians,
     group_from_json,
     group_to_json,
     int_from_json,
     int_from_text,
     matrices_from_json,
-    matrix_from_json,
     matrix_to_json,
     povm_from_dense,
     random_povm,
@@ -464,7 +463,7 @@ def algorithm_to_json(alg: QuantumAlgorithm) -> dict:
 def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
     """Read the dense JSON form. The unitaries and the POVM elements are
     each parsed as one stack, and the elements factored by one stacked
-    ``eigh``; rho0 is read and factored as a stack of one."""
+    ``eigh``; rho0 goes through the same two functions as a stack of one."""
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, Mapping):
         raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
@@ -472,7 +471,7 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
         x_dim=int_from_json(data["x_dim"]),
         group=group_from_json(data["group"]),
         z_dim=int_from_json(data["z_dim"]),
-        state=factor_hermitian(matrix_from_json(data["rho0"]), "density matrix"),
+        state=factor_hermitians(matrices_from_json([data["rho0"]], "matrix JSON"), "density matrix")[0],
         unitaries=matrices_from_json(data["unitaries"], "unitary {}"),
         povm=povm_from_dense(matrices_from_json(data["povm"], "POVM element {}")),
         outcome_labels=None

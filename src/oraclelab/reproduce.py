@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import cyclic
 from .gallery import deutsch, pairwise_parity, parity_with_padding
 from .polycompile import (
     MultilinearPolynomial,
@@ -70,7 +71,7 @@ class BundleRun:
         enter only success probabilities, so the criteria that need none
         read the same algorithms."""
         seeds = trial_seeds(self.seed, DEFAULT_TRIALS)
-        return random_algorithm(4, make_parity(4).group, 1, 1, seeds, labels_cycle=(0, 1))
+        return random_algorithm(4, cyclic(2), 1, 1, seeds, labels_cycle=(0, 1))
 
     @cached_property
     def compile_cubes(self) -> list[tuple[QuantumAlgorithm, MultilinearPolynomial]]:
@@ -80,7 +81,7 @@ class BundleRun:
         cubes = []
         for n in (2, 3):
             seeds = trial_seeds(self.seed + n, COMPILE_TRIALS)
-            algs = random_algorithm(n, make_parity(n).group, 1, 1, seeds)
+            algs = random_algorithm(n, cyclic(2), 1, 1, seeds)
             cubes.append((algs, acceptance_polynomial(algs, _accept_set(algs))))
         return cubes
 

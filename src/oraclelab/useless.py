@@ -290,13 +290,15 @@ def _trial_posteriors(
     trials: int,
     seed: int,
     z_dim: int,
+    dim: int,
     extras: Sequence[QuantumAlgorithm],
 ):
     """(tags, outcome probabilities, posteriors) of each batch of trials, in
-    trial order: each extra batch, then the seeded random trials, cut into
-    batches of at most ``stack_capacity`` algorithms. A random batch is
-    drawn as it is simulated and nothing holds it after, so no random
-    algorithm is alive when the next batch is drawn."""
+    trial order: each extra batch, then the seeded random trials of
+    dimension ``dim``, cut into batches of at most ``stack_capacity``
+    algorithms. A random batch is drawn as it is simulated and nothing
+    holds it after, so no random algorithm is alive when the next batch is
+    drawn."""
     trial = 0
     for extra in extras:
         rank, width = extra.state[0].shape[-1], extra.povm_factor.shape[-1]
@@ -307,7 +309,6 @@ def _trial_posteriors(
                 extra[start:stop], problem
             )
         trial += len(extra)
-    dim = problem.domain_size * problem.group.order * z_dim
     seeds = trial_seeds(seed, trials)
     size = stack_capacity(dim, queries, 1, dim, problem.size)
     for start in range(0, trials, size):
@@ -364,7 +365,7 @@ def quantum_useless_falsify(
     argmax: dict | None = None
     first_trial = 0
     for tags, outcome_probs, posteriors in _trial_posteriors(
-        problem, queries, trials, seed, z_dim, extras
+        problem, queries, trials, seed, z_dim, dim, extras
     ):
         # trial-major, then outcome-major, so the first of equal maxima is
         # the earliest trial's earliest outcome

@@ -363,6 +363,12 @@ def per_entry_matrix(rows):
     return np.array(out, dtype=np.complex128)
 
 
+def unitary_defect(u):
+    """Max entrywise |U^H U - I| of one matrix."""
+    u = np.asarray(u, dtype=np.complex128)
+    return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+
+
 def per_matrix_factor(a, name):
     """(weights, vectors) of one dense Hermitian matrix from its own ``eigh``,
     with its Hermitian, eigenvalue and square checks, and eigenvalues at or

@@ -7,22 +7,21 @@ from oraclelab.algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
     cyclic,
-    factor_hermitian,
+    factor_hermitians,
     group_from_json,
     group_to_json,
     hermitian_part,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
     povm_from_dense,
     random_povm,
     random_pure_state,
     random_unitary,
-    unitary_defect,
     validate_density_matrix,
     validate_povm,
     validate_unitary,
 )
-from reference import CONFIGURED_GROUPS, group_add, group_decode, group_encode
+from reference import CONFIGURED_GROUPS, group_add, group_decode, group_encode, unitary_defect
 
 def test_group_add_examples():
     z23 = (2, 3)
@@ -113,7 +112,7 @@ def test_random_unitary_property(dim, seed):
 
 def _ingest_state(rho):
     """A dense state through the factoring a file read takes, then checked."""
-    return validate_density_matrix(*factor_hermitian(rho, "density matrix"))
+    return validate_density_matrix(*factor_hermitians(np.asarray(rho)[None], "density matrix")[0])
 
 
 def _ingest_povm(elements):
@@ -202,7 +201,7 @@ def test_povm_ingest_names_the_element():
 
 def test_factor_hermitian_drops_eigenvalues_at_the_rank_cutoff():
     v = random_unitary(6, 1)[:, :1]
-    weights, vectors = factor_hermitian(v @ v.conj().T, "rank one")
+    ((weights, vectors),) = factor_hermitians((v @ v.conj().T)[None], "rank one")
     assert vectors.shape == (6, 1) and abs(weights[0] - 1) < 1e-12
 
 
@@ -241,13 +240,13 @@ def test_hermitian_part():
 
 def test_matrix_json_round_trip():
     a = random_unitary(3, 4)
-    again = matrix_from_json(matrix_to_json(a))
+    (again,) = matrices_from_json([matrix_to_json(a)], "matrix JSON")
     assert np.array_equal(a, again)
 
 
 def test_matrix_json_rejects_ragged():
     with pytest.raises(ValueError):
-        matrix_from_json([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+        matrices_from_json([[[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]], "matrix JSON")
 
 
 def test_group_json_round_trip():

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclelab import polycompile, reproduce, useless
-from oraclelab.algebra import TOL_NUM, cyclic, matrix_from_json, matrix_to_json, unitary_defect
+from oraclelab.algebra import TOL_NUM, cyclic, matrix_to_json
 from oraclelab.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _emit, build_parser, main
 from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
 from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
 
-from reference import compiled_from_json, dense_run, naive_output_prob
+from reference import compiled_from_json, dense_run, naive_output_prob, per_entry_matrix, unitary_defect
 
 
 def _reject_constant(name):
@@ -75,6 +75,26 @@ def test_check_classical_violation_exit_one(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["problem", "k", "verdict", "deviation", "witness"]
     assert rows[1][2] == "not_useless"
+
+
+def _csv_help(command):
+    (table,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
+    (action,) = [a for a in table[command]._actions if "--csv" in a.option_strings]
+    return action.help
+
+
+def test_check_classical_csv_overwrites_what_the_file_held(tmp_path, capsys):
+    # the help of both check subcommands says what the file holds afterwards
+    assert _csv_help("check-classical") == _csv_help("check-quantum")
+    assert "overwritten with a header and one row" in _csv_help("check-quantum")
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("stale,header\nstale,row\nstale,row\n")
+    argv = ["check-classical", "--gen", "parity", "--n", "4", "--k", "3", "--csv", str(csv_path)]
+    assert main(argv) == EXIT_OK
+    with open(csv_path) as fh:
+        header, row, *rest = csv.reader(fh)
+    assert header == ["problem", "k", "verdict", "deviation", "witness"] and not rest
+    assert row[:3] == ["parity-4", "3", "useless"]
 
 
 def test_check_quantum_csv_row_names_the_sampled_witness(tmp_path):
@@ -366,7 +386,7 @@ def _near_unitary(schema):
     -1)/2: unitary within TOL_NUM, yet on the all-zero table its outcome
     probabilities sum to (1 + 4 eps)^2, 3.6e-9 past 1."""
     w = np.array([1, -1, 1, -1]) / 2
-    u = matrix_from_json(schema["unitaries"][0])
+    u = per_entry_matrix(schema["unitaries"][0])
     schema["unitaries"][0] = matrix_to_json(u @ (np.eye(4) + 4.5e-10 * 4 * np.outer(w, w)))
 
 
@@ -379,7 +399,7 @@ def test_valid_algorithm_past_the_probability_tolerance_exits_two(tmp_path, caps
     # exit 1 means a falsified claim, never a simulation that leaves the tolerance
     schema = copy.deepcopy(ALG_SCHEMA)
     _near_unitary(schema)
-    assert 8.9e-10 < unitary_defect(matrix_from_json(schema["unitaries"][0])) <= TOL_NUM
+    assert 8.9e-10 < unitary_defect(per_entry_matrix(schema["unitaries"][0])) <= TOL_NUM
     algorithm_from_json(schema)  # passes validation
     path = tmp_path / "near.json"
     path.write_text(json.dumps(schema))
@@ -731,7 +751,7 @@ def test_simulate_state_matches_dense_reference(tmp_path):
     assert main([*EMIT_ALG, "--out", str(path)]) == EXIT_OK
     out = tmp_path / "sim.json"
     assert main([*SIMULATE_ALG, str(path), "--state", "--out", str(out)]) == EXIT_OK
-    state = matrix_from_json(_read_report(out)["result"]["final_state"])
+    state = per_entry_matrix(_read_report(out)["result"]["final_state"])
     # Deutsch's kickback state and parity projectors, written out densely
     psi = np.kron([1, 1], [1, -1]) / 2
     povm = [np.diag([1, 1, 0, 0]), np.diag([0, 0, 1, 1])]
@@ -774,8 +794,8 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
     assert not compiled["degenerate"]
     sampler = compiled_from_json(compiled)
     alg = algorithm_from_json(data)
-    rho0 = matrix_from_json(data["rho0"])
-    povm = [matrix_from_json(e) for e in data["povm"]]
+    rho0 = per_entry_matrix(data["rho0"])
+    povm = [per_entry_matrix(e) for e in data["povm"]]
     with open(cert) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["f", "p_quantum", "p_classical", "residual"]

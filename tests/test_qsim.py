@@ -11,7 +11,6 @@ from oraclelab.algebra import (
     TOL_NUM,
     FiniteAbelianGroup,
     cyclic,
-    factor_hermitian,
     povm_from_dense,
     random_povm,
     random_pure_state,
@@ -43,13 +42,14 @@ from reference import (
     one_seed_draw,
     one_seed_state,
     one_seed_unitary,
+    per_matrix_factor,
 )
 
 
 def _dense_algorithm(x_dim, group, z_dim, rho0, unitaries, povm, **labels):
     """The algorithm with a dense initial state and dense POVM elements,
-    factored as ``algorithm_from_json`` factors them."""
-    state = factor_hermitian(rho0, "density matrix")
+    each factored by its own ``eigh``."""
+    state = per_matrix_factor(rho0, "density matrix")
     return QuantumAlgorithm(x_dim, group, z_dim, state, unitaries, povm_from_dense(povm), **labels)
 
 

@@ -8,18 +8,23 @@ import pytest
 from oraclelab.algebra import (
     as_complex_matrix,
     cyclic,
-    matrix_from_json,
     matrix_to_json,
     random_povm,
     random_pure_state,
     random_unitary,
-    unitary_defect,
     validate_povm,
+    validate_unitary,
 )
 from oraclelab.cli import _load_problem, build_parser
 from oraclelab.polycompile import MultilinearPolynomial, _butterfly
 from oraclelab.problems import LearningProblem, make_parity, shamir_reconstruct
-from oraclelab.qsim import QuantumAlgorithm, algorithm_to_json, random_algorithm, trial_seeds
+from oraclelab.qsim import (
+    QuantumAlgorithm,
+    algorithm_from_json,
+    algorithm_to_json,
+    random_algorithm,
+    trial_seeds,
+)
 from oraclelab.useless import classical_useless, quantum_useless_falsify
 
 Z2 = cyclic(2)
@@ -87,7 +92,7 @@ REFUSALS = {
         "expected a 2-d matrix, got shape (2,)",
     ),
     "algebra-non-square-unitary": (
-        lambda: unitary_defect(np.eye(2, 3)),
+        lambda: validate_unitary(np.eye(2, 3)),
         "unitary must be square, got shape (2, 3)",
     ),
     "algebra-empty-povm": (lambda: validate_povm(()), "a POVM needs at least one element"),
@@ -107,7 +112,7 @@ REFUSALS = {
         "matrix JSON holds one matrix, got shape (2, 2, 2)",
     ),
     "algebra-empty-json-matrix": (
-        lambda: matrix_from_json([]),
+        lambda: algorithm_from_json({"x_dim": 2, "group": [2], "z_dim": 1, "rho0": []}),
         "matrix JSON must be a non-empty list of rows",
     ),
     "polycompile-butterfly-length": (

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oraclelab import qsim, useless
-from oraclelab.algebra import FiniteAbelianGroup, cyclic, factor_hermitian, random_pure_state
+from oraclelab.algebra import FiniteAbelianGroup, cyclic, random_pure_state
 from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch, pairwise_parity
 from oraclelab.problems import (
@@ -48,6 +48,7 @@ from reference import (
     naive_classical_useless,
     naive_posterior,
     per_algorithm_falsify,
+    per_matrix_factor,
     upward_max_useless_k,
 )
 
@@ -688,7 +689,7 @@ def test_lemma_check_matches_dense_mixture(monkeypatch):
             # a rank-2 initial state, so the factor carries two signed columns
             (_, a), (_, b) = random_pure_state(alg.dim, seed), random_pure_state(alg.dim, seed + 1)
             rho0 = 0.3 * a @ a.conj().T + 0.7 * b @ b.conj().T
-            state = factor_hermitian(rho0, "density matrix")
+            state = per_matrix_factor(rho0, "density matrix")
             alg = QuantumAlgorithm(alg.x_dim, alg.group, z_dim, state, alg.unitaries, alg.povm)
             states = [dense_run(alg, f, rho0, [])[0] for f in problem.functions]
             mixture = sum(m * rho for m, rho in zip(mu, states))
