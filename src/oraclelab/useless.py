@@ -2,12 +2,14 @@
 
 Classical verdicts are exact: the checker reads the point-sets of the
 query budget's size in batches sized by class rows (about 2^12 rows first,
-then 8 times more a batch up to ``BATCH_ROW_BUDGET``), sorts each batch's
-class rows once by (point-set, restricted table, part), sums the integer
-prior weights of each run of equal rows with ``np.add.reduceat`` (int64
-while the prior's denominator squared is below 2^63, Python ints above
-that), and compares each part's share of every group with its prior by
-integer cross-multiplication. A check is charged on the table cells it
+then 8 times more a batch up to ``BATCH_ROW_BUDGET``), and sums the integer
+prior weight of each part in each group of rows sharing a point-set and a
+restricted table. Where a point-set's bins fit its rows and the prior's
+denominator squared is below 2^63, one ``np.bincount`` counts the batch,
+exact in float64; elsewhere one sort orders its rows and
+``np.add.reduceat`` sums each run (int64 while the denominator squared is
+below 2^63, Python ints above that). Each part's share of every group is compared with its prior
+by integer cross-multiplication. A check is charged on the table cells it
 reads: a witness within ``MAX_TABLE_CELLS`` is reported whatever the
 worst case, and a scan that would pass the ceiling without one stops
 there. The largest useless k is found by full scans that close a bracket
@@ -42,23 +44,24 @@ from .qsim import (
 
 # Ceiling on the table cells an exact check reads, k' * |C| a point-set with
 # k' = min(k, |X|), counted as they are read; for max_useless_k, on each
-# scan on its own. At 10-25 ns per cell (CPython 3.11, numpy 2.4, 2-core
-# box), parity-13 at k = 7 reads 98,402,304 cells in about 1 s, so a scan
-# refused at the ceiling exits after 1 to 2.5 s of reading (shamir-43-2 at
-# k = 2: 2.2 s).
+# scan on its own. On a 2-core box (CPython 3.11, numpy 2.4), parity-13 at
+# k = 7, shamir-19-3 at k = 3 and shamir-43-2 at k = 2 read 0.9-3.7 ns a cell
+# where a batch is counted and 7-16 ns where it is sorted, so a scan refused
+# at the ceiling exits after about 0.3-0.4 s of counting (shamir-43-2 at
+# k = 2: 0.4 s) or 0.7-1.6 s of sorting.
 MAX_TABLE_CELLS = 10**8
 
 # Rows of a scan's first batch of point-sets, so a witness among the first
-# point-sets costs one small sort; the later batches grow 8-fold up to
+# point-sets costs one small batch; the later batches grow 8-fold up to
 # BATCH_ROW_BUDGET. On a 2-core box, a first batch of one point-set made
-# parity-4's max_useless_k slower (0.17-0.22 -> 0.23-0.35 ms), and batches
+# parity-4's max_useless_k slower (0.108 -> 0.143 ms median), and batches
 # of BATCH_ROW_BUDGET rows from the start made shamir-157-1's slower
-# (0.21-0.28 -> 0.25-0.32 s).
+# (84 -> 121 ms).
 FIRST_BATCH_ROWS = 2**12
 
 # Rows one batch of point-sets may stack, bounding memory: a batch's table,
-# sort order and keys grow with it. Checking parity-11 at k = 6 peaks at
-# 33 MB RSS with 2^16 rows, and at 74 MB, and no faster, with 2^20.
+# sort order, keys and histogram grow with it. Checking parity-11 at k = 6
+# peaks at 33 MB RSS with 2^16 rows, and at 50 MB, and no faster, with 2^20.
 BATCH_ROW_BUDGET = 2**16
 
 # Hilbert-space ceiling for the sampling falsifier. One parity-4 trial with
@@ -102,6 +105,21 @@ class UselessnessReport:
 CSV_HEADER = ["problem", "k", "verdict", "deviation", "witness"]
 
 
+def _counts(problem: LearningProblem, width: int) -> bool:
+    """Whether a scan at ``width`` counts its batches, not sorts them: the
+    table is not object, scale^2 < 2^63, and the bins of one point-set,
+    |Y|^width * P for P parts, are at most its |C| rows, so a batch's
+    histogram is never larger than the rows it counts. Past the bit length
+    of |C| a power of |Y| >= 2 exceeds |C| already, so a wide point-set
+    forms no wide power."""
+    size = problem.size
+    return (
+        problem.functions.dtype != object
+        and problem.scale**2 < 2**63
+        and len(problem.part_masses) * problem.group.order ** min(width, size.bit_length()) <= size
+    )
+
+
 def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
     """(pairs of the first event on ``width`` points moving a part, or None;
     the point-sets read). Point-sets are read in ``combinations`` order, in
@@ -114,43 +132,76 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     depend on the batches: a witness is reported when its own point-set, and
     every one before it, fits the ceiling.
 
-    Each batch sorts its rows once by (point-set, restricted table, part);
-    the point-set id is unsigned, so it keeps a uint table's dtype (int64
-    beside uint64 would promote both to float64), and an object table stays
-    object. With integer weights over the prior's denominator D, a group of
-    mass m passes when each part in it has mass times D equal to its prior
-    weight times m; those masses sum to m, so a part absent from it has
-    prior weight 0. The sums are int64 while D^2 < 2^63, as then every
-    product is at most D^2, and Python ints above that. The witness is the
-    failing group whose first row comes earliest in the batch: of the
-    earliest point-set, the group whose first row comes earliest."""
+    With integer weights over the prior's denominator D, a group (a
+    point-set and a restricted table) of mass m passes when each part in it
+    has mass times D equal to its prior weight times m; those masses sum to
+    m, so a part absent from it has prior weight 0. The witness is, of the
+    earliest point-set with a failing group, the failing group its earliest
+    row falls in. Where ``_counts`` holds, a batch is counted: each row's
+    bin, (part, point-set, restricted table) in mixed radix with the part
+    most significant, indexes one ``np.bincount`` of the float64 weights.
+    That sum is exact, as D^2 < 2^63 there: every weight and every partial
+    sum is an integer of at most D < 2^31.5 < 2^53. The bins are below the
+    batch's rows, at most max(BATCH_ROW_BUDGET, |C|) < 2^31, so int32 holds
+    them. Elsewhere a batch is sorted once by (point-set, restricted table,
+    part); the point-set id is unsigned, so it keeps a uint table's dtype
+    (int64 beside uint64 would promote both to float64), and an object
+    table stays object. Each run of equal rows is summed by
+    ``np.add.reduceat``, and a group's first row is its earliest. On both
+    paths the masses are int64 while D^2 < 2^63, as then every product is
+    at most D^2, and Python ints above that."""
+    if width == 0:
+        return None, 1  # the one event is the sure one, whose posterior is the prior
     size, scale, part_index = problem.size, problem.scale, problem.part_index
     weights, part_masses = problem.weights, problem.part_masses
     if scale * scale < 2**63:
         weights, part_masses = weights.astype(np.int64), part_masses.astype(np.int64)
+    counting = _counts(problem, width)
+    if counting:
+        radix = problem.group.order
+        tables = radix**width  # restricted tables of one point-set
+        weights, part_offsets = weights.astype(np.float64), part_index.astype(np.int32)
     point_columns = np.ascontiguousarray(problem.functions.T)  # one row per point
     point_sets = combinations(range(problem.domain_size), width)
-    # the point-sets the ceiling allows; width 0 has one, of no cells
-    allowed = islice(point_sets, MAX_TABLE_CELLS // (width * size)) if width else point_sets
+    # the point-sets the ceiling allows
+    allowed = islice(point_sets, MAX_TABLE_CELLS // (width * size))
     read, batch_size = 0, max(1, min(FIRST_BATCH_ROWS, BATCH_ROW_BUDGET) // size)
     while batch := list(islice(allowed, batch_size)):
-        ids = np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1))
-        parts = np.tile(part_index, len(batch))
-        points = np.array(batch, dtype=np.intp).T  # (width, batch size), also at width 0
+        points = np.array(batch, dtype=np.intp).T  # (width, batch size)
         restricted = point_columns[points].reshape(width, len(batch) * size)
-        table = np.vstack((np.repeat(ids, size), restricted, parts))  # transposed: a column a row
-        order, starts = _group_rows(table)
-        first_rows = order[starts]  # of each segment, as the sort is stable
-        keys = np.take(table, first_rows, axis=1)
-        mass = np.add.reduceat(np.tile(weights, len(batch))[order], starts)
-        new_group = np.concatenate(([True], (keys[:-1, 1:] != keys[:-1, :-1]).any(axis=0)))
-        firsts, group = np.flatnonzero(new_group), np.cumsum(new_group) - 1
-        total = np.add.reduceat(mass, firsts)
-        failing = group[mass * scale != part_masses[parts[first_rows]] * total[group]]
-        if len(failing):
-            g = failing[np.argmin(np.minimum.reduceat(first_rows, firsts)[failing])]
-            i = int(keys[0, firsts[g]])
-            return list(zip(batch[i], keys[1:-1, firsts[g]].tolist())), read + i + 1
+        if counting:
+            groups = np.repeat(np.arange(len(batch), dtype=np.int32), size)
+            for column in restricted:
+                groups *= radix
+                groups += column
+            bins = len(batch) * tables  # of one part
+            flat = (groups.reshape(len(batch), size) + part_offsets * bins).reshape(-1)
+            counts = np.bincount(
+                flat, np.tile(weights, len(batch)), minlength=len(part_masses) * bins
+            )
+            mass = counts.astype(np.int64).reshape(len(part_masses), bins)
+            bad = mass * scale != part_masses[:, None] * mass.sum(axis=0)
+            if bad.any():
+                failing = bad.any(axis=0)
+                i = int(failing.argmax()) // tables
+                row = int(failing[groups[i * size:(i + 1) * size]].argmax())
+                return list(zip(batch[i], restricted[:, i * size + row].tolist())), read + i + 1
+        else:
+            ids = np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1))
+            parts = np.tile(part_index, len(batch))
+            table = np.vstack((np.repeat(ids, size), restricted, parts))  # transposed: a column a row
+            order, starts = _group_rows(table)
+            first_rows = order[starts]  # of each segment, as the sort is stable
+            keys = np.take(table, first_rows, axis=1)
+            mass = np.add.reduceat(np.tile(weights, len(batch))[order], starts)
+            new_group = np.concatenate(([True], (keys[:-1, 1:] != keys[:-1, :-1]).any(axis=0)))
+            firsts, group = np.flatnonzero(new_group), np.cumsum(new_group) - 1
+            total = np.add.reduceat(mass, firsts)
+            failing = group[mass * scale != part_masses[parts[first_rows]] * total[group]]
+            if len(failing):
+                g = failing[np.argmin(np.minimum.reduceat(first_rows, firsts)[failing])]
+                i = int(keys[0, firsts[g]])
+                return list(zip(batch[i], keys[1:-1, firsts[g]].tolist())), read + i + 1
         read += len(batch)
         batch_size = min(8 * batch_size, max(1, BATCH_ROW_BUDGET // size))
     if next(point_sets, None) is not None:
@@ -172,7 +223,7 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     cells it reads: a witness found within ``MAX_TABLE_CELLS`` is reported
     whatever the worst case, and a scan that would read past it without a
     witness raises ``CapacityError`` there, after up to ``MAX_TABLE_CELLS``
-    cells (1 to 2.5 s). A witness is the violating event's k' pairs,
+    cells (about 0.4 s counted, up to 1.6 s sorted). A witness is the violating event's k' pairs,
     unpadded (repeating a query adds nothing), with its posterior replayed
     by :func:`posterior_classical` and the first part it moves. ``detail``
     counts the point-sets and table cells read, up to the witness's own.
@@ -224,8 +275,8 @@ def max_useless_k(problem: LearningProblem) -> int:
     N - 1 only.
 
     Each scan may read ``MAX_TABLE_CELLS`` cells; one that would pass them
-    without a witness raises ``CapacityError``, after up to 1 to 2.5 s of
-    reading at that width. The end scanned is never dearer in the worst
+    without a witness raises ``CapacityError``, after up to about 0.4 s
+    (counted) or 1.6 s (sorted) of reading at that width. The end scanned is never dearer in the worst
     case than the lower end, lo + 1, and lo + 1 <= m + 1, so every class
     whose widths up to m + 1 each fit the ceiling is answered, as by the
     upward scan.

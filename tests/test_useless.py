@@ -277,25 +277,91 @@ def test_the_only_informative_point_set_at_a_batch_edge(position):
     assert report.detail == {"point_sets": position + 1, "cells_read": 3 * (position + 1) * 512}
 
 
-def test_each_batch_sorts_once(monkeypatch):
-    # 84 point-sets of 512 rows: batches of 8, 64 and the last 12
-    calls = []
+def _kernel_batches(monkeypatch) -> tuple[list, list]:
+    """Record the rows of each batch ``_first_violation`` sorts and of each
+    it counts with ``np.bincount``, as two lists."""
+    sorted_rows, counted_rows = [], []
+    bincount = np.bincount
 
-    def counted(table):
-        calls.append(table.shape[1])
+    def sort(table):
+        sorted_rows.append(table.shape[1])
         return _group_rows(table)
 
-    monkeypatch.setattr(useless, "_group_rows", counted)
+    def count(flat, *args, **kwargs):
+        counted_rows.append(len(flat))
+        return bincount(flat, *args, **kwargs)
+
+    monkeypatch.setattr(useless, "_group_rows", sort)
+    monkeypatch.setattr(np, "bincount", count)
+    return sorted_rows, counted_rows
+
+
+def _order_2_70_class():
+    """Three tables on two points in a group of order 2^70: an object table."""
+    return LearningProblem(
+        2, cyclic(2**70), ((0, 2**69), (2**69, 0), (1, 1)), (0, 1, 1), (Fraction(1, 3),) * 3
+    )
+
+
+def _object_parity(n):
+    """parity-n with the responses 0 and 2^69 in a group of order 2^70."""
+    parity = make_parity(n)
+    tables = parity.functions.astype(object) * 2**69
+    return LearningProblem(n, cyclic(2**70), tables, parity.labels, parity.prior)
+
+
+def test_each_batch_counts_once(monkeypatch):
+    # 84 point-sets of 512 rows, 16 bins each: batches of 8, 64 and the last 12
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
     assert classical_useless(make_parity(9), 3).verdict == VERDICT_USELESS
-    assert calls == [512 * b for b in (8, 64, 12)]
+    assert (sorted_rows, counted_rows) == ([], [512 * b for b in (8, 64, 12)])
+
+
+def test_each_batch_sorts_once(monkeypatch):
+    # the same batches of an object table, which never counts
+    problem = _object_parity(9)
+    assert problem.functions.dtype == object
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    assert classical_useless(problem, 3).verdict == VERDICT_USELESS
+    assert (sorted_rows, counted_rows) == ([512 * b for b in (8, 64, 12)], [])
+
+
+# (class, width, whether it counts): |Y|^width * P bins of a point-set equal
+# to |C| count and one more width sorts; so does a scale whose square passes
+# int64, and an object table
+SWITCH_CASES = [
+    pytest.param(make_parity(6), 5, True, id="parity-6-k5"),
+    pytest.param(make_parity(6), 6, False, id="parity-6-k6"),
+    pytest.param(make_shamir(5, 2), 2, True, id="shamir-5-2-k2"),
+    pytest.param(make_shamir(5, 2), 3, False, id="shamir-5-2-k3"),
+    pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[0]]), 1, True, id="scale-3037000499"),
+    pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[1]]), 1, False, id="scale-3037000500"),
+    pytest.param(_order_2_70_class(), 1, False, id="order-2-70-k1"),
+    pytest.param(_order_2_70_class(), 2, False, id="order-2-70-k2"),
+]
+
+
+@pytest.mark.parametrize("problem, width, counts", SWITCH_CASES)
+def test_each_side_of_the_counting_switch_matches_the_dict_loop_scan(
+    monkeypatch, problem, width, counts
+):
+    bins = len(problem.part_masses) * problem.group.order**width
+    if problem.functions.dtype != object and problem.scale**2 < 2**63:
+        assert (bins <= problem.size) == counts
+        assert bins == (problem.size if counts else problem.size * problem.group.order)
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    report = classical_useless(problem, width)
+    assert (bool(counted_rows), bool(sorted_rows)) == (counts, not counts)
+    witness = report.witness
+    if witness is not None:
+        witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
+    assert witness == dict_loop_first_violation(problem, width)
+    assert (report.verdict == VERDICT_USELESS) == (witness is None)
 
 
 @pytest.mark.parametrize("budget", ["size", 1])
 def test_one_point_set_per_batch_gives_the_same_reports(monkeypatch, budget):
     # a budget of |C| rows or fewer still takes one point-set a batch
-    big = LearningProblem(
-        2, cyclic(2**70), ((0, 2**69), (2**69, 0), (1, 1)), (0, 1, 1), (Fraction(1, 3),) * 3
-    )
     cases = [make_parity(n) for n in range(1, 7)] + [
         make_image_parity(),
         make_shamir(5, 1),
@@ -303,7 +369,7 @@ def test_one_point_set_per_batch_gives_the_same_reports(monkeypatch, budget):
         make_shamir(7, 2),
         _parity_of((1, 4, 6), 9),
         _product_class(*INT64_BOUND_CLASSES[INT64_SCALES[1]]),
-        big,
+        _order_2_70_class(),
     ]
     for problem in cases:
         ks = range(problem.domain_size + 2)
@@ -617,6 +683,20 @@ def test_reports_do_not_depend_on_the_batch_schedule(problem, first_rows, budget
         patch.setattr(useless, "FIRST_BATCH_ROWS", first_rows)
         patch.setattr(useless, "BATCH_ROW_BUDGET", budget_rows)
         assert ([asdict(classical_useless(problem, k)) for k in ks], max_useless_k(problem)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_problems(), rare_witness_classes()), st.integers(0, 2**32 - 1))
+def test_counting_and_sorting_give_the_same_reports(problem, seed):
+    # uniform and non-uniform priors, in two presentations: every report,
+    # and m, with every scan forced onto the sort path
+    assume(any(useless._counts(problem, k) for k in range(1, problem.domain_size + 1)))
+    for presented in (problem, _shuffled(problem, seed)):
+        ks = range(presented.domain_size + 2)
+        expected = [asdict(classical_useless(presented, k)) for k in ks], max_useless_k(presented)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(useless, "_counts", lambda problem, width: False)
+            assert ([asdict(classical_useless(presented, k)) for k in ks], max_useless_k(presented)) == expected
 
 
 def test_quantum_lower_bound_values():
