@@ -278,23 +278,17 @@ def random_unitary(dim: int, seeds) -> np.ndarray:
 def random_povm(dim: int, n_outcomes: int, seeds) -> tuple[np.ndarray, ...]:
     """Random projective POVM from a coarse-grained random orthonormal basis.
 
-    The columns of a random unitary are split into ``n_outcomes`` groups of
-    near-equal size; element s is the orthogonal projector onto group s,
-    returned as its factor: the group's columns. Each factor leads with
-    the seeds' shape, one basis per seed, as in :func:`random_unitary`.
+    The columns of a random unitary are split by ``np.array_split`` into
+    ``n_outcomes`` groups, the first ``dim % n_outcomes`` one column wider
+    than the rest; element s is the orthogonal projector onto group s,
+    returned as its factor: the group's columns, a view of the one unitary.
+    Each factor leads with the seeds' shape, one basis per seed, as in
+    :func:`random_unitary`.
     """
     dim, n_outcomes = _dimension(dim), int_from_json(n_outcomes)
     if not 1 <= n_outcomes <= dim:
         raise ValueError(f"need 1 <= n_outcomes <= dim, got n_outcomes={n_outcomes}, dim={dim}")
-    u = random_unitary(dim, seeds)
-    base, extra = divmod(dim, n_outcomes)
-    elements = []
-    start = 0
-    for s in range(n_outcomes):
-        size = base + (1 if s < extra else 0)
-        elements.append(u[..., start:start + size])
-        start += size
-    return tuple(elements)
+    return tuple(np.array_split(random_unitary(dim, seeds), n_outcomes, axis=-1))
 
 
 def random_pure_state(dim: int, seeds) -> tuple[np.ndarray, np.ndarray]:

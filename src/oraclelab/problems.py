@@ -56,11 +56,13 @@ class LearningProblem:
     """A function class with a disjoint part labeling and an exact prior. Each
     entry of ``functions`` and ``labels`` is read by ``int_from_json``, so 1.5,
     None or True is refused, not truncated; an integer ndarray is copied as it
-    is. The prior is also held as Python-int ``weights`` over ``scale`` and as
-    floats. Row i is in part r = ``part_index[i]``, of label ``part_labels()[r]``
-    and Python-int mass ``part_masses[r]`` over ``scale``. ``weights`` and
-    ``part_masses`` are object arrays of Python ints; ``part_index`` is
-    unsigned, so it stacks beside the table without a float promotion."""
+    is. Duplicate tables are refused by one sort of a byte view of the
+    rows, an object table first coded to dense ints by one ``np.unique`` of
+    its entries. The prior is also held as Python-int ``weights`` over
+    ``scale`` and as floats. Row i is in part r = ``part_index[i]``, of
+    label ``part_labels()[r]`` and Python-int mass ``part_masses[r]`` over
+    ``scale``. ``weights`` and ``part_masses`` are object arrays of Python
+    ints, and ``part_index`` is unsigned."""
 
     domain_size: int
     group: FiniteAbelianGroup
@@ -95,7 +97,13 @@ class LearningProblem:
             bad = tuple(functions[outside.argmax()].tolist())
             raise ValueError(f"function table {bad} has values outside [0, {order})")
         functions = functions.astype(np.min_scalar_type(order - 1))
-        if len(_group_rows(np.ascontiguousarray(functions.T))[1]) != len(functions):
+        if functions.dtype == object:  # coded to dense ints, so equal rows have equal bytes
+            rows = np.unique(functions, return_inverse=True)[1].reshape(functions.shape)
+        else:
+            rows = np.ascontiguousarray(functions)
+        # a sort, not np.unique, which imports numpy.ma (about 1.4 MB) on its first call
+        keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * domain_size))).ravel())
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate function tables in the class")
         numerators = [w.numerator for w in prior]
         if min(numerators) < 0:
@@ -165,17 +173,6 @@ def _integer_array(values, width: int | None = None) -> np.ndarray:
         return ints
     except ValueError as exc:
         raise ValueError(f"function table values and labels must be integers: {exc}") from None
-
-
-def _group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): the stable sorted row order of a uint or object
-    table, and where each run of equal rows begins in it. The table comes
-    as its C-contiguous (columns, rows) transpose, so that every gather and
-    compare runs along a contiguous key."""
-    order = np.lexsort(columns[::-1])
-    ordered = np.take(columns, order, axis=1)
-    changed = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    return order, np.flatnonzero(np.concatenate(([True], changed)))
 
 
 def event_indices(problem: LearningProblem, transcript: Transcript) -> tuple[int, ...]:

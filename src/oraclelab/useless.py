@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import int_from_json
 from .errors import CapacityError
-from .problems import LearningProblem, _group_rows, posterior_classical
+from .problems import LearningProblem, posterior_classical
 from .qsim import (
     QuantumAlgorithm,
     _check_match,
@@ -120,6 +120,17 @@ def _counts(problem: LearningProblem, width: int) -> bool:
     )
 
 
+def _group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable sorted row order of a uint or object
+    table, and where each run of equal rows begins in it. The table comes
+    as its C-contiguous (columns, rows) transpose, so that every gather and
+    compare runs along a contiguous key."""
+    order = np.lexsort(columns[::-1])
+    ordered = np.take(columns, order, axis=1)
+    changed = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(np.concatenate(([True], changed)))
+
+
 def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
     """(pairs of the first event on ``width`` points moving a part, or None;
     the point-sets read). Point-sets are read in ``combinations`` order, in
@@ -135,21 +146,26 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     With integer weights over the prior's denominator D, a group (a
     point-set and a restricted table) of mass m passes when each part in it
     has mass times D equal to its prior weight times m; those masses sum to
-    m, so a part absent from it has prior weight 0. The witness is, of the
-    earliest point-set with a failing group, the failing group its earliest
-    row falls in. Where ``_counts`` holds, a batch is counted: each row's
-    bin, (part, point-set, restricted table) in mixed radix with the part
-    most significant, indexes one ``np.bincount`` of the float64 weights.
-    That sum is exact, as D^2 < 2^63 there: every weight and every partial
-    sum is an integer of at most D < 2^31.5 < 2^53. The bins are below the
-    batch's rows, at most max(BATCH_ROW_BUDGET, |C|) < 2^31, so int32 holds
-    them. Elsewhere a batch is sorted once by (point-set, restricted table,
-    part); the point-set id is unsigned, so it keeps a uint table's dtype
-    (int64 beside uint64 would promote both to float64), and an object
-    table stays object. Each run of equal rows is summed by
-    ``np.add.reduceat``, and a group's first row is its earliest. On both
-    paths the masses are int64 while D^2 < 2^63, as then every product is
-    at most D^2, and Python ints above that."""
+    m, so a part absent from it has prior weight 0. Each path finds only
+    the batch's earliest row whose group fails, and the witness is that
+    row's point-set and restricted table. Rows run point-set-major and
+    every row of a group has the same restricted table, so this is, of the
+    earliest point-set with a failing group, the failing group whose first
+    row comes first. Where ``_counts`` holds, a batch is counted: each
+    row's bin, (part, point-set, restricted table) in mixed radix with the
+    part most significant, indexes one ``np.bincount`` of the float64
+    weights. That sum is exact, as D^2 < 2^63 there: every weight and every
+    partial sum is an integer of at most D < 2^31.5 < 2^53. The bins are
+    below the batch's rows, at most max(BATCH_ROW_BUDGET, |C|) < 2^31, so
+    int32 holds them. Elsewhere ``_group_rows`` sorts a batch once by
+    (point-set, restricted table, part). The point-set id and
+    ``part_index`` are unsigned, so they stack beside a uint table without
+    a float promotion (int64 beside uint64 would promote both to float64),
+    and an object table stays object. Each run of equal rows is summed by
+    ``np.add.reduceat``, and as the sort is stable, a group's earliest row
+    is the least of its runs' first rows. On both paths the masses are
+    int64 while D^2 < 2^63, as then every product is at most D^2, and
+    Python ints above that."""
     if width == 0:
         return None, 1  # the one event is the sure one, whose posterior is the prior
     size, scale, part_index = problem.size, problem.scale, problem.part_index
@@ -169,6 +185,7 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     while batch := list(islice(allowed, batch_size)):
         points = np.array(batch, dtype=np.intp).T  # (width, batch size)
         restricted = point_columns[points].reshape(width, len(batch) * size)
+        row = None  # the batch's earliest row whose group fails
         if counting:
             groups = np.repeat(np.arange(len(batch), dtype=np.int32), size)
             for column in restricted:
@@ -181,27 +198,26 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
             )
             mass = counts.astype(np.int64).reshape(len(part_masses), bins)
             bad = mass * scale != part_masses[:, None] * mass.sum(axis=0)
-            if bad.any():
+            if bad.any():  # one point-set's rows: a gather over the batch's was up to 20% slower
                 failing = bad.any(axis=0)
-                i = int(failing.argmax()) // tables
-                row = int(failing[groups[i * size:(i + 1) * size]].argmax())
-                return list(zip(batch[i], restricted[:, i * size + row].tolist())), read + i + 1
+                first = int(failing.argmax()) // tables * size  # of the earliest failing point-set
+                row = first + int(failing[groups[first:first + size]].argmax())
         else:
             ids = np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1))
             parts = np.tile(part_index, len(batch))
             table = np.vstack((np.repeat(ids, size), restricted, parts))  # transposed: a column a row
             order, starts = _group_rows(table)
             first_rows = order[starts]  # of each segment, as the sort is stable
-            keys = np.take(table, first_rows, axis=1)
+            keys = np.take(table[:-1], first_rows, axis=1)
             mass = np.add.reduceat(np.tile(weights, len(batch))[order], starts)
-            new_group = np.concatenate(([True], (keys[:-1, 1:] != keys[:-1, :-1]).any(axis=0)))
+            new_group = np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
             firsts, group = np.flatnonzero(new_group), np.cumsum(new_group) - 1
             total = np.add.reduceat(mass, firsts)
             failing = group[mass * scale != part_masses[parts[first_rows]] * total[group]]
             if len(failing):
-                g = failing[np.argmin(np.minimum.reduceat(first_rows, firsts)[failing])]
-                i = int(keys[0, firsts[g]])
-                return list(zip(batch[i], keys[1:-1, firsts[g]].tolist())), read + i + 1
+                row = int(np.minimum.reduceat(first_rows, firsts)[failing].min())
+        if row is not None:
+            return list(zip(batch[row // size], restricted[:, row].tolist())), read + row // size + 1
         read += len(batch)
         batch_size = min(8 * batch_size, max(1, BATCH_ROW_BUDGET // size))
     if next(point_sets, None) is not None:

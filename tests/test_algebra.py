@@ -149,6 +149,23 @@ def test_random_povm_rank_one_orthogonal():
             assert np.max(np.abs(a @ b)) < 1e-10
 
 
+@pytest.mark.parametrize("seeds", [11, np.array([11, 12, 13])], ids=["one-seed", "three-seeds"])
+def test_random_povm_splits_one_unitary_as_array_split_does(seeds):
+    # the first dim % n blocks are one column wider, and all are views of one unitary
+    def owner(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    u = random_unitary(5, seeds)
+    blocks = random_povm(5, 3, seeds)
+    assert [b.shape[-1] for b in blocks] == [2, 2, 1]
+    assert all(b.shape[:-1] == u.shape[:-1] for b in blocks)
+    for block, columns in zip(blocks, (slice(0, 2), slice(2, 4), slice(4, 5))):
+        assert block.tobytes() == u[..., columns].tobytes()
+        assert owner(block) is owner(blocks[0])
+
+
 def test_random_povm_validates():
     for dim, n, seed in [(4, 2, 0), (5, 3, 1), (6, 6, 2)]:
         validate_povm(random_povm(dim, n, seed))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -362,6 +365,41 @@ def test_huge_group_table_is_python_ints():
     assert posterior_classical(problem, [(0, big)]) == {0: Fraction(0), 1: Fraction(1)}
     with pytest.raises(ValueError, match="duplicate"):
         LearningProblem(1, cyclic(10**30), ((big,), (big,)), (0, 1), half)
+
+
+# a uint8, a uint64 and an object table, the last two holding entries at or above 2^63
+@pytest.mark.parametrize("order, dtype", [(2, np.uint8), (2**64, np.uint64), (2**70, object)])
+def test_duplicate_tables_are_found_by_their_rows(order, dtype):
+    half = (Fraction(1, 2),) * 2
+    tables = np.full((2, 2**16), order - 1, dtype=dtype)
+    with pytest.raises(ValueError, match="^duplicate function tables in the class$"):
+        LearningProblem(2**16, cyclic(order), tables, (0, 1), half)
+    tables[1, -1] = 2**63 if order > 2 else 0  # the tables differ at the last point only
+    problem = LearningProblem(2**16, cyclic(order), tables, (0, 1), half)
+    assert problem.functions.dtype == dtype
+
+
+def test_the_duplicate_check_over_2_16_points_takes_little_memory():
+    # the peak RSS a two-table class over 2^16 points adds, in kilobytes as Linux reports it
+    script = """
+import resource
+from fractions import Fraction
+import numpy as np
+from oraclelab.algebra import cyclic
+from oraclelab.problems import LearningProblem
+tables = np.zeros((2, 2**16), dtype=np.uint8)
+tables[1, -1] = 1
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+LearningProblem(2**16, cyclic(2), tables, (0, 1), (Fraction(1, 2),) * 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    path = [os.path.dirname(os.path.dirname(problems.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 16 * 1024
 
 
 def test_posterior_sums_weights_past_int64_as_python_ints():

@@ -17,7 +17,6 @@ from oraclelab.errors import CapacityError
 from oraclelab.gallery import deutsch, pairwise_parity
 from oraclelab.problems import (
     LearningProblem,
-    _group_rows,
     make_image_parity,
     make_parity,
     make_shamir,
@@ -35,6 +34,7 @@ from oraclelab.useless import (
     MAX_TABLE_CELLS,
     VERDICT_NOT_USELESS,
     VERDICT_USELESS,
+    _group_rows,
     classical_useless,
     lemma_check,
     max_useless_k,
@@ -357,6 +357,29 @@ def test_each_side_of_the_counting_switch_matches_the_dict_loop_scan(
         witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
     assert witness == dict_loop_first_violation(problem, width)
     assert (report.verdict == VERDICT_USELESS) == (witness is None)
+
+
+# (the response at point 0 of row 0, whether the check counts): the uint8
+# class counts, or sorts where ``_counts`` is patched; the object one sorts
+@pytest.mark.parametrize(
+    "response, counts",
+    [(1, True), (1, False), (2**69, False)],
+    ids=["uint8-counted", "uint8-sorted", "object-sorted"],
+)
+def test_the_witness_is_the_group_of_the_batchs_earliest_failing_row(monkeypatch, response, counts):
+    # the dictator of point 0 on 3 points, rows from (1, 1, 1) down: at point
+    # 0 both groups fail, and row 0 lies in that of the response that sorts later
+    tables = make_parity(3).functions[::-1].astype(object) * response
+    group = cyclic(2 if response == 1 else 2**70)
+    problem = LearningProblem(3, group, tables, tables[:, 0] // response, (Fraction(1, 8),) * 8)
+    if not counts:
+        monkeypatch.setattr(useless, "_counts", lambda problem, width: False)
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    report = classical_useless(problem, 1)
+    assert (bool(counted_rows), bool(sorted_rows)) == (counts, not counts)
+    assert report.witness["transcript"] == [[0, response]]
+    witness = [tuple(pair) for pair in report.witness["transcript"]], report.witness["part"]
+    assert witness == dict_loop_first_violation(problem, 1)
 
 
 @pytest.mark.parametrize("budget", ["size", 1])
