@@ -161,18 +161,20 @@ def factor_hermitians(stack, name: str) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(w[k], v[:, k]) for w, v, k in zip(weights, vectors, keep)]
 
 
-def povm_from_dense(elements) -> tuple[np.ndarray, ...]:
-    """The factor B_s = V sqrt(diag(lambda)) of each dense element of an
-    (S, d, d) stack, so that Pi_s = B_s B_s^H, with the elements checked by
-    :func:`factor_hermitians`.
+def povm_from_dense(elements) -> tuple[tuple[int, ...], np.ndarray]:
+    """The POVM (ranks, B) of the dense elements of an (S, d, d) stack,
+    checked by :func:`factor_hermitians`: B_s = V sqrt(diag(lambda)) over
+    each element's kept eigenvalues, so that Pi_s = B_s B_s^H, with the S
+    factors joined by one ``np.concatenate``.
 
     A tolerated negative eigenvalue (at least -TOL_NUM) is dropped: it
     moves the sum the POVM check reads by at most that much.
     """
-    return tuple(
+    factors = [
         vectors[:, weights > 0] * np.sqrt(weights[weights > 0])
         for weights, vectors in factor_hermitians(elements, "POVM element {}")
-    )
+    ]
+    return tuple(b.shape[1] for b in factors), np.concatenate(factors or [np.empty((0, 0))], axis=1)
 
 
 def validate_density_matrix(weights, vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -203,29 +205,29 @@ def validate_density_matrix(weights, vectors) -> tuple[np.ndarray, np.ndarray]:
     return weights, vectors
 
 
-def validate_povm(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Check that factors B_s, each of shape (..., d, r_s), resolve the
-    identity, and return the stacked factor B = [B_0 B_1 ...] (..., d, M).
+def validate_povm(ranks: Sequence[int], factor) -> tuple[tuple[int, ...], np.ndarray]:
+    """Check the POVM (ranks, B) and return it read: B is the stacked
+    factor (..., d, M) and Pi_s = B_s B_s^H, where B_s is the next
+    ``ranks[s]`` columns of B.
 
-    Each element Pi_s = B_s B_s^H is Hermitian and positive semidefinite by
-    construction, so the whole check is one product of the stacked factor:
-    max|B B^H - I| <= TOL_NUM. The stacked factor is read once by
+    Each rank is read by :func:`int_from_json`; there must be at least one,
+    none negative, and they must sum to M. Each element is Hermitian and
+    positive semidefinite by construction, so the rest of the check is one
+    product: max|B B^H - I| <= TOL_NUM. B is read once by
     :func:`as_complex_matrix`; leading axes are a stack of POVMs, and an
     error reports the first failing one.
     """
-    mats = tuple(np.asarray(b) for b in factors)
-    if not mats:
+    ranks = tuple(int_from_json(r) for r in ranks)
+    if not ranks:
         raise ValueError("a POVM needs at least one element")
-    dim = mats[0].shape[-2] if mats[0].ndim > 1 else None
-    for i, b in enumerate(mats):
-        if b.ndim < 2:
-            raise ValueError(f"POVM element {i}: expected a 2-d matrix, got shape {b.shape}")
-        if b.shape[-2] != dim:
-            raise ValueError(f"POVM element {i} has {b.shape[-2]} rows, expected {dim}")
-    stacked = as_complex_matrix(np.concatenate(mats, axis=-1))
-    gram = stacked @ np.swapaxes(stacked.conj(), -1, -2)
+    if min(ranks) < 0:
+        raise ValueError(f"POVM ranks must be >= 0, got {ranks}")
+    factor = as_complex_matrix(factor)
+    if sum(ranks) != factor.shape[-1]:
+        raise ValueError(f"POVM ranks {ranks} sum to {sum(ranks)}, but B has {factor.shape[-1]} columns")
+    gram = factor @ np.swapaxes(factor.conj(), -1, -2)
     _refuse_non_identity(gram, "POVM does not sum to identity: defect {:.3e} > {tol:g}")
-    return stacked
+    return ranks, factor
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +277,20 @@ def random_unitary(dim: int, seeds) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_povm(dim: int, n_outcomes: int, seeds) -> tuple[np.ndarray, ...]:
+def random_povm(dim: int, n_outcomes: int, seeds) -> tuple[tuple[int, ...], np.ndarray]:
     """Random projective POVM from a coarse-grained random orthonormal basis.
 
-    The columns of a random unitary are split by ``np.array_split`` into
-    ``n_outcomes`` groups, the first ``dim % n_outcomes`` one column wider
-    than the rest; element s is the orthogonal projector onto group s,
-    returned as its factor: the group's columns, a view of the one unitary.
-    Each factor leads with the seeds' shape, one basis per seed, as in
-    :func:`random_unitary`.
+    The POVM is (ranks, U) for one random unitary U per seed, of the seeds'
+    shape as in :func:`random_unitary`: element s is the orthogonal
+    projector onto the next ``ranks[s]`` columns of U. The ranks are those
+    of ``np.array_split`` into ``n_outcomes`` groups, the first
+    ``dim % n_outcomes`` one column wider than the rest.
     """
     dim, n_outcomes = _dimension(dim), int_from_json(n_outcomes)
     if not 1 <= n_outcomes <= dim:
         raise ValueError(f"need 1 <= n_outcomes <= dim, got n_outcomes={n_outcomes}, dim={dim}")
-    return tuple(np.array_split(random_unitary(dim, seeds), n_outcomes, axis=-1))
+    narrow, wide = divmod(dim, n_outcomes)
+    return (narrow + 1,) * wide + (narrow,) * (n_outcomes - wide), random_unitary(dim, seeds)
 
 
 def random_pure_state(dim: int, seeds) -> tuple[np.ndarray, np.ndarray]:

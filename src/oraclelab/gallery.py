@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import cyclic
+from .algebra import cyclic, int_from_json
 from .errors import CapacityError
 from .problems import LARGEST_PARITY_N, LearningProblem, make_parity
 from .qsim import QuantumAlgorithm
@@ -53,12 +53,13 @@ def _pair_advance(x_dim: int, pair_index: int) -> np.ndarray:
     return u
 
 
-def _x_parity_povm(x_dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _x_parity_povm(x_dim: int) -> tuple[tuple[int, int], np.ndarray]:
     """Projectors onto even and odd query coordinates (response traced
-    over), as factors: the basis columns (x, y) each one keeps."""
+    over), for even ``x_dim``, as the POVM (ranks, B): the basis columns
+    (x, y) with x even, then those with x odd."""
+    odd = np.arange(x_dim * 2) // 2 % 2  # the parity of x at basis index (x, y)
     basis = np.eye(x_dim * 2, dtype=np.complex128)
-    even = np.arange(x_dim * 2) // 2 % 2 == 0
-    return basis[:, even], basis[:, ~even]
+    return (x_dim, x_dim), basis[:, np.argsort(odd, kind="stable")]
 
 
 def deutsch() -> QuantumAlgorithm:
@@ -80,6 +81,7 @@ def pairwise_parity(n: int) -> QuantumAlgorithm:
     parity in the evenness of the query coordinate, which the measurement
     reads out. Odd N is served by `parity_with_padding`.
     """
+    n = int_from_json(n)
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
     padded = LARGEST_PARITY_N + LARGEST_PARITY_N % 2  # the largest parity problem's padded size
@@ -92,14 +94,13 @@ def pairwise_parity(n: int) -> QuantumAlgorithm:
         step = _pair_advance(n, i) @ _pair_hadamard(n, i - 1)
         unitaries.append(np.kron(step, identity_y))
     unitaries.append(np.kron(_pair_hadamard(n, k - 1), identity_y))
-    p_even, p_odd = _x_parity_povm(n)
     return QuantumAlgorithm(
         x_dim=n,
         group=cyclic(2),
         z_dim=1,
         state=_kickback_state(n, (0, 1)),
         unitaries=tuple(unitaries),
-        povm=(p_even, p_odd),
+        povm=_x_parity_povm(n),
         outcome_labels={0: 0, 1: 1},
     )
 
@@ -110,6 +111,7 @@ def parity_with_padding(n: int) -> tuple[LearningProblem, QuantumAlgorithm]:
     Returns the padded problem (domain size N+1, labels unchanged) and the
     ceil(N/2)-query algorithm on the extended domain.
     """
+    n = int_from_json(n)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
     base = make_parity(n)

@@ -83,12 +83,10 @@ def _accept_indices(alg: QuantumAlgorithm, accept_outcomes: Iterable[int]) -> li
 
 @dataclass(frozen=True, eq=False)
 class MultilinearPolynomial:
-    """Real multilinear polynomial in n variables, coefficients by bitmask.
+    """Real multilinear polynomial in n 0/1 variables, coefficients by bitmask.
 
     ``coeffs[..., mask]`` multiplies the product of the variables in
     ``mask``; leading axes hold one polynomial per algorithm of a batch.
-    The same container serves the 0/1-variable form and the +/-1-variable
-    form; which one is meant is determined by how it was produced.
     """
 
     n: int
@@ -151,16 +149,16 @@ def acceptance_polynomial(
     return poly
 
 
-def to_fourier(p: MultilinearPolynomial) -> MultilinearPolynomial:
-    """Character coefficients of q(w) = 2 p((w+1)/2, ...) - 1 over w in {-1,1},
-    for each polynomial of a batch.
+def to_fourier(p: MultilinearPolynomial) -> np.ndarray:
+    """Character coefficients q-hat[..., S] of q(w) = 2 p((w+1)/2, ...) - 1
+    over w in {-1,1}, by bitmask S, for each polynomial of a batch.
 
     q-hat(S) = 2^-n * sum_w q(w) w_S with w = 2f - 1. The Walsh-Hadamard
     transform sums (-1)^|S & f| q, and w_S = (-1)^|S| (-1)^|S & f|.
     """
     size = 1 << p.n
     signed = walsh_hadamard(2.0 * p.values_on_cube() - 1.0)
-    return MultilinearPolynomial(p.n, (1 - 2 * (_popcounts(size) & 1)) * signed / size)
+    return (1 - 2 * (_popcounts(size) & 1)) * signed / size
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,8 @@ class CompiledClassicalAlgorithm:
     table f the sampler queries the subset's points, forms the +/-1
     product of their responses, and outputs 0 exactly when sign * product
     is +1. A degenerate compilation (T below threshold) has no terms, asks
-    no queries and outputs a fair coin.
+    no queries and outputs a fair coin. ``n``, ``queries`` and each mask
+    and sign are read by :func:`int_from_json`.
     """
 
     n: int
@@ -180,7 +179,9 @@ class CompiledClassicalAlgorithm:
     terms: tuple[tuple[int, float, int], ...]
 
     def __post_init__(self):
-        for mask, prob, sign in self.terms:
+        terms = tuple((int_from_json(m), p, int_from_json(s)) for m, p, s in self.terms)
+        vars(self).update(n=int_from_json(self.n), queries=int_from_json(self.queries), terms=terms)
+        for mask, prob, sign in terms:
             if sign not in (-1, 1):
                 raise ValueError(f"sign must be +/-1, got {sign}")
             if mask >> self.n:  # also every negative mask
@@ -227,7 +228,7 @@ def compile_polynomial(poly: MultilinearPolynomial, queries: int) -> CompiledCla
     bound (certified dust by `acceptance_polynomial`) and coefficients
     below the pruning threshold are dropped before normalizing.
     """
-    coeffs = to_fourier(poly).coeffs
+    coeffs = to_fourier(poly)
     kept = np.flatnonzero(
         (np.abs(coeffs) >= PRUNE_TOL) & (_popcounts(len(coeffs)) <= 2 * queries)
     )
@@ -235,7 +236,7 @@ def compile_polynomial(poly: MultilinearPolynomial, queries: int) -> CompiledCla
     if scale < PRUNE_TOL:
         return CompiledClassicalAlgorithm(poly.n, queries, 0.0, ())
     terms = tuple(
-        (int(mask), float(abs(coeffs[mask]) / scale), 1 if coeffs[mask] > 0 else -1)
+        (mask, float(abs(coeffs[mask]) / scale), 1 if coeffs[mask] > 0 else -1)
         for mask in kept
     )
     return CompiledClassicalAlgorithm(poly.n, queries, scale, terms)

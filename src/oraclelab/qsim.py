@@ -14,12 +14,13 @@ final state for oracle table f is
 An oracle call is a permutation of basis indices, so it is applied as a
 gather along the basis axis and no dense oracle matrix is ever built. An
 algorithm holds its initial state as the factor rho_0 = V diag(lambda) V^H
-over its nonzero eigenvalues, and its POVM as one stacked factor
-B = [B_0 B_1 ...] with Pi_s = B_s B_s^H. Every column of V evolves as a
-state vector, for all tables at once, so a pure state costs one column
-per table and a mixed state one per eigenvalue; the measurement is one
-product with B^H. Final density matrices are formed from the evolved
-factor only when they are read.
+over its nonzero eigenvalues, and its POVM as (ranks, B): one stacked
+factor B = [B_0 B_1 ...] with Pi_s = B_s B_s^H, where B_s is the next
+ranks[s] columns. Every column of V evolves as a state vector, for all
+tables at once, so a pure state costs one column per table and a mixed
+state one per eigenvalue; the measurement is one product with B^H. Final
+density matrices are formed from the evolved factor only when they are
+read.
 
 A :class:`QuantumAlgorithm` is one algorithm or a batch of algorithms of
 one shape, in the numpy idiom of leading batch axes: each of its arrays
@@ -34,9 +35,8 @@ bases. ``STACK_ENTRY_BUDGET`` bounds what one batch in a run holds.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,11 +74,11 @@ class QuantumAlgorithm:
     ``state`` is the factor (weights (..., r), vectors (..., d, r)) of the
     initial density matrix rho_0 = V diag(weights) V^H, with orthonormal
     columns V; ``unitaries`` (..., k, d, d) follow the k oracle calls; and
-    ``povm`` holds one factor B_s (..., d, r_s) per outcome, for the element
-    Pi_s = B_s B_s^H. Once validated, each B_s is a column block (a view) of
-    ``povm_factor``, the stacked factor (..., d, M) the simulator measures
-    with. ``outcome_labels`` maps POVM outcome index s to a part label j; it
-    is only needed for success-probability computations.
+    ``povm`` is the factor (ranks, B) of the measurement, as the state is
+    of rho_0: B (..., d, M) stacks the factors B_s of the elements
+    Pi_s = B_s B_s^H, where B_s is the next ``ranks[s]`` of its columns.
+    ``outcome_labels`` maps POVM outcome index s to a part label j; it is
+    only needed for success-probability computations.
 
     The leading ``...`` is ``batch_shape``: () for one algorithm and (A,)
     for a batch of A, which share registers, query count, ranks and outcome
@@ -93,9 +93,8 @@ class QuantumAlgorithm:
     z_dim: int
     state: tuple[np.ndarray, np.ndarray]
     unitaries: np.ndarray
-    povm: tuple[np.ndarray, ...]
+    povm: tuple[tuple[int, ...], np.ndarray]
     outcome_labels: dict[int, int] | None = None
-    povm_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vars(self).update(x_dim=int_from_json(self.x_dim), z_dim=int_from_json(self.z_dim))
@@ -109,37 +108,30 @@ class QuantumAlgorithm:
         unitaries = np.asarray(self.unitaries, dtype=np.complex128)
         if not unitaries.size:  # no queries
             unitaries = unitaries.reshape(*batch, 0, dim, dim)
-        povm = tuple(np.asarray(b) for b in self.povm)
-        leading = {vectors.shape[:-2], unitaries.shape[:-3], *(b.shape[:-2] for b in povm)}
+        ranks, factor = self.povm
+        factor = np.asarray(factor)
+        leading = {vectors.shape[:-2], unitaries.shape[:-3], factor.shape[:-2]}
         if unitaries.ndim != len(batch) + 3 or leading != {batch}:
             raise ValueError(
                 f"arrays do not share the batch shape {batch} of the state weights: vectors "
-                f"{vectors.shape}, unitaries {unitaries.shape}, POVM {[b.shape for b in povm]}"
+                f"{vectors.shape}, unitaries {unitaries.shape}, POVM factor {factor.shape}"
             )
         try:
-            weights, vectors, unitaries, factor = _validated(dim, weights, vectors, unitaries, povm)
+            state, unitaries, povm = _validated(dim, weights, vectors, unitaries, ranks, factor)
         except ValueError:
             for a in range(batch[0] if batch else 0):  # name the first failing algorithm
                 try:
-                    _validated(dim, weights[a], vectors[a], unitaries[a], [b[a] for b in povm])
+                    _validated(dim, weights[a], vectors[a], unitaries[a], ranks, factor[a])
                 except ValueError as error:
                     raise ValueError(f"algorithm {a}: {error}") from None
             raise
         labels = self.outcome_labels
         if labels is not None:
             labels = {int_from_json(s): int_from_json(j) for s, j in labels.items()}
-            bad = [s for s in labels if not 0 <= s < len(povm)]
+            bad = [s for s in labels if not 0 <= s < len(povm[0])]
             if bad:
                 raise ValueError(f"outcome labels reference unknown outcomes {bad}")
-        ends = accumulate(b.shape[-1] for b in povm)
-        blocks = tuple(factor[..., end - b.shape[-1]:end] for b, end in zip(povm, ends))
-        vars(self).update(
-            state=(weights, vectors),
-            unitaries=unitaries,
-            povm=blocks,
-            povm_factor=factor,
-            outcome_labels=labels,
-        )
+        vars(self).update(state=state, unitaries=unitaries, povm=povm, outcome_labels=labels)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -161,8 +153,7 @@ class QuantumAlgorithm:
         vars(view).update(
             state=tuple(a[index] for a in self.state),
             unitaries=self.unitaries[index],
-            povm=tuple(b[index] for b in self.povm),
-            povm_factor=self.povm_factor[index],
+            povm=(self.povm[0], self.povm[1][index]),
         )
         return view
 
@@ -176,22 +167,21 @@ class QuantumAlgorithm:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.povm)
+        return len(self.povm[0])
 
 
-def _validated(dim: int, weights, vectors, unitaries, povm) -> tuple[np.ndarray, ...]:
-    """(weights, vectors, unitaries, stacked POVM factor), checked for one
-    algorithm or a batch at once."""
+def _validated(dim: int, weights, vectors, unitaries, ranks, factor) -> tuple:
+    """(state, unitaries, POVM), checked for one algorithm or a batch at once."""
     weights, vectors = validate_density_matrix(weights, vectors)
     if vectors.shape[-2] != dim:
         raise ValueError(f"state vectors have dimension {vectors.shape[-2]}, expected {dim}")
     unitaries = validate_unitary(unitaries)
     if unitaries.shape[-2:] != (dim, dim):
         raise ValueError(f"unitaries have shape {unitaries.shape[-2:]}, expected {(dim, dim)}")
-    factor = validate_povm(povm)
+    ranks, factor = validate_povm(ranks, factor)
     if factor.shape[-2] != dim:
         raise ValueError(f"POVM dimension {factor.shape[-2]} does not match {dim}")
-    return weights, vectors, unitaries, factor
+    return (weights, vectors), unitaries, (ranks, factor)
 
 
 # Complex entries one batch of algorithms may hold in a run, bounding
@@ -291,9 +281,10 @@ def run(alg: QuantumAlgorithm, tables) -> RunResult:
         columns = alg.unitaries[..., i, :, :] @ columns.reshape(*batch, dim, n_tables * rank)
         columns = columns.reshape(*batch, dim, n_tables, rank)
     flat = np.ascontiguousarray(columns).reshape(*batch, dim, n_tables * rank)
-    amplitudes = np.swapaxes(alg.povm_factor.conj(), -1, -2) @ flat  # (..., M, T*R)
+    ranks, factor = alg.povm
+    amplitudes = np.swapaxes(factor.conj(), -1, -2) @ flat  # (..., M, T*R)
     squares = amplitudes.real**2 + amplitudes.imag**2
-    sizes = np.array([b.shape[-1] for b in alg.povm])
+    sizes = np.array(ranks)
     starts = np.cumsum(sizes) - sizes
     expect = np.zeros((*batch, n_outcomes, n_tables * rank))
     measured = sizes > 0  # reduceat would copy a row into an empty segment
@@ -444,18 +435,20 @@ def random_algorithm(
 
 
 def algorithm_to_json(alg: QuantumAlgorithm) -> dict:
-    """The algorithm with its state and POVM elements written as dense matrices."""
+    """The algorithm with its state and POVM elements written as dense
+    matrices, each element from its column block B_s of the POVM factor."""
     if alg.batch_shape:
         raise ValueError("algorithm_to_json writes one algorithm; index the batch first")
     labels = alg.outcome_labels
     weights, vectors = alg.state
+    blocks = np.split(alg.povm[1], np.cumsum(alg.povm[0])[:-1], axis=-1)
     return {
         "x_dim": alg.x_dim,
         "group": group_to_json(alg.group),
         "z_dim": alg.z_dim,
         "rho0": matrix_to_json((vectors * weights) @ vectors.conj().T),
         "unitaries": [matrix_to_json(u) for u in alg.unitaries],
-        "povm": [matrix_to_json(b @ b.conj().T) for b in alg.povm],
+        "povm": [matrix_to_json(b @ b.conj().T) for b in blocks],
         "labels": None if labels is None else {str(s): j for s, j in labels.items()},
     }
 

@@ -92,9 +92,10 @@ def _accept_set(alg) -> list[int]:
 
 def _draws_sha256(algorithms: QuantumAlgorithm) -> str:
     """Short SHA-256 of each algorithm's factor arrays, in draw order: the
-    state's weights and vectors, the unitaries and the POVM factors, read
-    as rows of the batch's arrays."""
-    arrays = (*algorithms.state, algorithms.unitaries, *algorithms.povm)
+    state's weights and vectors, the unitaries and the POVM factor of each
+    outcome, read as rows of the batch's arrays."""
+    blocks = np.split(algorithms.povm[1], np.cumsum(algorithms.povm[0])[:-1], axis=-1)
+    arrays = (*algorithms.state, algorithms.unitaries, *blocks)
     digest = hashlib.sha256()
     for a in range(len(algorithms)):
         for array in arrays:
@@ -214,7 +215,7 @@ def _shamir(bundle: BundleRun) -> dict:
 def _degree_bound(bundle: BundleRun) -> dict:
     worst = 0.0
     for _, polys in bundle.compile_cubes:
-        stray = to_fourier(polys).coeffs[:, np.bitwise_count(np.arange(1 << polys.n)) > 2]
+        stray = to_fourier(polys)[:, np.bitwise_count(np.arange(1 << polys.n)) > 2]
         worst = max(worst, np.abs(stray).max(initial=0.0))
     return {
         "claim": "1-query acceptance polynomials have degree at most 2",

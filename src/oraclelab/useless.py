@@ -368,7 +368,7 @@ def _trial_posteriors(
     drawn."""
     trial = 0
     for extra in extras:
-        rank, width = extra.state[0].shape[-1], extra.povm_factor.shape[-1]
+        rank, width = extra.state[0].shape[-1], extra.povm[1].shape[-1]
         size = stack_capacity(extra.dim, queries, rank, width, problem.size)
         for start in range(0, len(extra), size):
             stop = min(start + size, len(extra))

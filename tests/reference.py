@@ -399,11 +399,23 @@ def per_element_algorithm_from_json(data):
         z_dim=int_from_json(data["z_dim"]),
         state=per_matrix_factor(per_entry_matrix(data["rho0"]), "density matrix"),
         unitaries=tuple(per_entry_matrix(u) for u in data["unitaries"]),
-        povm=tuple(_per_element_povm(data["povm"])),
+        povm=povm_of_blocks(_per_element_povm(data["povm"])),
         outcome_labels=None
         if labels is None
         else {int_from_text(s, "outcome label key"): j for s, j in labels.items()},
     )
+
+
+def povm_of_blocks(blocks):
+    """The POVM (ranks, B) of per-outcome factors B_s, each (..., d, r_s)."""
+    blocks = list(blocks)
+    return tuple(b.shape[-1] for b in blocks), np.concatenate(blocks or [np.empty((0, 0))], axis=-1)
+
+
+def povm_blocks(povm):
+    """The per-outcome factors B_s of a POVM (ranks, B): column blocks of B."""
+    ranks, factor = povm
+    return np.split(factor, np.cumsum(ranks)[:-1], axis=-1)
 
 
 def _per_element_povm(elements):

@@ -161,7 +161,7 @@ def test_criterion_7_degree_bound():
         qhat = to_fourier(acceptance_polynomial(alg, _accept(alg)))
         for mask in range(1 << n):
             if bin(mask).count("1") > 2:
-                worst = max(worst, abs(float(qhat.coeffs[mask])))
+                worst = max(worst, abs(float(qhat[mask])))
     _verdict(7, worst < 1e-8, f"40 one-query algorithms: max coefficient beyond degree 2 = {worst:.3e}")
 
 
@@ -272,7 +272,7 @@ def test_criterion_10_rerun_draws_its_own_algorithms(monkeypatch, only):
         if first < 50:  # every batch drawn ends at a multiple of 50 or below it
             return batch
         shape = (len(batch), batch.dim)
-        blind = (np.zeros((*shape, 0)), np.broadcast_to(np.eye(batch.dim), (*shape, batch.dim)))
+        blind = ((0, batch.dim), np.broadcast_to(np.eye(batch.dim), (*shape, batch.dim)))
         return dataclasses.replace(batch, povm=blind, outcome_labels=None)
 
     monkeypatch.setattr(reproduce, "random_algorithm", drifting)

@@ -21,7 +21,14 @@ from oraclelab.algebra import (
     validate_povm,
     validate_unitary,
 )
-from reference import CONFIGURED_GROUPS, group_add, group_decode, group_encode, unitary_defect
+from reference import (
+    CONFIGURED_GROUPS,
+    group_add,
+    group_decode,
+    group_encode,
+    povm_blocks,
+    unitary_defect,
+)
 
 def test_group_add_examples():
     z23 = (2, 3)
@@ -117,11 +124,11 @@ def _ingest_state(rho):
 
 def _ingest_povm(elements):
     """Dense POVM elements through the factoring a file read takes, then checked."""
-    return validate_povm(povm_from_dense(elements))
+    return validate_povm(*povm_from_dense(elements))
 
 
-def _projectors(factors):
-    return [b @ b.conj().T for b in factors]
+def _projectors(povm):
+    return [b @ b.conj().T for b in povm_blocks(povm)]
 
 
 def test_random_povm_single_outcome_is_identity():
@@ -151,24 +158,16 @@ def test_random_povm_rank_one_orthogonal():
 
 @pytest.mark.parametrize("seeds", [11, np.array([11, 12, 13])], ids=["one-seed", "three-seeds"])
 def test_random_povm_splits_one_unitary_as_array_split_does(seeds):
-    # the first dim % n blocks are one column wider, and all are views of one unitary
-    def owner(array):
-        while array.base is not None:
-            array = array.base
-        return array
-
+    # the first dim % n outcomes are one column wider, and B is the unitary itself
     u = random_unitary(5, seeds)
-    blocks = random_povm(5, 3, seeds)
-    assert [b.shape[-1] for b in blocks] == [2, 2, 1]
-    assert all(b.shape[:-1] == u.shape[:-1] for b in blocks)
-    for block, columns in zip(blocks, (slice(0, 2), slice(2, 4), slice(4, 5))):
-        assert block.tobytes() == u[..., columns].tobytes()
-        assert owner(block) is owner(blocks[0])
+    ranks, factor = random_povm(5, 3, seeds)
+    assert ranks == (2, 2, 1) == tuple(b.shape[-1] for b in np.array_split(u, 3, axis=-1))
+    assert factor.shape == u.shape and factor.tobytes() == u.tobytes()
 
 
 def test_random_povm_validates():
     for dim, n, seed in [(4, 2, 0), (5, 3, 1), (6, 6, 2)]:
-        validate_povm(random_povm(dim, n, seed))
+        validate_povm(*random_povm(dim, n, seed))
     with pytest.raises(ValueError):
         random_povm(2, 3, 0)
 
@@ -238,7 +237,7 @@ TOL_NUM_CHECKS = {
         [np.array([[0.5, e], [0, 0.5]]), np.array([[0.5, -e], [0, 0.5]])]
     ),
     "povm-sum": lambda e: _ingest_povm([np.diag([1 + e, 0]), np.diag([0, 1])]),
-    "povm-factor-sum": lambda e: validate_povm([np.array([[1], [e]]), np.array([[0], [1]])]),
+    "povm-factor-sum": lambda e: validate_povm((1, 1), np.array([[1, 0], [e, 1]])),
 }
 
 

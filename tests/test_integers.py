@@ -17,10 +17,16 @@ from oraclelab.algebra import (
     random_povm,
     random_pure_state,
     random_unitary,
+    validate_povm,
 )
 from oraclelab.errors import CapacityError
-from oraclelab.gallery import deutsch
-from oraclelab.polycompile import classical_output_prob, compile_classical
+from oraclelab.gallery import deutsch, pairwise_parity, parity_with_padding
+from oraclelab.polycompile import (
+    CompiledClassicalAlgorithm,
+    classical_output_prob,
+    compile_classical,
+    compiled_to_json,
+)
 from oraclelab.problems import (
     LearningProblem,
     event_indices,
@@ -51,9 +57,19 @@ def _algorithm_text(alg):
     return json.dumps(algorithm_to_json(alg))
 
 
+def _compiled_text(compiled):
+    return json.dumps(compiled_to_json(compiled))
+
+
 def _bytes(arrays):
     """A draw's arrays as bytes, which compare by value."""
     return [a.tobytes() for a in arrays]
+
+
+def _povm_bytes(povm):
+    """A POVM's ranks, and its factor as bytes."""
+    ranks, factor = povm
+    return ranks, factor.tobytes()
 
 
 # Each reads one integer v; where 3 or 2^65 is outside its range it raises
@@ -83,9 +99,10 @@ ENTRY_POINTS = {
     "falsifier seed": lambda v: dataclasses.asdict(quantum_useless_falsify(make_parity(2), 1, 1, v)),
     "unitary dim": lambda v: _bytes([random_unitary(v, 1)]),
     "unitary seed": lambda v: _bytes([random_unitary(2, v)]),
-    "povm dim": lambda v: _bytes(random_povm(v, 1, 1)),
-    "povm n_outcomes": lambda v: _bytes(random_povm(3, v, 1)),
-    "povm seed": lambda v: _bytes(random_povm(2, 2, v)),
+    "povm dim": lambda v: _povm_bytes(random_povm(v, 1, 1)),
+    "povm n_outcomes": lambda v: _povm_bytes(random_povm(3, v, 1)),
+    "povm seed": lambda v: _povm_bytes(random_povm(2, 2, v)),
+    "povm rank": lambda v: _povm_bytes(validate_povm((v, 1), np.eye(4))),
     "state dim": lambda v: _bytes(random_pure_state(v, 1)),
     "state seed": lambda v: _bytes(random_pure_state(2, [0, v])),
 }
@@ -105,6 +122,17 @@ SIZES = {
     "random z_dim": lambda v: _algorithm_text(random_algorithm(1, cyclic(2), v, 0, 1)),
     "random queries": lambda v: _algorithm_text(random_algorithm(1, cyclic(2), 1, v, 1)),
     "random seed": lambda v: _algorithm_text(random_algorithm(1, cyclic(2), 1, 0, v)),
+    "sampler n": lambda v: _compiled_text(CompiledClassicalAlgorithm(v, 1, 1.0, ((1, 1.0, 1),))),
+    "sampler queries": lambda v: _compiled_text(
+        CompiledClassicalAlgorithm(3, v, 1.0, ((0b11, 1.0, 1),))
+    ),
+    "sampler mask": lambda v: _compiled_text(CompiledClassicalAlgorithm(2, 1, 1.0, ((v, 1.0, 1),))),
+    "sampler sign": lambda v: _compiled_text(CompiledClassicalAlgorithm(2, 1, 1.0, ((1, 1.0, v),))),
+    "pairwise_parity n": lambda v: _algorithm_text(pairwise_parity(v)),
+    "parity_with_padding n": lambda v: [
+        _problem_text(parity_with_padding(v)[0]),
+        _algorithm_text(parity_with_padding(v)[1]),
+    ],
 }
 
 
@@ -160,6 +188,13 @@ def test_every_entry_point_reads_integers_by_the_rule(entry, value):
         (lambda: trial_seeds(True, 2), True),
         (lambda: trial_seeds(2, 2.5), 2.5),
         (lambda: classical_useless(make_parity(2), 2.5), 2.5),
+        (lambda: CompiledClassicalAlgorithm(True, 1, 1.0, ((1, 1.0, 1),)), True),
+        (lambda: CompiledClassicalAlgorithm(2, 0.5, 1.0, ((1, 1.0, 1),)), 0.5),
+        (lambda: CompiledClassicalAlgorithm(2, 1, 1.0, ((True, 1.0, 1),)), True),
+        (lambda: CompiledClassicalAlgorithm(2, 1, 1.0, ((1, 1.0, True),)), True),
+        (lambda: pairwise_parity("4"), "4"),
+        (lambda: parity_with_padding(3.5), 3.5),
+        (lambda: validate_povm((1.5, 2.5), np.eye(4)), 1.5),
     ],
     ids=[
         "cyclic",
@@ -175,11 +210,26 @@ def test_every_entry_point_reads_integers_by_the_rule(entry, value):
         "trial seed",
         "trial count",
         "classical k",
+        "sampler n",
+        "sampler queries",
+        "sampler mask",
+        "sampler sign",
+        "pairwise_parity n",
+        "parity_with_padding n",
+        "povm rank",
     ],
 )
 def test_non_integers_are_refused_not_truncated(read, value):
     with pytest.raises(ValueError, match=f"expected an integer, got {re.escape(repr(value))}"):
         read()
+
+
+def test_whole_floats_are_read_as_the_integers_they_name():
+    # in the sampler a float would reach a bit shift and a popcount
+    floats = CompiledClassicalAlgorithm(2.0, 1.0, 1.0, ((1.0, 1.0, -1.0),))
+    ints = CompiledClassicalAlgorithm(2, 1, 1.0, ((1, 1.0, -1),))
+    assert _compiled_text(floats) == _compiled_text(ints)
+    assert _algorithm_text(pairwise_parity(4.0)) == _algorithm_text(pairwise_parity(4))
 
 
 @pytest.mark.parametrize("value", [2.5, True, None, "3"], ids=repr)

@@ -11,21 +11,21 @@ from oraclelab.algebra import TOL_NUM, cyclic, matrix_to_json, random_povm, rand
 from oraclelab.gallery import entries
 from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
 
-from reference import per_element_algorithm_from_json
+from reference import per_element_algorithm_from_json, povm_blocks
 
 Z2 = cyclic(2)
 
 
 def _arrays(alg):
     weights, vectors = alg.state
-    return [weights, vectors, alg.unitaries, alg.povm_factor, *alg.povm]
+    return [weights, vectors, alg.unitaries, alg.povm[1], *povm_blocks(alg.povm)]
 
 
 def _assert_read_alike(data):
     ours, oracle = algorithm_from_json(data), per_element_algorithm_from_json(data)
     for a, b in zip(_arrays(ours), _arrays(oracle), strict=True):
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert ours.outcome_labels == oracle.outcome_labels
+    assert ours.povm[0] == oracle.povm[0] and ours.outcome_labels == oracle.outcome_labels
 
 
 def _with(data=None, rho0=None, povm=None):
@@ -59,7 +59,7 @@ def test_random_algorithms_read_as_the_oracle_reads(n, queries, z_dim):
 def test_rank_above_one_zero_element_and_tiny_negative_eigenvalues_read_as_the_oracle_reads():
     u = random_unitary(4, 11)
     mixed = u @ np.diag([0.5, 0.3, 0.2, 0.0]) @ u.conj().T
-    coarse = _projectors(random_povm(4, 2, 12))  # two rank-2 projectors
+    coarse = _projectors(povm_blocks(random_povm(4, 2, 12)))  # two rank-2 projectors
     _assert_read_alike(_with(rho0=mixed, povm=coarse))
     _assert_read_alike(_with(povm=[*coarse, np.zeros((4, 4))]))
     e = TOL_NUM / 2
@@ -67,7 +67,7 @@ def test_rank_above_one_zero_element_and_tiny_negative_eigenvalues_read_as_the_o
     _assert_read_alike(_with(rho0=np.diag([1.0 + e, -e, 0.0, 0.0]), povm=tolerated))
     alg = algorithm_from_json(_with(rho0=np.diag([1.0 + e, -e, 0.0, 0.0]), povm=tolerated))
     assert alg.state[0].tolist() == [-e, 1.0 + e]  # the signed weight is kept
-    assert [b.shape[1] for b in alg.povm] == [2, 2]  # the povm's is dropped
+    assert alg.povm[0] == (2, 2)  # the povm's is dropped
 
 
 def _edited(edit, data=None):

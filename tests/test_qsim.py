@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -43,6 +44,7 @@ from reference import (
     one_seed_state,
     one_seed_unitary,
     per_matrix_factor,
+    povm_blocks,
 )
 
 
@@ -164,12 +166,38 @@ def test_run_measures_zero_elements_as_zero():
     # must still give it probability 0, first or last
     alg = deutsch()
     zero = np.zeros((4, 4))
-    even, odd = (_product(b) for b in alg.povm)
+    even, odd = (_product(b) for b in povm_blocks(alg.povm))
     povm = [zero, even, zero, odd, zero]
     ingested = _dense_algorithm(2, cyclic(2), 1, _density(alg.state), alg.unitaries, povm)
-    assert [b.shape[1] for b in ingested.povm] == [0, 2, 0, 2, 0]
+    assert ingested.povm[0] == (0, 2, 0, 2, 0)
     probs = run(ingested, [(0, 1), (1, 1)]).outcome_probs
     assert np.abs(probs - [[0, 0, 0, 1, 0], [0, 1, 0, 0, 0]]).max() < 1e-12
+
+
+def test_a_zero_rank_outcome_in_the_middle_reads_probability_zero():
+    alg = deutsch()
+    (even_rank, odd_rank), factor = alg.povm
+    middle = dataclasses.replace(alg, povm=((even_rank, 0, odd_rank), factor), outcome_labels=None)
+    probs = run(middle, [(0, 1), (1, 1)]).outcome_probs
+    assert np.abs(probs - [[0, 0, 1], [1, 0, 0]]).max() < 1e-12
+
+
+def test_drawing_and_running_an_algorithm_neither_splits_nor_joins_its_povm(monkeypatch):
+    # seeding joins integer arrays of its own; no complex array is joined or split
+    def refused(name):
+        original = getattr(np, name)
+
+        def wrapper(arrays, *args, **kwargs):
+            items = arrays if isinstance(arrays, (list, tuple)) else [arrays]
+            assert not any(np.iscomplexobj(a) for a in items), f"np.{name} ran on a complex array"
+            return original(arrays, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("array_split", "split", "concatenate", "hstack"):
+        monkeypatch.setattr(np, name, refused(name))
+    algs = random_algorithm(2, cyclic(2), 1, 1, [0, 1])
+    assert run(algs, [(0, 1)]).outcome_probs.shape == (2, 1, 4)
 
 
 def test_run_deutsch_identifies_parity():
@@ -212,7 +240,7 @@ def test_run_matches_dense_reference(factors, x_dim, z_dim):
     dim = x_dim * group.order * z_dim
     seed = 100 * x_dim + 10 * z_dim + group.order
     unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(3))
-    povm = [_product(b) for b in random_povm(dim, min(dim, 5), seed)]
+    povm = [_product(b) for b in povm_blocks(random_povm(dim, min(dim, 5), seed))]
     tables = list(product(range(group.order), repeat=x_dim))
     # the whole stack runs at once; every table of stacks up to 27 is
     # compared, and an evenly spaced third or less of the larger ones
@@ -235,7 +263,7 @@ def test_run_matches_dense_reference_at_dim_ceiling():
     state, povm = random_pure_state(MAX_DIM, 1), random_povm(MAX_DIM, 4, 3)
     alg = QuantumAlgorithm(4, group, z_dim, state, (random_unitary(MAX_DIM, 2),), povm)
     assert alg.dim == MAX_DIM
-    rho0, dense_povm = _density(state), [_product(b) for b in povm]
+    rho0, dense_povm = _density(state), [_product(b) for b in povm_blocks(povm)]
     tables = [(0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 1, 1)]
     res = run(alg, tables)
     for t, f in enumerate(tables):
@@ -249,11 +277,11 @@ def test_run_names_first_table_with_broken_distribution():
     # its factor by 1/sqrt(2), leaves the even-parity tables summing to 1
     # and the odd ones to 1/2
     alg = deutsch()
-    even, odd = alg.povm
-    object.__setattr__(alg, "povm_factor", np.hstack((even, odd / np.sqrt(2))))
+    ranks, (even, odd) = alg.povm[0], povm_blocks(alg.povm)
+    object.__setattr__(alg, "povm", (ranks, np.hstack((even, odd / np.sqrt(2)))))
     with pytest.raises(ArithmeticError, match=r"table 1 \[0, 1\] sum to 0\.(5|49)"):
         run(alg, [(0, 0), (0, 1), (1, 0)])
-    object.__setattr__(alg, "povm_factor", np.hstack((even, odd * np.sqrt(2))))
+    object.__setattr__(alg, "povm", (ranks, np.hstack((even, odd * np.sqrt(2)))))
     with pytest.raises(ArithmeticError, match=r"outside \[0,1\] on table 1 \[0, 1\]"):
         run(alg, [(0, 0), (0, 1), (1, 0)])
 
@@ -281,7 +309,7 @@ def test_joint_distribution_single_outcome_povm_recovers_prior():
         1,
         random_pure_state(dim, 3),
         (np.eye(dim, dtype=complex),),
-        (np.eye(dim, dtype=complex),),
+        ((dim,), np.eye(dim, dtype=complex)),
     )
     table = joint_distribution(alg, problem)
     assert table.shape == (2, 1)
@@ -364,7 +392,7 @@ def _dense_trial(problem, queries, seed, empty_element=False):
     extra zero element."""
     dim = problem.domain_size * problem.group.order
     rho0 = _initial_states(dim, seed)[1]
-    povm = [_product(b) for b in random_povm(dim, dim - 1, seed + 1)]
+    povm = [_product(b) for b in povm_blocks(random_povm(dim, dim - 1, seed + 1))]
     if empty_element:
         povm.insert(2, np.zeros((dim, dim)))
     unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(queries))
@@ -384,7 +412,7 @@ def test_joint_distribution_matches_dense_reference(make, queries):
 def test_outcome_posteriors_empty_element_is_nan_with_probability_zero():
     problem = _relabelled_parity_3()
     alg, _, _ = _dense_trial(problem, 1, seed=5, empty_element=True)
-    assert alg.povm[2].shape[1] == 0
+    assert alg.povm[0][2] == 0
     probs, posteriors = outcome_posteriors(alg, problem)
     assert probs[2] == 0.0
     assert np.isnan(posteriors[:, 2]).all()
@@ -399,7 +427,7 @@ def test_falsifier_witness_matches_dense_reference(make, queries):
     trials = [_dense_trial(problem, queries, seed, empty_element=True) for seed in (11, 12)]
     for s in trial_seeds(7, 1):
         alg = random_algorithm(problem.domain_size, problem.group, 1, queries, s)
-        trials.append((alg, _density(alg.state), [_product(b) for b in alg.povm]))
+        trials.append((alg, _density(alg.state), [_product(b) for b in povm_blocks(alg.povm)]))
     report = quantum_useless_falsify(
         problem, queries, trials=1, seed=7, extra_algorithms=[alg for alg, _, _ in trials[:2]]
     )
@@ -431,7 +459,7 @@ def test_success_probability_guess_majority():
         1,
         random_pure_state(dim, 1),
         (),
-        (np.eye(dim, dtype=complex),),
+        ((dim,), np.eye(dim, dtype=complex)),
         outcome_labels={0: 0},  # always answer "even image"
     )
     assert success_probability(alg, problem) == pytest.approx(2 / 3, abs=1e-12)
@@ -460,7 +488,7 @@ def test_algorithm_problem_mismatch_detected():
 
 def test_quantum_algorithm_validates_operators():
     with pytest.raises(ValueError, match="trace"):  # rho0 trace wrong
-        QuantumAlgorithm(1, cyclic(2), 1, (np.ones(2), np.eye(2)), (), (np.eye(2, dtype=complex),))
+        QuantumAlgorithm(1, cyclic(2), 1, (np.ones(2), np.eye(2)), (), ((2,), np.eye(2, dtype=complex)))
     with pytest.raises(ValueError):  # non-unitary evolution
         QuantumAlgorithm(
             1,
@@ -468,10 +496,10 @@ def test_quantum_algorithm_validates_operators():
             1,
             random_pure_state(2, 0),
             (np.array([[1, 1], [0, 1]], dtype=complex),),
-            (np.eye(2, dtype=complex),),
+            ((2,), np.eye(2, dtype=complex)),
         )
     with pytest.raises(ValueError, match="identity"):  # POVM incomplete
-        QuantumAlgorithm(1, cyclic(2), 1, random_pure_state(2, 0), (), (np.array([[1.0], [0.0]]),))
+        QuantumAlgorithm(1, cyclic(2), 1, random_pure_state(2, 0), (), ((1,), np.array([[1.0], [0.0]])))
     with pytest.raises(ValueError):  # label on a missing outcome
         QuantumAlgorithm(
             1,
@@ -479,7 +507,7 @@ def test_quantum_algorithm_validates_operators():
             1,
             random_pure_state(2, 0),
             (),
-            (np.eye(2, dtype=complex),),
+            ((2,), np.eye(2, dtype=complex)),
             outcome_labels={1: 0},
         )
 
@@ -516,9 +544,9 @@ def test_algorithm_json_round_trip():
     # refactored on read: equal as matrices, with the rank cutoff keeping
     # one column per rank-1 element and one vector for the pure state
     assert len(again.state[0]) == 1
-    assert [b.shape[1] for b in again.povm] == [1] * alg.dim
+    assert again.povm[0] == (1,) * alg.dim
     assert np.abs(_density(again.state) - _density(alg.state)).max() < 1e-12
-    for b, c in zip(alg.povm, again.povm):
+    for b, c in zip(povm_blocks(alg.povm), povm_blocks(again.povm)):
         assert np.abs(_product(b) - _product(c)).max() < 1e-12
     tables = list(product(range(2), repeat=2))
     probs, again_probs = run(alg, tables).outcome_probs, run(again, tables).outcome_probs
@@ -530,7 +558,7 @@ def test_algorithm_json_round_trip():
 
 
 def _arrays(alg):
-    return [*alg.state, *alg.unitaries, *alg.povm]
+    return [*alg.state, *alg.unitaries, *povm_blocks(alg.povm)]
 
 
 def _batch(algs):
@@ -542,7 +570,7 @@ def _batch(algs):
         first.z_dim,
         tuple(np.stack(arrays) for arrays in zip(*(alg.state for alg in algs))),
         np.stack([alg.unitaries for alg in algs]),
-        tuple(np.stack(factors) for factors in zip(*(alg.povm for alg in algs))),
+        (first.povm[0], np.stack([alg.povm[1] for alg in algs])),
         first.outcome_labels,
     )
 
@@ -565,7 +593,7 @@ def test_random_algorithms_equal_the_one_seed_draws_bit_for_bit(x_dim, order, z_
             assert len(arrays) == len(_arrays(alg))
             for a, b in zip(_arrays(alg), arrays):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert alone.povm_factor.tobytes() == alg.povm_factor.tobytes()
+        assert alone.povm[0] == alg.povm[0] and alone.povm[1].tobytes() == alg.povm[1].tobytes()
         assert alg.outcome_labels == alone.outcome_labels == {s: s % 2 for s in range(alg.dim)}
 
 
@@ -601,7 +629,7 @@ def _stacks(draw):
         unitaries = tuple(random_unitary(dim, seed + 2 + i) for i in range(queries))
         state = (spectrum, basis[:, :rank])
         alg = QuantumAlgorithm(x_dim, group, z_dim, state, unitaries, povm)
-        stack.append((alg, _density(state), [_product(b) for b in povm]))
+        stack.append((alg, _density(state), [_product(b) for b in povm_blocks(povm)]))
     tables = list(product(range(group.order), repeat=x_dim))
     return stack, draw(st.lists(st.sampled_from(tables), min_size=1, max_size=6))
 
@@ -690,10 +718,10 @@ def test_a_batch_names_its_first_invalid_algorithm():
     assert str(batched.value) == f"algorithm 2: {alone.value}"
     with pytest.raises(ValueError, match=r"^algorithm 3: trace 2\.0 differs from 1"):
         QuantumAlgorithm(2, cyclic(2), 1, bad_state, algs.unitaries, algs.povm)
-    povm = [b.copy() for b in algs.povm]
-    povm[0][1] *= 2
+    ranks, factor = algs.povm[0], algs.povm[1].copy()
+    factor[1, :, :ranks[0]] *= 2
     with pytest.raises(ValueError, match=r"^algorithm 1: POVM does not sum to identity"):
-        QuantumAlgorithm(2, cyclic(2), 1, algs.state, algs.unitaries, povm)
+        QuantumAlgorithm(2, cyclic(2), 1, algs.state, algs.unitaries, (ranks, factor))
 
 
 def test_indexing_a_batch_gives_views_without_copying_or_validating(monkeypatch):
@@ -703,12 +731,13 @@ def test_indexing_a_batch_gives_views_without_copying_or_validating(monkeypatch)
         raise AssertionError("indexing validated again")
 
     def fields(alg):
-        return [*alg.state, alg.unitaries, alg.povm_factor, *alg.povm]
+        return [*alg.state, alg.unitaries, alg.povm[1], *povm_blocks(alg.povm)]
 
     monkeypatch.setattr(QuantumAlgorithm, "__post_init__", no_validation)
     for index, shape in ((1, ()), (-1, ()), (slice(1, 4), (3,)), (np.int64(2), ())):
         view = algs[index]
         assert view.batch_shape == shape and view.outcome_labels is algs.outcome_labels
+        assert view.povm[0] is algs.povm[0]
         for a, b in zip(fields(view), fields(algs)):
             assert np.shares_memory(a, b) and a.tobytes() == b[index].tobytes()
     one = algs[2]
@@ -728,11 +757,10 @@ def test_validate_povm_reads_the_stacked_factor_once(monkeypatch):
         return as_complex_matrix(data)
 
     monkeypatch.setattr(algebra, "as_complex_matrix", counted)
-    povm = random_povm(8, 8, 3)
-    factor = algebra.validate_povm(povm)
+    ranks, factor = random_povm(8, 8, 3)
+    assert algebra.validate_povm(ranks, factor) == (ranks, factor)
     assert read == [(8, 8)]
-    assert factor.tobytes() == np.hstack(povm).tobytes()
-    with pytest.raises(ValueError, match="POVM element 2 has 7 rows, expected 8"):
-        algebra.validate_povm([*povm[:2], povm[2][:7], *povm[3:]])
-    with pytest.raises(ValueError, match="POVM element 1: expected a 2-d matrix"):
-        algebra.validate_povm([povm[0], povm[1][:, 0]])
+    with pytest.raises(ValueError, match=r"POVM ranks \(1, 1\) sum to 2, but B has 8 columns"):
+        algebra.validate_povm((1, 1), factor)
+    with pytest.raises(ValueError, match="expected a 2-d matrix"):
+        algebra.validate_povm((1,), factor[:, 0])

@@ -32,7 +32,7 @@ STATE_4 = (np.ones(1), np.eye(4)[:, :1])  # a pure state of dimension 4 = 2 * |Z
 SHAMIR_WITHOUT_P = ["problem", "--gen", "shamir", "--degree", "1"]
 
 
-def _algorithm(state=STATE_4, unitaries=(), povm=(np.eye(4),), x_dim=2, z_dim=1):
+def _algorithm(state=STATE_4, unitaries=(), povm=((4,), np.eye(4)), x_dim=2, z_dim=1):
     return QuantumAlgorithm(x_dim, Z2, z_dim, state, unitaries, povm)
 
 
@@ -51,7 +51,7 @@ REFUSALS = {
         "unitaries have shape (2, 2), expected (4, 4)",
     ),
     "qsim-povm-dimension": (
-        lambda: _algorithm(povm=(np.eye(2),)),
+        lambda: _algorithm(povm=((2,), np.eye(2))),
         "POVM dimension 2 does not match 4",
     ),
     "qsim-x-dim": (lambda: _algorithm(x_dim=0), "x_dim and z_dim must be >= 1"),
@@ -95,7 +95,15 @@ REFUSALS = {
         lambda: validate_unitary(np.eye(2, 3)),
         "unitary must be square, got shape (2, 3)",
     ),
-    "algebra-empty-povm": (lambda: validate_povm(()), "a POVM needs at least one element"),
+    "algebra-empty-povm": (lambda: validate_povm((), np.eye(2)), "a POVM needs at least one element"),
+    "algebra-negative-povm-rank": (
+        lambda: validate_povm((3, -1), np.eye(2)),
+        "POVM ranks must be >= 0, got (3, -1)",
+    ),
+    "algebra-povm-ranks-sum": (
+        lambda: validate_povm((1, 2), np.eye(2)),
+        "POVM ranks (1, 2) sum to 3, but B has 2 columns",
+    ),
     "algebra-unitary-dim": (lambda: random_unitary(0, 1), "dim must be >= 1, got 0"),
     "algebra-povm-dim": (lambda: random_povm(0, 1, 1), "dim must be >= 1, got 0"),
     "algebra-state-dim": (lambda: random_pure_state(0, 1), "dim must be >= 1, got 0"),
