@@ -257,7 +257,7 @@ def classical_output_prob(compiled: CompiledClassicalAlgorithm, f: Sequence[int]
     for i, v in enumerate(f):  # one pass: read, check and place each bit
         bit = int_from_json(v)
         if bit not in (0, 1):
-            raise ValueError(f"table entries must be bits, got {[int_from_json(v) for v in f]}")
+            raise ValueError(f"table entries must be bits, got [{', '.join(map(str, f))}]")
         mask |= bit << i
     return float(compiled.output_probs[mask])
 

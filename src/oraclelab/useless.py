@@ -1,15 +1,18 @@
 """Uselessness certification and query lower bounds.
 
 Classical verdicts are exact: the checker reads the point-sets of the
-query budget's size in batches sized by class rows (about 2^12 rows first,
-then 8 times more a batch up to ``BATCH_ROW_BUDGET``), and sums the integer
-prior weight of each part in each group of rows sharing a point-set and a
-restricted table. Where a point-set's bins fit its rows and the prior's
+query budget's size in batches that grow 8-fold up to ``BATCH_ROW_BUDGET``
+rows, and sums the integer prior weight of each part in each group of rows
+sharing a point-set and a restricted table. Where a point-set's bins are
+at most ``COUNTED_BINS_PER_ROW`` = 8 times its rows and the prior's
 denominator squared is below 2^63, one ``np.bincount`` counts the batch,
-exact in float64; elsewhere one sort orders its rows and
-``np.add.reduceat`` sums each run (int64 while the denominator squared is
-below 2^63, Python ints above that). Each part's share of every group is compared with its prior
-by integer cross-multiplication. A check is charged on the table cells it
+exact in float64, and the first batch holds about 2^12 rows or bins;
+elsewhere one sort orders its rows and ``np.add.reduceat`` sums each run
+(int64 while the denominator squared is below 2^63, Python ints above
+that), and the first batch holds about 2^9 rows, one point-set of any
+class over 256 rows, so an early witness costs little on either path.
+Each part's share of every group is compared with its prior by integer
+cross-multiplication. A check is charged on the table cells it
 reads: a witness within ``MAX_TABLE_CELLS`` is reported whatever the
 worst case, and a scan that would pass the ceiling without one stops
 there. The largest useless k is found by full scans that close a bracket
@@ -51,13 +54,32 @@ from .qsim import (
 # k = 2: 0.4 s) or 0.7-1.6 s of sorting.
 MAX_TABLE_CELLS = 10**8
 
-# Rows of a scan's first batch of point-sets, so a witness among the first
-# point-sets costs one small batch; the later batches grow 8-fold up to
-# BATCH_ROW_BUDGET. On a 2-core box, a first batch of one point-set made
-# parity-4's max_useless_k slower (0.108 -> 0.143 ms median), and batches
-# of BATCH_ROW_BUDGET rows from the start made shamir-157-1's slower
-# (84 -> 121 ms).
+# Rows (or bins, where they are more) of a counted scan's first batch of
+# point-sets; a sorted scan's first batch holds an eighth as many rows, one
+# point-set of any class over 256 rows, as a sorted cell costs several
+# counted ones. So a witness among the first point-sets costs one small
+# batch; the later batches grow 8-fold up to BATCH_ROW_BUDGET. On a 2-core
+# box, a counted first batch of one point-set made parity-4's
+# max_useless_k slower (0.108 -> 0.143 ms median); a sorted one made full
+# scans of two tables on 16 points in one part 1.3-2.4 times as slow as a
+# first batch of 2^12 rows at k = 13-15, and one of 2^9 rows 0.98-1.13
+# times; and batches of BATCH_ROW_BUDGET rows from the start made
+# shamir-157-1's max_useless_k slower (84 -> 121 ms).
 FIRST_BATCH_ROWS = 2**12
+
+# Bins per row up to which a point-set's histogram is counted, not sorted:
+# a scan counts where P * |Y|^width <= COUNTED_BINS_PER_ROW * |C|. Chosen on
+# a 2-core box from random Boolean classes of |C| = 2-1024 rows at 1, 2, 4,
+# ..., 32 bins a row: counting a one-point-set batch took 0.52-0.90 of
+# sorting it up to 8 bins a row (and lost from 16 at |C| = 1024), and in
+# full batches counting took 0.09-0.78 of sorting up to 32 bins a row from
+# |C| = 8, but 0.77-1.13 at 8 bins a row where |C| = 2-4. 8 covers each
+# witness scan just past m in the benchmark: shamir-7-2 at k = 3 has 7 bins
+# a row. The bound is relative to |C|: an absolute max(|C|, 2^12) made two
+# tables on 16 points in one part 4-49 times slower at k = 8-12 (k = 11:
+# 8 -> 110 ms). Below 512 it keeps the bin codes under 2^31 (see
+# _first_violation).
+COUNTED_BINS_PER_ROW = 8
 
 # Rows one batch of point-sets may stack, bounding memory: a batch's table,
 # sort order, keys and histogram grow with it. Checking parity-11 at k = 6
@@ -108,15 +130,15 @@ CSV_HEADER = ["problem", "k", "verdict", "deviation", "witness"]
 def _counts(problem: LearningProblem, width: int) -> bool:
     """Whether a scan at ``width`` counts its batches, not sorts them: the
     table is not object, scale^2 < 2^63, and the bins of one point-set,
-    |Y|^width * P for P parts, are at most its |C| rows, so a batch's
-    histogram is never larger than the rows it counts. Past the bit length
-    of |C| a power of |Y| >= 2 exceeds |C| already, so a wide point-set
-    forms no wide power."""
-    size = problem.size
+    |Y|^width * P for P parts, are at most ``COUNTED_BINS_PER_ROW`` times
+    its |C| rows, so a counted batch's histogram is never more than 8 times
+    the rows it counts. Past the bit length of that bound a power of
+    |Y| >= 2 exceeds it already, so a wide point-set forms no wide power."""
+    bound = COUNTED_BINS_PER_ROW * problem.size
     return (
         problem.functions.dtype != object
         and problem.scale**2 < 2**63
-        and len(problem.part_masses) * problem.group.order ** min(width, size.bit_length()) <= size
+        and len(problem.part_masses) * problem.group.order ** min(width, bound.bit_length()) <= bound
     )
 
 
@@ -134,9 +156,12 @@ def _group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
     """(pairs of the first event on ``width`` points moving a part, or None;
     the point-sets read). Point-sets are read in ``combinations`` order, in
-    batches of rows: the first of about ``FIRST_BATCH_ROWS`` rows, each next
-    one 8 times the last, up to ``BATCH_ROW_BUDGET`` rows, and always at
-    least one point-set. A scan reads at most ``MAX_TABLE_CELLS`` table
+    batches that hold at least one point-set and grow 8-fold up to
+    ``BATCH_ROW_BUDGET`` rows: a counted batch is sized by a point-set's
+    rows or bins, whichever is more, from about ``FIRST_BATCH_ROWS``, and a
+    sorted one by its rows, from about ``FIRST_BATCH_ROWS`` / 8, so a
+    sorted witness in the first point-set of a class over 256 rows reads
+    that point-set alone. A scan reads at most ``MAX_TABLE_CELLS`` table
     cells, width * |C| a point-set: if it has found no witness when the next
     point-set would pass that, it raises ``CapacityError`` naming the width
     and the cells read. So the verdict, the witness and the count do not
@@ -155,9 +180,11 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     row's bin, (part, point-set, restricted table) in mixed radix with the
     part most significant, indexes one ``np.bincount`` of the float64
     weights. That sum is exact, as D^2 < 2^63 there: every weight and every
-    partial sum is an integer of at most D < 2^31.5 < 2^53. The bins are
-    below the batch's rows, at most max(BATCH_ROW_BUDGET, |C|) < 2^31, so
-    int32 holds them. Elsewhere ``_group_rows`` sorts a batch once by
+    partial sum is an integer of at most D < 2^31.5 < 2^53. A batch's bins
+    over all parts, like its rows, are at most max(BATCH_ROW_BUDGET,
+    ``COUNTED_BINS_PER_ROW`` * |C|) <= max(2^16, 8 * MAX_CLASS_CELLS) = 2^25,
+    so int32 holds every bin code (and would while the factor is below
+    512). Elsewhere ``_group_rows`` sorts a batch once by
     (point-set, restricted table, part). The point-set id and
     ``part_index`` are unsigned, so they stack beside a uint table without
     a float promotion (int64 beside uint64 would promote both to float64),
@@ -173,15 +200,18 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     if scale * scale < 2**63:
         weights, part_masses = weights.astype(np.int64), part_masses.astype(np.int64)
     counting = _counts(problem, width)
+    unit, first_rows = size, FIRST_BATCH_ROWS // 8  # of one point-set, and of a sorted first batch
     if counting:
         radix = problem.group.order
         tables = radix**width  # restricted tables of one point-set
         weights, part_offsets = weights.astype(np.float64), part_index.astype(np.int32)
+        # a counted point-set's rows or bins, whichever is more
+        unit, first_rows = max(size, len(part_masses) * tables), FIRST_BATCH_ROWS
     point_columns = np.ascontiguousarray(problem.functions.T)  # one row per point
     point_sets = combinations(range(problem.domain_size), width)
     # the point-sets the ceiling allows
     allowed = islice(point_sets, MAX_TABLE_CELLS // (width * size))
-    read, batch_size = 0, max(1, min(FIRST_BATCH_ROWS, BATCH_ROW_BUDGET) // size)
+    read, batch_size = 0, max(1, min(first_rows, BATCH_ROW_BUDGET) // unit)
     while batch := list(islice(allowed, batch_size)):
         points = np.array(batch, dtype=np.intp).T  # (width, batch size)
         restricted = point_columns[points].reshape(width, len(batch) * size)
@@ -219,7 +249,7 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
         if row is not None:
             return list(zip(batch[row // size], restricted[:, row].tolist())), read + row // size + 1
         read += len(batch)
-        batch_size = min(8 * batch_size, max(1, BATCH_ROW_BUDGET // size))
+        batch_size = min(8 * batch_size, max(1, BATCH_ROW_BUDGET // unit))
     if next(point_sets, None) is not None:
         raise CapacityError(
             f"classical check at k' = {width} read {width * read * size} table cells "

@@ -209,9 +209,12 @@ def test_classical_output_prob_deutsch_inputs():
         classical_output_prob(compiled, (0,))
     with pytest.raises(ValueError, match=r"table entries must be bits, got \[0, 2\]"):
         classical_output_prob(compiled, (0, 2))
-    # a non-integer anywhere in the table is named before a non-bit is
+    # the first fault is named: a non-bit before a non-integer, and the
+    # reverse; the message shows the entries as given
+    with pytest.raises(ValueError, match=r"table entries must be bits, got \[2, 0\.5\]"):
+        classical_output_prob(compiled, [2, 0.5])
     with pytest.raises(ValueError, match="expected an integer, got 1.5"):
-        classical_output_prob(compiled, (2, 1.5))
+        classical_output_prob(compiled, (1.5, 2))
 
 
 def test_bias_identity_across_pool():

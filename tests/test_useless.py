@@ -310,6 +310,14 @@ def _object_parity(n):
     return LearningProblem(n, cyclic(2**70), tables, parity.labels, parity.prior)
 
 
+def _one_part_tables(n):
+    """Two tables on n Boolean points that differ at the last one, in one
+    part: useless at every width."""
+    tables = np.zeros((2, n), dtype=np.uint8)
+    tables[1, -1] = 1
+    return LearningProblem(n, cyclic(2), tables, (0, 0), (Fraction(1, 2),) * 2)
+
+
 def test_each_batch_counts_once(monkeypatch):
     # 84 point-sets of 512 rows, 16 bins each: batches of 8, 64 and the last 12
     sorted_rows, counted_rows = _kernel_batches(monkeypatch)
@@ -317,23 +325,71 @@ def test_each_batch_counts_once(monkeypatch):
     assert (sorted_rows, counted_rows) == ([], [512 * b for b in (8, 64, 12)])
 
 
+def test_a_counted_batch_is_sized_by_its_bins(monkeypatch):
+    # 1820 point-sets of 2 rows and 16 bins: 2^12 // 16 = 256 point-sets,
+    # then the last 1564, as 2^16 // 16 = 4096 would fit
+    problem = _one_part_tables(16)
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    assert classical_useless(problem, 4).verdict == VERDICT_USELESS
+    assert (sorted_rows, counted_rows) == ([], [2 * b for b in (256, 1564)])
+
+
 def test_each_batch_sorts_once(monkeypatch):
-    # the same batches of an object table, which never counts
+    # the 84 point-sets of an object table, which never counts: a first
+    # batch of 2^12 / 8 rows, one point-set, then 8, 64 and the last 11
     problem = _object_parity(9)
     assert problem.functions.dtype == object
     sorted_rows, counted_rows = _kernel_batches(monkeypatch)
     assert classical_useless(problem, 3).verdict == VERDICT_USELESS
-    assert (sorted_rows, counted_rows) == ([512 * b for b in (8, 64, 12)], [])
+    assert (sorted_rows, counted_rows) == ([512 * b for b in (1, 8, 64, 11)], [])
 
 
-# (class, width, whether it counts): |Y|^width * P bins of a point-set equal
-# to |C| count and one more width sorts; so does a scale whose square passes
-# int64, and an object table
+def test_a_sorted_first_batch_holds_an_eighth_of_the_counted_rows(monkeypatch):
+    # 560 point-sets of 2 rows and 2^13 bins: 2^12 / 8 rows hold 256
+    # point-sets, and the next batch the last 304
+    problem = _one_part_tables(16)
+    assert not useless._counts(problem, 13)
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    assert classical_useless(problem, 13).verdict == VERDICT_USELESS
+    assert (sorted_rows, counted_rows) == ([2 * b for b in (256, 304)], [])
+
+
+@pytest.mark.parametrize(
+    "problem, width",
+    [(make_shamir(7, 2), 4), (make_shamir(11, 2), 4)],
+    ids=["shamir-7-2-k4", "shamir-11-2-k4"],
+)
+def test_a_sorted_witness_in_the_first_point_set_reads_one_point_set(monkeypatch, problem, width):
+    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    report = classical_useless(problem, width)
+    assert report.verdict == VERDICT_NOT_USELESS
+    assert report.detail["point_sets"] == 1
+    assert (sorted_rows, counted_rows) == ([problem.size], [])
+
+
+def _padded_parity_2(n):
+    """parity-2's four tables padded with n - 2 zero points: |C| = 4 and
+    P = 2, so a point-set's bins, 2^(width + 1), reach 8 * |C| at width 4."""
+    tables = np.zeros((4, n), dtype=np.uint8)
+    tables[:, :2] = list(product(range(2), repeat=2))
+    return LearningProblem(n, cyclic(2), tables, tables.sum(axis=1) % 2, (Fraction(1, 4),) * 4)
+
+
+# (class, width, whether it counts): |Y|^width * P bins of a point-set up to
+# COUNTED_BINS_PER_ROW * |C| count and one more width sorts, at the bound
+# itself (padded parity-2) and below it; parity-N counts at every width, as
+# 2^(N + 1) bins are 2 |C|; a scale whose square passes int64 sorts, and so
+# does an object table
 SWITCH_CASES = [
     pytest.param(make_parity(6), 5, True, id="parity-6-k5"),
-    pytest.param(make_parity(6), 6, False, id="parity-6-k6"),
+    pytest.param(make_parity(6), 6, True, id="parity-6-k6"),
     pytest.param(make_shamir(5, 2), 2, True, id="shamir-5-2-k2"),
-    pytest.param(make_shamir(5, 2), 3, False, id="shamir-5-2-k3"),
+    pytest.param(_padded_parity_2(6), 4, True, id="padded-parity-2-k4"),
+    pytest.param(_padded_parity_2(6), 5, False, id="padded-parity-2-k5"),
+    pytest.param(make_shamir(5, 2), 3, True, id="shamir-5-2-k3"),
+    pytest.param(make_shamir(5, 2), 4, False, id="shamir-5-2-k4"),
+    pytest.param(make_shamir(7, 2), 3, True, id="shamir-7-2-k3"),
+    pytest.param(make_shamir(7, 2), 4, False, id="shamir-7-2-k4"),
     pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[0]]), 1, True, id="scale-3037000499"),
     pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[1]]), 1, False, id="scale-3037000500"),
     pytest.param(_order_2_70_class(), 1, False, id="order-2-70-k1"),
@@ -346,9 +402,9 @@ def test_each_side_of_the_counting_switch_matches_the_dict_loop_scan(
     monkeypatch, problem, width, counts
 ):
     bins = len(problem.part_masses) * problem.group.order**width
+    bound = useless.COUNTED_BINS_PER_ROW * problem.size
     if problem.functions.dtype != object and problem.scale**2 < 2**63:
-        assert (bins <= problem.size) == counts
-        assert bins == (problem.size if counts else problem.size * problem.group.order)
+        assert (bins <= bound) == counts
     sorted_rows, counted_rows = _kernel_batches(monkeypatch)
     report = classical_useless(problem, width)
     assert (bool(counted_rows), bool(sorted_rows)) == (counts, not counts)
