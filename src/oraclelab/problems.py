@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,12 +58,16 @@ class LearningProblem:
     entry of ``functions`` and ``labels`` is read by ``int_from_json``, so 1.5,
     None or True is refused, not truncated; an integer ndarray is copied as it
     is. Duplicate tables are refused by one sort of a byte view of the
-    rows, an object table first coded to dense ints by one ``np.unique`` of
-    its entries. The prior is also held as Python-int ``weights`` over
-    ``scale`` and as floats. Row i is in part r = ``part_index[i]``, of
-    label ``part_labels()[r]`` and Python-int mass ``part_masses[r]`` over
-    ``scale``. ``weights`` and ``part_masses`` are object arrays of Python
-    ints, and ``part_index`` is unsigned."""
+    rows, an object or uint64 table first coded to dense ints by one
+    ``np.unique`` of its entries. The prior is also held as Python-int
+    ``weights`` over ``scale`` and as floats. Row i is in part r =
+    ``part_index[i]``, of label ``part_labels()[r]`` and Python-int mass
+    ``part_masses[r]`` over ``scale``. ``weights`` and ``part_masses`` are
+    object arrays of Python ints, and ``part_index`` is unsigned.
+
+    The exact classical check reads the class through inputs each built
+    once, on first use: ``point_codes``, ``code_radix``, ``exact_weights``
+    and ``exact_masses``."""
 
     domain_size: int
     group: FiniteAbelianGroup
@@ -75,6 +80,7 @@ class LearningProblem:
     float_prior: np.ndarray = field(init=False, repr=False)
     part_index: np.ndarray = field(init=False, repr=False)
     part_masses: np.ndarray = field(init=False, repr=False)
+    _codes: np.ndarray = field(init=False, repr=False)
     _part_labels: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,12 +103,15 @@ class LearningProblem:
             bad = tuple(functions[outside.argmax()].tolist())
             raise ValueError(f"function table {bad} has values outside [0, {order})")
         functions = functions.astype(np.min_scalar_type(order - 1))
-        if functions.dtype == object:  # coded to dense ints, so equal rows have equal bytes
-            rows = np.unique(functions, return_inverse=True)[1].reshape(functions.shape)
+        if functions.dtype == object or functions.dtype.itemsize == 8:
+            # coded to dense ints, so equal rows have equal bytes and the
+            # check's codes stay small
+            codes = np.unique(functions, return_inverse=True)[1].reshape(functions.shape)
+            codes = codes.astype(np.min_scalar_type(codes.max()))
         else:
-            rows = np.ascontiguousarray(functions)
+            codes = np.ascontiguousarray(functions)
         # a sort, not np.unique, which imports numpy.ma (about 1.4 MB) on its first call
-        keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * domain_size))).ravel())
+        keys = np.sort(codes.view(np.dtype((np.void, codes.itemsize * domain_size))).ravel())
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate function tables in the class")
         numerators = [w.numerator for w in prior]
@@ -118,7 +127,7 @@ class LearningProblem:
         part_index = part_index.astype(np.min_scalar_type(len(parts) - 1))
         part_masses = np.zeros(len(parts), dtype=object)
         np.add.at(part_masses, part_index, weights)
-        for array in (functions, labels, weights, float_prior, part_index, part_masses):
+        for array in (functions, labels, weights, float_prior, part_index, part_masses, codes):
             array.flags.writeable = False
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "functions", functions)
@@ -129,6 +138,7 @@ class LearningProblem:
         object.__setattr__(self, "float_prior", float_prior)
         object.__setattr__(self, "part_index", part_index)
         object.__setattr__(self, "part_masses", part_masses)
+        object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_part_labels", tuple(parts.tolist()))
 
     @property
@@ -138,8 +148,38 @@ class LearningProblem:
     def part_labels(self) -> tuple[int, ...]:
         return self._part_labels
 
+    @cached_property
+    def _part_prior(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(m, self.scale) for m in self.part_masses)
+
     def part_prior(self) -> dict[int, Fraction]:
-        return {j: Fraction(m, self.scale) for j, m in zip(self._part_labels, self.part_masses)}
+        """Each part's prior, by label: a new dict on each call."""
+        return dict(zip(self._part_labels, self._part_prior))
+
+    @cached_property
+    def point_codes(self) -> np.ndarray:
+        """The C-contiguous (|X|, |C|) transpose of the table, one row per
+        point, in codes below ``code_radix``: the table itself, or its dense
+        codes where it is object or uint64."""
+        codes = np.ascontiguousarray(self._codes.T)
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
+    def code_radix(self) -> int:
+        return max(2, int(self._codes.max()) + 1)
+
+    @cached_property
+    def exact_weights(self) -> np.ndarray:
+        """``weights`` in float64 while scale^2 < 2^63, where every sum of
+        weights is an integer of at most scale < 2^53; else ``weights``."""
+        return self.weights.astype(np.float64) if self.scale**2 < 2**63 else self.weights
+
+    @cached_property
+    def exact_masses(self) -> np.ndarray:
+        """``part_masses`` in int64 while scale^2 < 2^63, where every product
+        of two masses fits; else ``part_masses``."""
+        return self.part_masses.astype(np.int64) if self.scale**2 < 2**63 else self.part_masses
 
     def part_shares(self) -> list[float]:
         """Each part's prior as a float, rounded exactly as ``float(Fraction)`` is."""
@@ -203,12 +243,13 @@ def posterior_classical(
     undefined there, which is distinct from any arithmetic failure.
     """
     rows = list(event_indices(problem, transcript))
-    masses = np.zeros(len(problem.part_masses), dtype=object)
-    np.add.at(masses, problem.part_index[rows], problem.weights[rows])
-    total = masses.sum()
+    masses = [0] * len(problem.part_masses)
+    for r, w in zip(problem.part_index[rows].tolist(), problem.weights[rows].tolist()):
+        masses[r] += w
+    total = sum(masses)
     if total == 0:
         return None
-    return {j: Fraction(m, total) for j, m in zip(problem.part_labels(), masses.tolist())}
+    return {j: Fraction(m, total) for j, m in zip(problem.part_labels(), masses)}
 
 
 # ---------------------------------------------------------------------------

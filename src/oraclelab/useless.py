@@ -3,21 +3,16 @@
 Classical verdicts are exact: the checker reads the point-sets of the
 query budget's size in batches that grow 8-fold up to ``BATCH_ROW_BUDGET``
 rows, and sums the integer prior weight of each part in each group of rows
-sharing a point-set and a restricted table. Where a point-set's bins are
-at most ``COUNTED_BINS_PER_ROW`` = 8 times its rows and the prior's
-denominator squared is below 2^63, one ``np.bincount`` counts the batch,
-exact in float64, and the first batch holds about 2^12 rows or bins;
-elsewhere one sort orders its rows and ``np.add.reduceat`` sums each run
-(int64 while the denominator squared is below 2^63, Python ints above
-that), and the first batch holds about 2^9 rows, one point-set of any
-class over 256 rows, so an early witness costs little on either path.
-Each part's share of every group is compared with its prior by integer
-cross-multiplication. A check is charged on the table cells it
-reads: a witness within ``MAX_TABLE_CELLS`` is reported whatever the
-worst case, and a scan that would pass the ceiling without one stops
-there. The largest useless k is found by full scans that close a bracket
-at its cheaper end: one useless scan at m and one witness at m + 1
-certify it.
+sharing a point-set and a restricted table. One kernel reads every batch,
+at about 1-5 ns a table cell on a 2-core box: the rows' group codes take
+the table's columns as many at a time as int64 holds, are re-numbered
+densely between steps, and index one ``np.bincount``. Each part's share of
+every group is compared with its prior by integer cross-multiplication. A
+check is charged on the table cells it reads: a witness within
+``MAX_TABLE_CELLS`` is reported whatever the worst case, and a scan that
+would pass the ceiling without one stops there. The largest useless k is
+found by full scans that close a bracket at its cheaper end: one useless
+scan at m and one witness at m + 1 certify it.
 Quantum verdicts from sampling are one-sided: a deviation is a proof that
 queries leak information, while the absence of one across random trials is
 evidence only. The proof route for quantum uselessness is the classical
@@ -26,6 +21,7 @@ certificate: if 2q classical queries are useless, q quantum queries are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Sequence
@@ -48,42 +44,35 @@ from .qsim import (
 # Ceiling on the table cells an exact check reads, k' * |C| a point-set with
 # k' = min(k, |X|), counted as they are read; for max_useless_k, on each
 # scan on its own. On a 2-core box (CPython 3.11, numpy 2.4), parity-13 at
-# k = 7, shamir-19-3 at k = 3 and shamir-43-2 at k = 2 read 0.9-3.7 ns a cell
-# where a batch is counted and 7-16 ns where it is sorted, so a scan refused
-# at the ceiling exits after about 0.3-0.4 s of counting (shamir-43-2 at
-# k = 2: 0.4 s) or 0.7-1.6 s of sorting.
+# k = 7, shamir-19-3 at k = 3 and shamir-43-2 at k = 2 read 0.95-4.2 ns a
+# cell where a batch is counted, and 1.5-5.0 ns a cell where the same scans
+# are re-numbered, so a scan refused at the ceiling exits after about
+# 0.3-0.5 s (shamir-43-2 at k = 2: 0.42 s).
 MAX_TABLE_CELLS = 10**8
 
-# Rows (or bins, where they are more) of a counted scan's first batch of
-# point-sets; a sorted scan's first batch holds an eighth as many rows, one
-# point-set of any class over 256 rows, as a sorted cell costs several
-# counted ones. So a witness among the first point-sets costs one small
-# batch; the later batches grow 8-fold up to BATCH_ROW_BUDGET. On a 2-core
-# box, a counted first batch of one point-set made parity-4's
-# max_useless_k slower (0.108 -> 0.143 ms median); a sorted one made full
-# scans of two tables on 16 points in one part 1.3-2.4 times as slow as a
-# first batch of 2^12 rows at k = 13-15, and one of 2^9 rows 0.98-1.13
-# times; and batches of BATCH_ROW_BUDGET rows from the start made
-# shamir-157-1's max_useless_k slower (84 -> 121 ms).
+# Rows (or bins, where they are more) of a counted scan's first batch; any
+# other scan's first batch holds an eighth as many rows, one point-set of
+# any class over 256 rows. So a witness among the first point-sets costs
+# one small batch; later batches grow 8-fold up to BATCH_ROW_BUDGET. On a
+# 2-core box, a counted first batch of one point-set made parity-4's
+# max_useless_k slower (0.108 -> 0.143 ms); a first batch of 2^12 rows made
+# shamir-7-2's first-point-set witnesses at k = 4 and 5 6-8 times as slow
+# as one of 2^9 (0.10 -> 0.82 ms at k = 4); and batches of BATCH_ROW_BUDGET
+# rows from the start made shamir-157-1's max_useless_k slower (84 -> 121 ms).
 FIRST_BATCH_ROWS = 2**12
 
-# Bins per row up to which a point-set's histogram is counted, not sorted:
-# a scan counts where P * |Y|^width <= COUNTED_BINS_PER_ROW * |C|. Chosen on
-# a 2-core box from random Boolean classes of |C| = 2-1024 rows at 1, 2, 4,
-# ..., 32 bins a row: counting a one-point-set batch took 0.52-0.90 of
-# sorting it up to 8 bins a row (and lost from 16 at |C| = 1024), and in
-# full batches counting took 0.09-0.78 of sorting up to 32 bins a row from
-# |C| = 8, but 0.77-1.13 at 8 bins a row where |C| = 2-4. 8 covers each
-# witness scan just past m in the benchmark: shamir-7-2 at k = 3 has 7 bins
-# a row. The bound is relative to |C|: an absolute max(|C|, 2^12) made two
-# tables on 16 points in one part 4-49 times slower at k = 8-12 (k = 11:
-# 8 -> 110 ms). Below 512 it keeps the bin codes under 2^31 (see
-# _first_violation).
+# Codes per row that a batch's group codes may span before they are
+# re-numbered, and bins per row up to which one np.bincount sums each (part,
+# group); a scan is counted, never re-numbering, where a point-set's bins
+# are at most COUNTED_BINS_PER_ROW * |C| (see _counts). On a 2-core box,
+# counting the witness scans of shamir-5-2 and shamir-7-2 at k = 3 (5-7
+# bins a row) took 0.60-0.65 of re-numbering them, while a bound of 16 or
+# 32 made two tables on 16 points (|C| = 2) at k = 4-8 1.2-3 times as slow.
 COUNTED_BINS_PER_ROW = 8
 
-# Rows one batch of point-sets may stack, bounding memory: a batch's table,
-# sort order, keys and histogram grow with it. Checking parity-11 at k = 6
-# peaks at 33 MB RSS with 2^16 rows, and at 50 MB, and no faster, with 2^20.
+# Rows one batch of point-sets may stack, bounding memory: a batch's codes,
+# columns, weights and histogram grow with it. Checking parity-11 at k = 6
+# peaks at 31 MB RSS with 2^16 rows.
 BATCH_ROW_BUDGET = 2**16
 
 # Hilbert-space ceiling for the sampling falsifier. One parity-4 trial with
@@ -128,29 +117,97 @@ CSV_HEADER = ["problem", "k", "verdict", "deviation", "witness"]
 
 
 def _counts(problem: LearningProblem, width: int) -> bool:
-    """Whether a scan at ``width`` counts its batches, not sorts them: the
-    table is not object, scale^2 < 2^63, and the bins of one point-set,
-    |Y|^width * P for P parts, are at most ``COUNTED_BINS_PER_ROW`` times
-    its |C| rows, so a counted batch's histogram is never more than 8 times
-    the rows it counts. Past the bit length of that bound a power of
-    |Y| >= 2 exceeds it already, so a wide point-set forms no wide power."""
+    """Whether a scan at ``width`` is counted: one point-set's bins, P *
+    r^width for P parts and codes below r = ``code_radix``, are at most
+    ``COUNTED_BINS_PER_ROW`` times its |C| rows. Past the bound's bit length
+    a power of r >= 2 exceeds it already, so a wide point-set forms none."""
     bound = COUNTED_BINS_PER_ROW * problem.size
-    return (
-        problem.functions.dtype != object
-        and problem.scale**2 < 2**63
-        and len(problem.part_masses) * problem.group.order ** min(width, bound.bit_length()) <= bound
-    )
+    return len(problem.part_masses) * problem.code_radix ** min(width, bound.bit_length()) <= bound
 
 
-def _group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): the stable sorted row order of a uint or object
-    table, and where each run of equal rows begins in it. The table comes
-    as its C-contiguous (columns, rows) transpose, so that every gather and
-    compare runs along a contiguous key."""
-    order = np.lexsort(columns[::-1])
-    ordered = np.take(columns, order, axis=1)
-    changed = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    return order, np.flatnonzero(np.concatenate(([True], changed)))
+def _renumber(codes: np.ndarray, span: int, bound: int) -> tuple[np.ndarray, int]:
+    """(dense codes, their number): the partition of ``codes``, all below
+    ``span``, numbered in their order, by a boolean table and a cumsum
+    while the span is at most ``bound``, else by one sort."""
+    if span <= bound:
+        seen = np.zeros(span, dtype=bool)
+        seen[codes] = True
+        dense = np.cumsum(seen, dtype=codes.dtype)
+        return dense[codes] - 1, int(dense[-1])
+    order = np.argsort(codes)
+    ordered = codes[order]
+    new = np.empty(len(codes), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    dense = np.empty_like(codes)
+    dense[order] = np.cumsum(new, dtype=codes.dtype) - 1
+    return dense, int(dense[order[-1]]) + 1
+
+
+def _sums(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """Exact sums of ``values`` by ``index``: Python ints of an object array,
+    or int64 from a float64 ``np.bincount`` of integer weights over a
+    denominator D with D^2 < 2^63, as every sum is at most D < 2^53."""
+    if values.dtype == object:
+        sums = np.zeros(length, dtype=object)
+        np.add.at(sums, index, values)
+        return sums
+    return np.bincount(index, values, minlength=length).astype(np.int64)
+
+
+def _failing_row(problem: LearningProblem, points: np.ndarray, counted: bool) -> int | None:
+    """The earliest row of a batch whose group fails, or None; ``points``
+    is (width, point-sets), and rows run point-set-major. A group of mass m
+    passes when each part's mass in it times the denominator D equals its
+    prior weight times m; those masses sum to m, so an absent part has
+    weight 0. Each row's group code starts as its point-set and takes the
+    point codes column by column, as many a step as int64 holds, re-numbered
+    densely after each step but the last, until every row is its own group.
+    A counted batch packs every column in one step, into codes and bins
+    below max(BATCH_ROW_BUDGET, ``COUNTED_BINS_PER_ROW`` * |C|) <= 2^25
+    (MAX_CLASS_CELLS = 2^22), so int32 holds them while the factor is below
+    512. Where P times the codes' span is at most ``COUNTED_BINS_PER_ROW``
+    times the rows, one ``np.bincount`` sums each (part, group); above
+    that, each (group, part) cell the batch holds is numbered and summed."""
+    width, batch = points.shape
+    size, radix, scale = problem.size, problem.code_radix, problem.scale
+    masses = problem.exact_masses
+    rows, parts = batch * size, len(masses)
+    bound = COUNTED_BINS_PER_ROW * rows
+    codes = np.arange(batch, dtype=np.int32 if counted else np.int64).repeat(size)
+    span, read = batch, 0  # every code is below span; columns read
+    while read < width:
+        step = min(width - read, int(math.log((2**63 - 1) // span, radix)))
+        while span * radix**step > 2**63 - 1:  # the float log may round up
+            step -= 1
+        block = problem.point_codes[points[read:read + step]].reshape(step, rows)
+        if step > 4 and rows < 2**10:  # one product packs many columns of few rows
+            codes *= radix**step
+            codes += radix ** np.arange(step - 1, -1, -1, dtype=codes.dtype) @ block
+        else:  # in-place steps, a column each
+            for column in block:
+                codes *= radix
+                codes += column
+        span, read = span * radix**step, read + step
+        if read < width or parts * span > bound:
+            codes, span = _renumber(codes, span, bound)
+            if span == rows:  # every row its own group
+                break
+    weights = problem.exact_weights[None].repeat(batch, axis=0).reshape(-1)
+    if parts * span <= bound:
+        offsets = problem.part_index.astype(codes.dtype) * span
+        cells = (codes.reshape(batch, size) + offsets).reshape(-1)
+        mass = _sums(cells, weights, parts * span).reshape(parts, span)
+        failing = (mass * scale != masses[:, None] * mass.sum(axis=0)).any(axis=0)
+    else:
+        part = problem.part_index[None].repeat(batch, axis=0).reshape(-1)
+        cells, count = _renumber(codes * parts + part, span * parts, bound)
+        group, cell_part = np.empty(count, dtype=codes.dtype), np.empty(count, dtype=part.dtype)
+        group[cells], cell_part[cells] = codes, part
+        mass = _sums(cells, weights, count)
+        bad = mass * scale != masses[cell_part] * _sums(group, mass, span)[group]
+        failing = np.bincount(group, bad, minlength=span) > 0
+    return int(failing[codes].argmax()) if failing.any() else None
 
 
 def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None, int]:
@@ -158,96 +215,33 @@ def _first_violation(problem: LearningProblem, width: int) -> tuple[list | None,
     the point-sets read). Point-sets are read in ``combinations`` order, in
     batches that hold at least one point-set and grow 8-fold up to
     ``BATCH_ROW_BUDGET`` rows: a counted batch is sized by a point-set's
-    rows or bins, whichever is more, from about ``FIRST_BATCH_ROWS``, and a
-    sorted one by its rows, from about ``FIRST_BATCH_ROWS`` / 8, so a
-    sorted witness in the first point-set of a class over 256 rows reads
-    that point-set alone. A scan reads at most ``MAX_TABLE_CELLS`` table
-    cells, width * |C| a point-set: if it has found no witness when the next
-    point-set would pass that, it raises ``CapacityError`` naming the width
-    and the cells read. So the verdict, the witness and the count do not
-    depend on the batches: a witness is reported when its own point-set, and
-    every one before it, fits the ceiling.
-
-    With integer weights over the prior's denominator D, a group (a
-    point-set and a restricted table) of mass m passes when each part in it
-    has mass times D equal to its prior weight times m; those masses sum to
-    m, so a part absent from it has prior weight 0. Each path finds only
-    the batch's earliest row whose group fails, and the witness is that
-    row's point-set and restricted table. Rows run point-set-major and
-    every row of a group has the same restricted table, so this is, of the
-    earliest point-set with a failing group, the failing group whose first
-    row comes first. Where ``_counts`` holds, a batch is counted: each
-    row's bin, (part, point-set, restricted table) in mixed radix with the
-    part most significant, indexes one ``np.bincount`` of the float64
-    weights. That sum is exact, as D^2 < 2^63 there: every weight and every
-    partial sum is an integer of at most D < 2^31.5 < 2^53. A batch's bins
-    over all parts, like its rows, are at most max(BATCH_ROW_BUDGET,
-    ``COUNTED_BINS_PER_ROW`` * |C|) <= max(2^16, 8 * MAX_CLASS_CELLS) = 2^25,
-    so int32 holds every bin code (and would while the factor is below
-    512). Elsewhere ``_group_rows`` sorts a batch once by
-    (point-set, restricted table, part). The point-set id and
-    ``part_index`` are unsigned, so they stack beside a uint table without
-    a float promotion (int64 beside uint64 would promote both to float64),
-    and an object table stays object. Each run of equal rows is summed by
-    ``np.add.reduceat``, and as the sort is stable, a group's earliest row
-    is the least of its runs' first rows. On both paths the masses are
-    int64 while D^2 < 2^63, as then every product is at most D^2, and
-    Python ints above that."""
+    rows or bins, whichever is more, from about ``FIRST_BATCH_ROWS``, and
+    any other by its rows, from about ``FIRST_BATCH_ROWS`` / 8. A scan reads
+    at most ``MAX_TABLE_CELLS`` table cells, width * |C| a point-set: if it
+    has found no witness when the next point-set would pass that, it raises
+    ``CapacityError`` naming the width and the cells read. So the verdict,
+    the witness and the count do not depend on the batches. The witness is
+    the point-set and restricted table of the earliest row whose group
+    fails: of the earliest point-set with a failing group, the failing group
+    whose first row comes first."""
     if width == 0:
         return None, 1  # the one event is the sure one, whose posterior is the prior
-    size, scale, part_index = problem.size, problem.scale, problem.part_index
-    weights, part_masses = problem.weights, problem.part_masses
-    if scale * scale < 2**63:
-        weights, part_masses = weights.astype(np.int64), part_masses.astype(np.int64)
-    counting = _counts(problem, width)
-    unit, first_rows = size, FIRST_BATCH_ROWS // 8  # of one point-set, and of a sorted first batch
-    if counting:
-        radix = problem.group.order
-        tables = radix**width  # restricted tables of one point-set
-        weights, part_offsets = weights.astype(np.float64), part_index.astype(np.int32)
-        # a counted point-set's rows or bins, whichever is more
-        unit, first_rows = max(size, len(part_masses) * tables), FIRST_BATCH_ROWS
-    point_columns = np.ascontiguousarray(problem.functions.T)  # one row per point
+    size = problem.size
+    counted = _counts(problem, width)
+    unit, first_rows = size, FIRST_BATCH_ROWS // 8  # of one point-set, and of the first batch
+    if counted:  # a point-set's rows or bins, whichever is more
+        bins = len(problem.part_masses) * problem.code_radix**width
+        unit, first_rows = max(size, bins), FIRST_BATCH_ROWS
     point_sets = combinations(range(problem.domain_size), width)
     # the point-sets the ceiling allows
     allowed = islice(point_sets, MAX_TABLE_CELLS // (width * size))
     read, batch_size = 0, max(1, min(first_rows, BATCH_ROW_BUDGET) // unit)
     while batch := list(islice(allowed, batch_size)):
-        points = np.array(batch, dtype=np.intp).T  # (width, batch size)
-        restricted = point_columns[points].reshape(width, len(batch) * size)
-        row = None  # the batch's earliest row whose group fails
-        if counting:
-            groups = np.repeat(np.arange(len(batch), dtype=np.int32), size)
-            for column in restricted:
-                groups *= radix
-                groups += column
-            bins = len(batch) * tables  # of one part
-            flat = (groups.reshape(len(batch), size) + part_offsets * bins).reshape(-1)
-            counts = np.bincount(
-                flat, np.tile(weights, len(batch)), minlength=len(part_masses) * bins
-            )
-            mass = counts.astype(np.int64).reshape(len(part_masses), bins)
-            bad = mass * scale != part_masses[:, None] * mass.sum(axis=0)
-            if bad.any():  # one point-set's rows: a gather over the batch's was up to 20% slower
-                failing = bad.any(axis=0)
-                first = int(failing.argmax()) // tables * size  # of the earliest failing point-set
-                row = first + int(failing[groups[first:first + size]].argmax())
-        else:
-            ids = np.arange(len(batch), dtype=np.min_scalar_type(len(batch) - 1))
-            parts = np.tile(part_index, len(batch))
-            table = np.vstack((np.repeat(ids, size), restricted, parts))  # transposed: a column a row
-            order, starts = _group_rows(table)
-            first_rows = order[starts]  # of each segment, as the sort is stable
-            keys = np.take(table[:-1], first_rows, axis=1)
-            mass = np.add.reduceat(np.tile(weights, len(batch))[order], starts)
-            new_group = np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
-            firsts, group = np.flatnonzero(new_group), np.cumsum(new_group) - 1
-            total = np.add.reduceat(mass, firsts)
-            failing = group[mass * scale != part_masses[parts[first_rows]] * total[group]]
-            if len(failing):
-                row = int(np.minimum.reduceat(first_rows, firsts)[failing].min())
+        row = _failing_row(problem, np.array(batch, dtype=np.intp).T, counted)
         if row is not None:
-            return list(zip(batch[row // size], restricted[:, row].tolist())), read + row // size + 1
+            points = batch[row // size]
+            responses = problem.functions[row % size, list(points)].tolist()
+            return list(zip(points, responses)), read + row // size + 1
         read += len(batch)
         batch_size = min(8 * batch_size, max(1, BATCH_ROW_BUDGET // unit))
     if next(point_sets, None) is not None:
@@ -269,7 +263,7 @@ def classical_useless(problem: LearningProblem, k: int) -> UselessnessReport:
     cells it reads: a witness found within ``MAX_TABLE_CELLS`` is reported
     whatever the worst case, and a scan that would read past it without a
     witness raises ``CapacityError`` there, after up to ``MAX_TABLE_CELLS``
-    cells (about 0.4 s counted, up to 1.6 s sorted). A witness is the violating event's k' pairs,
+    cells (about 0.3-0.5 s). A witness is the violating event's k' pairs,
     unpadded (repeating a query adds nothing), with its posterior replayed
     by :func:`posterior_classical` and the first part it moves. ``detail``
     counts the point-sets and table cells read, up to the witness's own.
@@ -321,8 +315,8 @@ def max_useless_k(problem: LearningProblem) -> int:
     N - 1 only.
 
     Each scan may read ``MAX_TABLE_CELLS`` cells; one that would pass them
-    without a witness raises ``CapacityError``, after up to about 0.4 s
-    (counted) or 1.6 s (sorted) of reading at that width. The end scanned is never dearer in the worst
+    without a witness raises ``CapacityError``, after up to about 0.5 s of
+    reading at that width. The end scanned is never dearer in the worst
     case than the lower end, lo + 1, and lo + 1 <= m + 1, so every class
     whose widths up to m + 1 each fit the ceiling is answered, as by the
     upward scan.

@@ -34,7 +34,6 @@ from oraclelab.useless import (
     MAX_TABLE_CELLS,
     VERDICT_NOT_USELESS,
     VERDICT_USELESS,
-    _group_rows,
     classical_useless,
     lemma_check,
     max_useless_k,
@@ -278,22 +277,17 @@ def test_the_only_informative_point_set_at_a_batch_edge(position):
 
 
 def _kernel_batches(monkeypatch) -> tuple[list, list]:
-    """Record the rows of each batch ``_first_violation`` sorts and of each
-    it counts with ``np.bincount``, as two lists."""
-    sorted_rows, counted_rows = [], []
-    bincount = np.bincount
+    """Record the rows of each batch ``_first_violation`` re-numbers and of
+    each it counts, as two lists."""
+    renumbered_rows, counted_rows = [], []
+    failing_row = useless._failing_row
 
-    def sort(table):
-        sorted_rows.append(table.shape[1])
-        return _group_rows(table)
+    def record(problem, points, counted):
+        (counted_rows if counted else renumbered_rows).append(points.shape[1] * problem.size)
+        return failing_row(problem, points, counted)
 
-    def count(flat, *args, **kwargs):
-        counted_rows.append(len(flat))
-        return bincount(flat, *args, **kwargs)
-
-    monkeypatch.setattr(useless, "_group_rows", sort)
-    monkeypatch.setattr(np, "bincount", count)
-    return sorted_rows, counted_rows
+    monkeypatch.setattr(useless, "_failing_row", record)
+    return renumbered_rows, counted_rows
 
 
 def _order_2_70_class():
@@ -310,6 +304,13 @@ def _object_parity(n):
     return LearningProblem(n, cyclic(2**70), tables, parity.labels, parity.prior)
 
 
+def _spread_parity(n):
+    """parity-n with the responses 0 and 15 in Z_16: codes below 16, so a
+    3-point set has 2 * 16^3 bins, more than 8 times its 2^n rows for n <= 9."""
+    parity = make_parity(n)
+    return LearningProblem(n, cyclic(16), parity.functions * 15, parity.labels, parity.prior)
+
+
 def _one_part_tables(n):
     """Two tables on n Boolean points that differ at the last one, in one
     part: useless at every width."""
@@ -320,38 +321,53 @@ def _one_part_tables(n):
 
 def test_each_batch_counts_once(monkeypatch):
     # 84 point-sets of 512 rows, 16 bins each: batches of 8, 64 and the last 12
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     assert classical_useless(make_parity(9), 3).verdict == VERDICT_USELESS
-    assert (sorted_rows, counted_rows) == ([], [512 * b for b in (8, 64, 12)])
+    assert (renumbered_rows, counted_rows) == ([], [512 * b for b in (8, 64, 12)])
+
+
+def test_an_object_table_counts_in_its_dense_codes(monkeypatch):
+    # parity-9 with the responses 0 and 2^69: codes 0 and 1, so the same
+    # batches as parity-9 and the same reports
+    problem = _object_parity(9)
+    assert problem.functions.dtype == object and problem.code_radix == 2
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
+    reports = [classical_useless(problem, k) for k in (3, 9)]
+    assert (renumbered_rows, counted_rows) == ([], [512 * b for b in (8, 64, 12, 1)])
+    assert reports[0].verdict == VERDICT_USELESS
+    transcript = [tuple(pair) for pair in reports[1].witness["transcript"]]
+    assert (transcript, reports[1].witness["part"]) == dict_loop_first_violation(problem, 9)
+    assert {y for _, y in transcript} <= {0, 2**69}
 
 
 def test_a_counted_batch_is_sized_by_its_bins(monkeypatch):
     # 1820 point-sets of 2 rows and 16 bins: 2^12 // 16 = 256 point-sets,
     # then the last 1564, as 2^16 // 16 = 4096 would fit
     problem = _one_part_tables(16)
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     assert classical_useless(problem, 4).verdict == VERDICT_USELESS
-    assert (sorted_rows, counted_rows) == ([], [2 * b for b in (256, 1564)])
+    assert (renumbered_rows, counted_rows) == ([], [2 * b for b in (256, 1564)])
 
 
-def test_each_batch_sorts_once(monkeypatch):
-    # the 84 point-sets of an object table, which never counts: a first
-    # batch of 2^12 / 8 rows, one point-set, then 8, 64 and the last 11
-    problem = _object_parity(9)
-    assert problem.functions.dtype == object
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+def test_each_renumbered_batch_is_read_once(monkeypatch):
+    # the 84 point-sets of a class whose 3-point sets have 2 * 16^3 bins,
+    # 16 times their 512 rows: a first batch of 2^12 / 8 rows, one
+    # point-set, then 8, 64 and the last 11
+    problem = _spread_parity(9)
+    assert not useless._counts(problem, 3)
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     assert classical_useless(problem, 3).verdict == VERDICT_USELESS
-    assert (sorted_rows, counted_rows) == ([512 * b for b in (1, 8, 64, 11)], [])
+    assert (renumbered_rows, counted_rows) == ([512 * b for b in (1, 8, 64, 11)], [])
 
 
-def test_a_sorted_first_batch_holds_an_eighth_of_the_counted_rows(monkeypatch):
+def test_a_renumbered_first_batch_holds_an_eighth_of_the_counted_rows(monkeypatch):
     # 560 point-sets of 2 rows and 2^13 bins: 2^12 / 8 rows hold 256
     # point-sets, and the next batch the last 304
     problem = _one_part_tables(16)
     assert not useless._counts(problem, 13)
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     assert classical_useless(problem, 13).verdict == VERDICT_USELESS
-    assert (sorted_rows, counted_rows) == ([2 * b for b in (256, 304)], [])
+    assert (renumbered_rows, counted_rows) == ([2 * b for b in (256, 304)], [])
 
 
 @pytest.mark.parametrize(
@@ -359,12 +375,42 @@ def test_a_sorted_first_batch_holds_an_eighth_of_the_counted_rows(monkeypatch):
     [(make_shamir(7, 2), 4), (make_shamir(11, 2), 4)],
     ids=["shamir-7-2-k4", "shamir-11-2-k4"],
 )
-def test_a_sorted_witness_in_the_first_point_set_reads_one_point_set(monkeypatch, problem, width):
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+def test_a_renumbered_witness_in_the_first_point_set_reads_one_point_set(monkeypatch, problem, width):
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     report = classical_useless(problem, width)
     assert report.verdict == VERDICT_NOT_USELESS
     assert report.detail["point_sets"] == 1
-    assert (sorted_rows, counted_rows) == ([problem.size], [])
+    assert (renumbered_rows, counted_rows) == ([problem.size], [])
+
+
+# (class, width, budget): counted and re-numbered scans under budgets that
+# are no multiple of |C|, some below 2 |C|, and parity-17, whose 2^17 rows
+# a point-set pass the budget itself
+BUDGET_CASES = [
+    pytest.param(make_parity(9), 3, 3 * 512 + 100, id="parity-9-k3"),
+    pytest.param(make_parity(9), 3, 512 + 100, id="parity-9-k3-below-2C"),
+    pytest.param(_spread_parity(9), 3, 9 * 512 + 7, id="spread-parity-9-k3"),
+    pytest.param(_spread_parity(9), 3, 512 + 7, id="spread-parity-9-k3-below-2C"),
+    pytest.param(make_shamir(7, 2), 2, 5 * 343 + 1, id="shamir-7-2-k2"),
+    pytest.param(make_shamir(7, 2), 2, 343 + 1, id="shamir-7-2-k2-below-2C"),
+    pytest.param(_one_part_tables(16), 13, 2 * 100 + 1, id="two-tables-16-k13"),
+    pytest.param(make_parity(17), 16, None, id="parity-17-k16"),
+    pytest.param(make_parity(17), 1, None, id="parity-17-k1"),
+]
+
+
+@pytest.mark.parametrize("problem, width, budget", BUDGET_CASES)
+def test_each_batch_holds_at_most_the_budget_rows_or_one_point_set(monkeypatch, problem, width, budget):
+    if budget is not None:
+        monkeypatch.setattr(useless, "BATCH_ROW_BUDGET", budget)
+        assert budget % problem.size
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
+    report = classical_useless(problem, width)
+    batches = renumbered_rows + counted_rows
+    assert sum(batches) == report.detail["point_sets"] * problem.size > problem.size
+    assert all(rows <= useless.BATCH_ROW_BUDGET or rows == problem.size for rows in batches)
+    counts = useless._counts(problem, width)
+    assert (bool(counted_rows), bool(renumbered_rows)) == (counts, not counts)
 
 
 def _padded_parity_2(n):
@@ -375,11 +421,12 @@ def _padded_parity_2(n):
     return LearningProblem(n, cyclic(2), tables, tables.sum(axis=1) % 2, (Fraction(1, 4),) * 4)
 
 
-# (class, width, whether it counts): |Y|^width * P bins of a point-set up to
-# COUNTED_BINS_PER_ROW * |C| count and one more width sorts, at the bound
-# itself (padded parity-2) and below it; parity-N counts at every width, as
-# 2^(N + 1) bins are 2 |C|; a scale whose square passes int64 sorts, and so
-# does an object table
+# (class, width, whether it counts): r^width * P bins of a point-set, for
+# codes below r, up to COUNTED_BINS_PER_ROW * |C| count and one more width
+# is re-numbered, at the bound itself (padded parity-2) and below it;
+# parity-N counts at every width, as 2^(N + 1) bins are 2 |C|; the scale
+# does not choose the side, and an object table counts in its dense codes
+# (three, so P * 3^2 = 18 <= 24 bins at k = 2)
 SWITCH_CASES = [
     pytest.param(make_parity(6), 5, True, id="parity-6-k5"),
     pytest.param(make_parity(6), 6, True, id="parity-6-k6"),
@@ -391,9 +438,10 @@ SWITCH_CASES = [
     pytest.param(make_shamir(7, 2), 3, True, id="shamir-7-2-k3"),
     pytest.param(make_shamir(7, 2), 4, False, id="shamir-7-2-k4"),
     pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[0]]), 1, True, id="scale-3037000499"),
-    pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[1]]), 1, False, id="scale-3037000500"),
-    pytest.param(_order_2_70_class(), 1, False, id="order-2-70-k1"),
-    pytest.param(_order_2_70_class(), 2, False, id="order-2-70-k2"),
+    pytest.param(_product_class(*INT64_BOUND_CLASSES[INT64_SCALES[1]]), 1, True, id="scale-3037000500"),
+    pytest.param(_order_2_70_class(), 1, True, id="order-2-70-k1"),
+    pytest.param(_order_2_70_class(), 2, True, id="order-2-70-k2"),
+    pytest.param(_spread_parity(4), 2, False, id="spread-parity-4-k2"),
 ]
 
 
@@ -401,13 +449,11 @@ SWITCH_CASES = [
 def test_each_side_of_the_counting_switch_matches_the_dict_loop_scan(
     monkeypatch, problem, width, counts
 ):
-    bins = len(problem.part_masses) * problem.group.order**width
-    bound = useless.COUNTED_BINS_PER_ROW * problem.size
-    if problem.functions.dtype != object and problem.scale**2 < 2**63:
-        assert (bins <= bound) == counts
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    bins = len(problem.part_masses) * problem.code_radix**width
+    assert (bins <= useless.COUNTED_BINS_PER_ROW * problem.size) == counts
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     report = classical_useless(problem, width)
-    assert (bool(counted_rows), bool(sorted_rows)) == (counts, not counts)
+    assert (bool(counted_rows), bool(renumbered_rows)) == (counts, not counts)
     witness = report.witness
     if witness is not None:
         witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
@@ -415,24 +461,25 @@ def test_each_side_of_the_counting_switch_matches_the_dict_loop_scan(
     assert (report.verdict == VERDICT_USELESS) == (witness is None)
 
 
-# (the response at point 0 of row 0, whether the check counts): the uint8
-# class counts, or sorts where ``_counts`` is patched; the object one sorts
+# (the response at point 0 of row 0, whether the check counts): each class
+# counts, or is re-numbered where ``_counts`` is patched; the object one
+# counts in its dense codes
 @pytest.mark.parametrize(
     "response, counts",
-    [(1, True), (1, False), (2**69, False)],
-    ids=["uint8-counted", "uint8-sorted", "object-sorted"],
+    [(1, True), (1, False), (2**69, True), (2**69, False)],
+    ids=["uint8-counted", "uint8-renumbered", "object-counted", "object-renumbered"],
 )
 def test_the_witness_is_the_group_of_the_batchs_earliest_failing_row(monkeypatch, response, counts):
     # the dictator of point 0 on 3 points, rows from (1, 1, 1) down: at point
-    # 0 both groups fail, and row 0 lies in that of the response that sorts later
+    # 0 both groups fail, and row 0 lies in that of the greater code
     tables = make_parity(3).functions[::-1].astype(object) * response
     group = cyclic(2 if response == 1 else 2**70)
     problem = LearningProblem(3, group, tables, tables[:, 0] // response, (Fraction(1, 8),) * 8)
     if not counts:
         monkeypatch.setattr(useless, "_counts", lambda problem, width: False)
-    sorted_rows, counted_rows = _kernel_batches(monkeypatch)
+    renumbered_rows, counted_rows = _kernel_batches(monkeypatch)
     report = classical_useless(problem, 1)
-    assert (bool(counted_rows), bool(sorted_rows)) == (counts, not counts)
+    assert (bool(counted_rows), bool(renumbered_rows)) == (counts, not counts)
     assert report.witness["transcript"] == [[0, response]]
     witness = [tuple(pair) for pair in report.witness["transcript"]], report.witness["part"]
     assert witness == dict_loop_first_violation(problem, 1)
@@ -456,6 +503,85 @@ def test_one_point_set_per_batch_gives_the_same_reports(monkeypatch, budget):
         monkeypatch.setattr(useless, "BATCH_ROW_BUDGET", problem.size if budget == "size" else 1)
         assert [asdict(classical_useless(problem, k)) for k in ks] == expected
         monkeypatch.undo()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems(), st.data())
+def test_the_witness_replay_matches_the_filtered_class(problem, data):
+    # the posterior of every event on up to |X| points, an empty one (None)
+    # and the empty transcript (the prior) included, and the prior itself
+    prior = {}
+    for j, w in zip(problem.labels.tolist(), problem.prior):
+        prior[j] = prior.get(j, 0) + w
+    assert problem.part_prior() == prior == posterior_classical(problem, [])
+    n, order = problem.domain_size, problem.group.order
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, order - 1))
+    for transcript in data.draw(st.lists(st.lists(pairs, max_size=n), min_size=1, max_size=6)):
+        assert posterior_classical(problem, transcript) == naive_posterior(problem, transcript)
+    f = problem.functions[0].tolist()
+    assert posterior_classical(problem, [(0, f[0]), (0, (f[0] + 1) % order)]) is None
+
+
+def test_part_prior_is_a_new_dict_on_each_call():
+    problem = make_shamir(5, 1)
+    prior = problem.part_prior()
+    prior[0] = Fraction(1)
+    del prior[1]
+    assert problem.part_prior() == {j: Fraction(1, 5) for j in range(5)}
+    assert problem.part_prior() is not problem.part_prior()
+
+
+def _many_part_class(kind):
+    """A class of more than COUNTED_BINS_PER_ROW parts, whose wide scans sum
+    (group, part) cells numbered densely: shamir-11-2, in a seeded order,
+    or with a prior past int64 whose parts keep equal weights."""
+    problem = make_shamir(11, 2)
+    if kind == "shuffled":
+        return _shuffled(problem, 3)
+    if kind == "huge-scale":
+        weights = [2**65 + j for j in problem.labels.tolist()]
+        prior = tuple(Fraction(w, sum(weights)) for w in weights)
+        problem = LearningProblem(
+            problem.domain_size, problem.group, problem.functions, problem.labels, prior
+        )
+        assert problem.scale**2 >= 2**63 and problem.exact_masses.dtype == object
+    return problem
+
+
+@pytest.mark.parametrize("kind", ["shamir-11-2", "shuffled", "huge-scale"])
+def test_many_parts_sum_dense_group_part_cells_like_the_dict_loop(monkeypatch, kind):
+    # at k = 3 and 4 the 11 parts times the groups pass 8 times the rows
+    problem = _many_part_class(kind)
+    renumbered_rows, _ = _kernel_batches(monkeypatch)
+    for width in (3, 4):
+        assert not useless._counts(problem, width)
+    _witnesses_match_the_dict_loop_scan(problem)
+    assert renumbered_rows
+    assert max_useless_k(problem) == 2
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_two_tables_on_4096_points_equal_but_at_the_last(parts):
+    # every column but the last leaves the two rows in one group, so a scan
+    # at k = |X| packs every column before the rows part; one part is useless
+    # at every width, and two parts are moved by the last point alone
+    n = 2**12
+    tables = np.zeros((2, n), dtype=np.uint8)
+    tables[1, -1] = 1
+    problem = LearningProblem(n, cyclic(2), tables, (0, parts - 1), (Fraction(1, 2),) * 2)
+    for k, point_sets in ((1, n), (n, 1)):
+        report = classical_useless(problem, k)
+        assert report.detail == {"point_sets": point_sets, "cells_read": k * point_sets * 2}
+        witness = report.witness
+        if witness is not None:
+            witness = [tuple(pair) for pair in witness["transcript"]], witness["part"]
+        assert witness == dict_loop_first_violation(problem, k)
+        if parts == 1:
+            assert report.verdict == VERDICT_USELESS
+        else:
+            expected = [(n - 1, 0)] if k == 1 else [(x, 0) for x in range(n)]
+            assert witness == (expected, 0)
+    assert max_useless_k(problem) == (n if parts == 1 else 0)
 
 
 @settings(max_examples=40, deadline=None)
