@@ -3,13 +3,16 @@
 Numeric substrate for the rest of the package. Matrices are plain
 ``numpy.ndarray`` values with ``complex128`` entries. A state or POVM
 element is held as a factor, so it is positive semidefinite by
-construction. Dense ones read from outside are read as one stack: a list
-of matrices is parsed by one ``np.array`` call (:func:`matrices_from_json`)
-and factored by one stacked ``eigh`` (:func:`factor_hermitians`), so a
-POVM of S elements costs one parse and one eigendecomposition, not S of
-each. For JSON interchange a complex scalar is a two-element ``[re, im]``
-array, a matrix is a row-major nested array of those pairs, and a group is
-the array of its cyclic factor orders.
+construction. An algorithm's JSON holds these factors as they are, and
+one :func:`matrices_from_json` parse per factor reads them back, with no
+eigendecomposition. Dense matrices, which hand-written files and files
+from before the factor form hold, are read as one stack: a list of
+matrices is parsed by one ``np.array`` call and factored by one stacked
+``eigh`` (:func:`factor_hermitians`), so a POVM of S elements costs one
+parse and one eigendecomposition, not S of each. For JSON interchange a
+complex scalar is a two-element ``[re, im]`` array, a matrix is a
+row-major nested array of those pairs, and a group is the array of its
+cyclic factor orders.
 """
 
 from __future__ import annotations

@@ -435,28 +435,37 @@ def random_algorithm(
 
 
 def algorithm_to_json(alg: QuantumAlgorithm) -> dict:
-    """The algorithm with its state and POVM elements written as dense
-    matrices, each element from its column block B_s of the POVM factor."""
+    """The algorithm as it is held: ``rho0`` as the factor ``{"weights",
+    "vectors"}`` of the state and ``povm`` as ``{"ranks", "factor"}``, each
+    matrix in matrix JSON. :func:`algorithm_from_json` reads every array
+    back bit for bit, with no eigendecomposition."""
     if alg.batch_shape:
         raise ValueError("algorithm_to_json writes one algorithm; index the batch first")
     labels = alg.outcome_labels
     weights, vectors = alg.state
-    blocks = np.split(alg.povm[1], np.cumsum(alg.povm[0])[:-1], axis=-1)
+    ranks, factor = alg.povm
     return {
         "x_dim": alg.x_dim,
         "group": group_to_json(alg.group),
         "z_dim": alg.z_dim,
-        "rho0": matrix_to_json((vectors * weights) @ vectors.conj().T),
+        "rho0": {"weights": weights.tolist(), "vectors": matrix_to_json(vectors)},
         "unitaries": [matrix_to_json(u) for u in alg.unitaries],
-        "povm": [matrix_to_json(b @ b.conj().T) for b in blocks],
+        "povm": {"ranks": list(ranks), "factor": matrix_to_json(factor)},
         "labels": None if labels is None else {str(s): j for s, j in labels.items()},
     }
 
 
 def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
-    """Read the dense JSON form. The unitaries and the POVM elements are
-    each parsed as one stack, and the elements factored by one stacked
-    ``eigh``; rho0 goes through the same two functions as a stack of one."""
+    """Read an algorithm in either JSON form, chosen for ``rho0`` and for
+    ``povm`` each by its JSON type.
+
+    An object is the factor form :func:`algorithm_to_json` writes: its
+    matrix is parsed once, and the values go to :class:`QuantumAlgorithm`
+    as read, whose checks refuse them (the weights are read with no dtype,
+    so a bool, string or null is refused, not coerced). A list is the dense
+    form: rho0 and each POVM element a matrix, parsed as one stack and
+    factored by one stacked ``eigh``; rho0 goes through the same two
+    functions as a stack of one. The unitaries are one stack in both."""
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, Mapping):
         raise ValueError(f"labels must map outcomes to parts, got {type(labels).__name__}")
@@ -464,10 +473,22 @@ def algorithm_from_json(data: Mapping) -> QuantumAlgorithm:
         x_dim=int_from_json(data["x_dim"]),
         group=group_from_json(data["group"]),
         z_dim=int_from_json(data["z_dim"]),
-        state=factor_hermitians(matrices_from_json([data["rho0"]], "matrix JSON"), "density matrix")[0],
+        state=_state_from_json(data["rho0"]),
         unitaries=matrices_from_json(data["unitaries"], "unitary {}"),
-        povm=povm_from_dense(matrices_from_json(data["povm"], "POVM element {}")),
+        povm=_povm_from_json(data["povm"]),
         outcome_labels=None
         if labels is None
         else {int_from_text(s, "outcome label key"): j for s, j in labels.items()},
     )
+
+
+def _state_from_json(rho0) -> tuple:
+    if isinstance(rho0, Mapping):
+        return rho0["weights"], matrices_from_json([rho0["vectors"]], "state vectors")[0]
+    return factor_hermitians(matrices_from_json([rho0], "matrix JSON"), "density matrix")[0]
+
+
+def _povm_from_json(povm) -> tuple:
+    if isinstance(povm, Mapping):
+        return povm["ranks"], matrices_from_json([povm["factor"]], "POVM factor")[0]
+    return povm_from_dense(matrices_from_json(povm, "POVM element {}"))

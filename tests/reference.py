@@ -19,6 +19,7 @@ from oraclelab.algebra import (
     group_from_json,
     int_from_json,
     int_from_text,
+    matrix_to_json,
     max_abs,
 )
 from oraclelab.polycompile import CompiledClassicalAlgorithm
@@ -404,6 +405,23 @@ def per_element_algorithm_from_json(data):
         if labels is None
         else {int_from_text(s, "outcome label key"): j for s, j in labels.items()},
     )
+
+
+def dense_algorithm_json(alg):
+    """One algorithm in the dense JSON form, which files written before the
+    factor form hold: rho0 = V diag(weights) V^H and each POVM element
+    B_s B_s^H written as a matrix, from the column blocks B_s of the factor."""
+    weights, vectors = alg.state
+    labels = alg.outcome_labels
+    return {
+        "x_dim": alg.x_dim,
+        "group": list(alg.group.factors),
+        "z_dim": alg.z_dim,
+        "rho0": matrix_to_json((vectors * weights) @ vectors.conj().T),
+        "unitaries": [matrix_to_json(u) for u in alg.unitaries],
+        "povm": [matrix_to_json(b @ b.conj().T) for b in povm_blocks(alg.povm)],
+        "labels": None if labels is None else {str(s): j for s, j in labels.items()},
+    }
 
 
 def povm_of_blocks(blocks):

@@ -19,7 +19,14 @@ from oraclelab.gallery import deutsch
 from oraclelab.problems import make_parity, make_shamir, problem_to_json
 from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
 
-from reference import compiled_from_json, dense_run, naive_output_prob, per_entry_matrix, unitary_defect
+from reference import (
+    compiled_from_json,
+    dense_algorithm_json,
+    dense_run,
+    naive_output_prob,
+    per_entry_matrix,
+    unitary_defect,
+)
 
 
 def _reject_constant(name):
@@ -174,7 +181,13 @@ def _drop_labels(schema):
     del schema["labels"]
 
 
+def _dense(schema):
+    """The emitted algorithm rewritten in the dense JSON form."""
+    schema.update(dense_algorithm_json(algorithm_from_json(schema)))
+
+
 def _string_in_complex_pair(schema):
+    _dense(schema)
     schema["rho0"][0][0] = ["x", 0]
 
 
@@ -183,6 +196,7 @@ def _labels_as_list(schema):
 
 
 def _nan_in_rho0(schema):
+    _dense(schema)
     schema["rho0"][0][0] = [float("nan"), 0.0]
 
 
@@ -191,6 +205,7 @@ def _infinity_in_unitary(schema):
 
 
 def _nan_in_povm(schema):
+    _dense(schema)
     schema["povm"][0][0][0] = [float("nan"), 0.0]
 
 
@@ -776,7 +791,7 @@ def test_compile_certificate_simulates_the_cube_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(polycompile, "run", counting_run)
     monkeypatch.setattr(polycompile, "walsh_hadamard", counting_transform)
-    data = algorithm_to_json(random_algorithm(4, cyclic(2), 1, 1, seed=11))
+    data = dense_algorithm_json(random_algorithm(4, cyclic(2), 1, 1, seed=11))
     alg_path, out, cert = tmp_path / "alg.json", tmp_path / "c.json", tmp_path / "cert.csv"
     alg_path.write_text(json.dumps(data))
     accept = [0, 2, 5]

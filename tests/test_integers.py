@@ -14,6 +14,7 @@ from oraclelab.algebra import (
     FiniteAbelianGroup,
     cyclic,
     int_from_json,
+    matrix_to_json,
     random_povm,
     random_pure_state,
     random_unitary,
@@ -36,7 +37,7 @@ from oraclelab.problems import (
     problem_to_json,
     shamir_reconstruct,
 )
-from oraclelab.qsim import algorithm_to_json, random_algorithm, trial_seeds
+from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm, trial_seeds
 from oraclelab.useless import classical_useless, quantum_useless_falsify
 
 VALUES = [3, 3.0, np.int64(3), 2**65, True, 2.5, None, "3"]
@@ -45,6 +46,7 @@ BIG_PRIME = 2**66 + 9  # share points and values up to 2^65 are in range
 BIG_CLASS = LearningProblem(1, cyclic(2**66), ((3,), (2**65,)), (0, 1), HALF)
 FOUR_OUTCOMES = random_algorithm(2, cyclic(2), 1, 1, 7)  # d = 4, one outcome per dimension
 SAMPLER = compile_classical(FOUR_OUTCOMES, [0, 2])
+FOUR_OUTCOMES_JSON = algorithm_to_json(FOUR_OUTCOMES)
 THREE_POINTS = random_algorithm(3, cyclic(2), 1, 0, 5)  # x_dim 3
 THREE_WORKSPACE = random_algorithm(1, cyclic(2), 3, 0, 5)  # z_dim 3
 
@@ -103,6 +105,9 @@ ENTRY_POINTS = {
     "povm n_outcomes": lambda v: _povm_bytes(random_povm(3, v, 1)),
     "povm seed": lambda v: _povm_bytes(random_povm(2, 2, v)),
     "povm rank": lambda v: _povm_bytes(validate_povm((v, 1), np.eye(4))),
+    "povm rank in a file": lambda v: _povm_bytes(algorithm_from_json(
+        {**FOUR_OUTCOMES_JSON, "povm": {"ranks": [v, 1], "factor": matrix_to_json(np.eye(4))}}
+    ).povm),
     "state dim": lambda v: _bytes(random_pure_state(v, 1)),
     "state seed": lambda v: _bytes(random_pure_state(2, [0, v])),
 }

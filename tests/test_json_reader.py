@@ -1,5 +1,6 @@
-"""The algorithm reader against the per-element oracle in reference.py:
-the same factors bit for bit, and the same refusals."""
+"""The dense JSON form's reader against the per-element oracle in
+reference.py: the same factors bit for bit, and the same refusals. The
+dense files come from ``reference.dense_algorithm_json``."""
 
 import copy
 import re
@@ -9,9 +10,9 @@ import pytest
 
 from oraclelab.algebra import TOL_NUM, cyclic, matrix_to_json, random_povm, random_unitary
 from oraclelab.gallery import entries
-from oraclelab.qsim import algorithm_from_json, algorithm_to_json, random_algorithm
+from oraclelab.qsim import algorithm_from_json, random_algorithm
 
-from reference import per_element_algorithm_from_json, povm_blocks
+from reference import dense_algorithm_json, per_element_algorithm_from_json, povm_blocks
 
 Z2 = cyclic(2)
 
@@ -31,7 +32,7 @@ def _assert_read_alike(data):
 def _with(data=None, rho0=None, povm=None):
     """A copy of ``data`` (a random 1-query algorithm on d = 4 by default)
     with its dense state or POVM replaced."""
-    data = copy.deepcopy(data or algorithm_to_json(random_algorithm(2, Z2, 1, 1, 3)))
+    data = copy.deepcopy(data or dense_algorithm_json(random_algorithm(2, Z2, 1, 1, 3)))
     if rho0 is not None:
         data["rho0"] = matrix_to_json(rho0)
     if povm is not None:
@@ -45,7 +46,7 @@ def _projectors(factors):
 
 @pytest.mark.parametrize("name", sorted(entries()))
 def test_gallery_reads_as_the_oracle_reads(name):
-    _assert_read_alike(algorithm_to_json(entries()[name].algorithm))
+    _assert_read_alike(dense_algorithm_json(entries()[name].algorithm))
 
 
 @pytest.mark.parametrize("z_dim", [1, 2])
@@ -53,7 +54,7 @@ def test_gallery_reads_as_the_oracle_reads(name):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_random_algorithms_read_as_the_oracle_reads(n, queries, z_dim):
     alg = random_algorithm(n, Z2, z_dim, queries, 10 * n + queries)
-    _assert_read_alike(algorithm_to_json(alg))
+    _assert_read_alike(dense_algorithm_json(alg))
 
 
 def test_rank_above_one_zero_element_and_tiny_negative_eigenvalues_read_as_the_oracle_reads():
@@ -112,7 +113,7 @@ def _povm(elements):
 
 
 # at d = 2 an entry nested one level deeper is a pair of pairs, not a row of d
-D2 = algorithm_to_json(random_algorithm(1, Z2, 1, 1, 5))
+D2 = dense_algorithm_json(random_algorithm(1, Z2, 1, 1, 5))
 REFUSALS = {
     "ragged-rows": (_edited(_ragged), ValueError),
     "three-number-entry": (_edited(_set_entry("povm", 2, 0, 0, [1.0, 0.0, 0.0])), ValueError),
@@ -183,7 +184,7 @@ def test_one_eigh_for_the_state_and_one_for_every_povm_element(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    data = algorithm_to_json(random_algorithm(4, Z2, 1, 1, 9))  # d = 8 outcomes
+    data = dense_algorithm_json(random_algorithm(4, Z2, 1, 1, 9))  # d = 8 outcomes
     alg = algorithm_from_json(data)
     assert alg.n_outcomes == 8
     assert calls == [(1, 8, 8), (8, 8, 8)]
