@@ -23,7 +23,13 @@ from oraclelab.algebra import (
     max_abs,
 )
 from oraclelab.polycompile import CompiledClassicalAlgorithm
-from oraclelab.qsim import QuantumAlgorithm, outcome_posteriors, random_algorithm, trial_seeds
+from oraclelab.qsim import (
+    QuantumAlgorithm,
+    algorithm_to_json,
+    outcome_posteriors,
+    random_algorithm,
+    trial_seeds,
+)
 
 
 def naive_posterior(problem, transcript):
@@ -409,18 +415,14 @@ def per_element_algorithm_from_json(data):
 
 def dense_algorithm_json(alg):
     """One algorithm in the dense JSON form, which files written before the
-    factor form hold: rho0 = V diag(weights) V^H and each POVM element
-    B_s B_s^H written as a matrix, from the column blocks B_s of the factor."""
+    factor form hold: :func:`algorithm_to_json` with rho0 = V diag(weights) V^H
+    and each POVM element B_s B_s^H written as a matrix, from the column
+    blocks B_s of the factor."""
     weights, vectors = alg.state
-    labels = alg.outcome_labels
     return {
-        "x_dim": alg.x_dim,
-        "group": list(alg.group.factors),
-        "z_dim": alg.z_dim,
+        **algorithm_to_json(alg),
         "rho0": matrix_to_json((vectors * weights) @ vectors.conj().T),
-        "unitaries": [matrix_to_json(u) for u in alg.unitaries],
         "povm": [matrix_to_json(b @ b.conj().T) for b in povm_blocks(alg.povm)],
-        "labels": None if labels is None else {str(s): j for s, j in labels.items()},
     }
 
 

@@ -353,9 +353,11 @@ def _mutated(draw, schema):
     return data
 
 
-# What EMIT_PROBLEM and EMIT_ALG write under "result".
+# What EMIT_PROBLEM and EMIT_ALG write under "result", and the dense form of
+# the same algorithm that files written before the factor form hold.
 PROBLEM_SCHEMA = problem_to_json(make_parity(2))
 ALG_SCHEMA = algorithm_to_json(deutsch())
+DENSE_ALG_SCHEMA = dense_algorithm_json(deutsch())
 AUDIT_ALG = ["audit", "--gen", "parity", "--n", "2", "--accept", "0", "--alg"]
 
 
@@ -393,6 +395,12 @@ def test_mutated_problem_never_crashes(data):
 @given(_mutated(ALG_SCHEMA))
 @settings(max_examples=100, deadline=None)
 def test_mutated_algorithm_never_crashes(data):
+    _check_mutated_input(data, [SIMULATE_ALG, COMPILE_ALG, AUDIT_ALG])
+
+
+@given(_mutated(DENSE_ALG_SCHEMA))
+@settings(max_examples=100, deadline=None)
+def test_mutated_dense_algorithm_never_crashes(data):
     _check_mutated_input(data, [SIMULATE_ALG, COMPILE_ALG, AUDIT_ALG])
 
 
